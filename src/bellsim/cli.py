@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 from pathlib import Path
 from typing import Any
@@ -29,6 +30,7 @@ from .fileio import (
     read_keyvalue,
     read_model,
     write_bundle_csv,
+    write_records_csv,
 )
 from .lhv import (
     LhvModel,
@@ -363,12 +365,7 @@ def cmd_weak_bvalues(args: argparse.Namespace) -> int:
         "seed": args.seed,
     }
     out = _out_dir(args)
-    lines = [f"# {k}: {v}" for k, v in {**_csv_preamble(spec), "seed": args.seed}.items()]
-    lines.append("trial,rA1,rA2,rB1,rB2,bvalue")
-    for k in range(len(run)):
-        r = [float(v) for v in run.readings[k]]
-        lines.append(f"{k},{r[0]!r},{r[1]!r},{r[2]!r},{r[3]!r},{float(run.b_values[k])!r}")
-    (out / "records.csv").write_text("\n".join(lines) + "\n")
+    write_records_csv(out / "records.csv", run, {**_csv_preamble(spec), "seed": args.seed})
     b = run.b_values
     summary = {
         "mean_b": float(b.mean()),
@@ -383,13 +380,26 @@ def cmd_weak_bvalues(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads ``-1e-05`` as a negative number, not an option flag.
+
+    argparse only recognizes plain negative decimals (``-0.5``), so a float list
+    such as ``--angles 0 -1e-05 0.7 -0.7`` (``optimize_angles`` can return tiny
+    negative angles) would stop at the exponent form.  Subparsers inherit the class.
+    """
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def _add_seed_out(parser: argparse.ArgumentParser, seed_required: bool = True) -> None:
     parser.add_argument("--seed", type=int, required=seed_required, help="master seed (required; no wall-clock default)")
     parser.add_argument("--out", required=True, help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="bellsim", description=__doc__)
+    parser = _Parser(prog="bellsim", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("simulate-lhv", help="sample a four-context bundle from an LHV model")

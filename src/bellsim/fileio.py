@@ -4,9 +4,18 @@ CSV files may start with ``# key: value`` comment lines (run metadata); all
 readers skip them.  Floats are written with repr, which round-trips float64
 exactly, so save/load cycles are lossless and byte-stable.
 
+The CSV writers stream: rows are formatted and written ``CHUNK_ROWS`` at a
+time, so a file of millions of rows never exists as one string in memory.
+Writing, not sampling, is what a large bundle costs, so the integer writers
+do as little per row as they can: outcomes are validated +/-1, so each row's
+columns map to a small code (one bit per column) that indexes a precomputed
+suffix such as ``",1,2,-1,1\n"``, and a row is just ``str(k)`` plus that
+suffix.
+
   counterfactual table   trial,a1,a2,b1,b2
   context dataset        trial,a,b
   bundle                 trial,context_i,context_j,a,b   (canonical context order)
+  pointer records        trial,rA1,rA2,rB1,rB2,bvalue    (repr floats)
   behavior               "context i j = p p p p" lines, optional "counts i j = ..."
   model specification    "key = value" lines with a "variant" key; unknown keys rejected
   density matrix         16 "re im" lines, row-major
@@ -15,9 +24,9 @@ exactly, so save/load cycles are lossless and byte-stable.
 
 from __future__ import annotations
 
-import io
+import itertools
 import math
-from collections.abc import Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from pathlib import Path
 from typing import Any
 
@@ -34,6 +43,7 @@ from .core import (
 from .errors import ConfigError
 from .lhv import LhvModel, model_from_mapping
 from .quantum import AngleQuadruple, DensityMatrix
+from .weak import PointerRun
 
 __all__ = [
     "read_angles",
@@ -49,12 +59,17 @@ __all__ = [
     "write_bundle_csv",
     "write_dataset_csv",
     "write_density",
+    "write_records_csv",
     "write_table_csv",
 ]
 
 TABLE_HEADER = "trial,a1,a2,b1,b2"
 DATASET_HEADER = "trial,a,b"
 BUNDLE_HEADER = "trial,context_i,context_j,a,b"
+RECORDS_HEADER = "trial,rA1,rA2,rB1,rB2,bvalue"
+
+# Rows formatted per write: bounds the text held in memory at once.
+CHUNK_ROWS = 8192
 
 
 def _preamble_lines(preamble: Mapping[str, Any] | None) -> list[str]:
@@ -68,31 +83,72 @@ def _data_lines(path: Path) -> list[str]:
     return [ln.strip() for ln in lines if ln.strip() and not ln.lstrip().startswith("#")]
 
 
+def _next_data_line(lines: Iterator[bytes]) -> bytes | None:
+    """Advance past blank and comment lines; the lines must be stripped."""
+    return next((ln for ln in lines if ln and not ln.startswith(b"#")), None)
+
+
 def _read_int_csv(path: Path, header: str) -> np.ndarray:
-    lines = _data_lines(path)
-    if not lines or lines[0] != header:
-        found = lines[0] if lines else "<empty>"
+    columns = header.count(",") + 1
+    lines = map(bytes.strip, Path(path).read_bytes().splitlines())
+    first = _next_data_line(lines)
+    if first != header.encode():
+        found = "<empty>" if first is None else first.decode(errors="replace")
         raise ConfigError(f"{path}: expected header {header!r}, found {found!r}")
-    body = "\n".join(lines[1:])
-    if not body:
-        return np.empty((0, header.count(",") + 1), dtype=np.int64)
+    row = _next_data_line(lines)
+    if row is None:
+        return np.empty((0, columns), dtype=np.int64)
     try:
-        data = np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.int64, ndmin=2)
+        # loadtxt itself skips the blank and comment lines still to come
+        data = np.loadtxt(
+            itertools.chain((row,), lines), delimiter=",", dtype=np.int64, ndmin=2
+        )
     except ValueError as exc:
         raise ConfigError(f"{path}: malformed CSV body: {exc}") from exc
-    if data.shape[1] != header.count(",") + 1:
-        raise ConfigError(f"{path}: expected {header.count(',') + 1} columns, got {data.shape[1]}")
+    if data.shape[1] != columns:
+        raise ConfigError(f"{path}: expected {columns} columns, got {data.shape[1]}")
     return data
+
+
+def _write_csv(
+    path: Path, header: str, preamble: Mapping[str, Any] | None, blocks: Iterable[str]
+) -> None:
+    """Write preamble comments, the header, then the row text blocks in order."""
+    with Path(path).open("w") as handle:
+        handle.write("\n".join(_preamble_lines(preamble) + [header]) + "\n")
+        handle.writelines(blocks)
+
+
+def _suffixes(prefix: str, columns: int) -> list[str]:
+    """Row text after the trial index, indexed by the row's code (see _outcome_blocks)."""
+    return [
+        prefix + "".join(f",{v}" for v in values) + "\n"
+        for values in itertools.product((1, -1), repeat=columns)
+    ]
+
+
+_TABLE_SUFFIXES = _suffixes("", 4)
+_DATASET_SUFFIXES = _suffixes("", 2)
+_BUNDLE_SUFFIXES = {c: _suffixes(f",{c.alice},{c.bob}", 2) for c in CANONICAL_CONTEXTS}
+
+
+def _outcome_blocks(outcomes: np.ndarray, suffixes: list[str]) -> Iterator[str]:
+    """Text of rows ``k,<outcomes[k]>``, CHUNK_ROWS rows per block.
+
+    A row's code has one bit per column, set where the outcome is -1, first
+    column highest: the order in which ``_suffixes`` enumerates them.
+    """
+    weights = 1 << np.arange(outcomes.shape[1] - 1, -1, -1)
+    codes = (outcomes < 0) @ weights
+    for start in range(0, codes.shape[0], CHUNK_ROWS):
+        chunk = codes[start:start + CHUNK_ROWS].tolist()
+        yield "".join([f"{k}{suffixes[c]}" for k, c in zip(range(start, start + len(chunk)), chunk)])
 
 
 def write_table_csv(
     path: Path, table: CounterfactualTable, preamble: Mapping[str, Any] | None = None
 ) -> None:
-    lines = _preamble_lines(preamble) + [TABLE_HEADER]
-    lines.extend(
-        f"{k},{row[0]},{row[1]},{row[2]},{row[3]}" for k, row in enumerate(table.outcomes)
-    )
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, TABLE_HEADER, preamble, _outcome_blocks(table.outcomes, _TABLE_SUFFIXES))
 
 
 def read_table_csv(path: Path) -> CounterfactualTable:
@@ -103,9 +159,7 @@ def read_table_csv(path: Path) -> CounterfactualTable:
 def write_dataset_csv(
     path: Path, dataset: ContextDataset, preamble: Mapping[str, Any] | None = None
 ) -> None:
-    lines = _preamble_lines(preamble) + [DATASET_HEADER]
-    lines.extend(f"{k},{a},{b}" for k, (a, b) in enumerate(dataset.pairs))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, DATASET_HEADER, preamble, _outcome_blocks(dataset.pairs, _DATASET_SUFFIXES))
 
 
 def read_dataset_csv(path: Path, context: Context) -> ContextDataset:
@@ -116,11 +170,10 @@ def read_dataset_csv(path: Path, context: Context) -> ContextDataset:
 def write_bundle_csv(
     path: Path, bundle: ExperimentBundle, preamble: Mapping[str, Any] | None = None
 ) -> None:
-    lines = _preamble_lines(preamble) + [BUNDLE_HEADER]
-    for dataset in bundle.datasets:
-        i, j = dataset.context.alice, dataset.context.bob
-        lines.extend(f"{k},{i},{j},{a},{b}" for k, (a, b) in enumerate(dataset.pairs))
-    Path(path).write_text("\n".join(lines) + "\n")
+    blocks = itertools.chain.from_iterable(
+        _outcome_blocks(d.pairs, _BUNDLE_SUFFIXES[d.context]) for d in bundle.datasets
+    )
+    _write_csv(path, BUNDLE_HEADER, preamble, blocks)
 
 
 def read_bundle_csv(path: Path) -> ExperimentBundle:
@@ -135,6 +188,21 @@ def read_bundle_csv(path: Path) -> ExperimentBundle:
     if int(data.shape[0]) != sum(d.n_pairs for d in datasets):
         raise ConfigError(f"{path}: rows outside the four canonical contexts")
     return ExperimentBundle(tuple(datasets))
+
+
+def write_records_csv(
+    path: Path, run: PointerRun, preamble: Mapping[str, Any] | None = None
+) -> None:
+    """Per-pair pointer records: the four readings and the B-value of each pair."""
+
+    def blocks() -> Iterator[str]:
+        for start in range(0, len(run), CHUNK_ROWS):
+            stop = start + CHUNK_ROWS
+            readings, b_values = run.readings[start:stop].tolist(), run.b_values[start:stop].tolist()
+            rows = zip(range(start, stop), readings, b_values)
+            yield "".join([f"{k},{r[0]!r},{r[1]!r},{r[2]!r},{r[3]!r},{b!r}\n" for k, r, b in rows])
+
+    _write_csv(path, RECORDS_HEADER, preamble, blocks())
 
 
 def write_behavior(

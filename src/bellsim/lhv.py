@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
-from scipy import integrate
 
 from .core import CANONICAL_CONTEXTS, CHSH_SIGNS, Context, ContextDataset, CounterfactualTable, ExperimentBundle
 from .errors import ConfigError, NumericError
@@ -116,6 +115,8 @@ def validate_model(model: LhvModel) -> LhvModel:
             raise ConfigError(f"model {model.name!r}: interval space requires a density")
         if model.sample_lambda is None:
             raise ConfigError(f"model {model.name!r}: interval space requires sample_lambda")
+        from scipy import integrate  # deferred: loading it is most of bellsim's import time
+
         total, abserr = integrate.quad(
             model.density, model.space.lo, model.space.hi, epsabs=1e-10, limit=500
         )
@@ -225,6 +226,8 @@ def exact_lhv_correlation(model: LhvModel, context: Context) -> float:
         points.extend(model.breakpoints.get(("alice", context.alice), ()))
         points.extend(model.breakpoints.get(("bob", context.bob), ()))
     points = sorted({p for p in points if space.lo < p < space.hi})
+    from scipy import integrate  # deferred, as in validate_model
+
     value, abserr = integrate.quad(
         integrand, space.lo, space.hi, points=points or None, epsabs=1e-10, limit=1000
     )

@@ -9,6 +9,7 @@ its path, never on draw order elsewhere.
 from __future__ import annotations
 
 import hashlib
+import numbers
 
 import numpy as np
 
@@ -19,11 +20,15 @@ def derive_seed(master: int, *path: object) -> int:
     """Derive a 64-bit child seed from a master seed and a label path.
 
     Path elements (strings, ints) are encoded unambiguously, so
-    ("ab", 1) and ("a", "b1") yield unrelated seeds.
+    ("ab", 1) and ("a", "b1") yield unrelated seeds.  Integers of any type
+    (``7``, ``np.int64(7)``) are hashed as Python ints, so equal values give
+    equal streams; ``bool`` keeps its own encoding.
     """
     h = hashlib.sha256()
     h.update(b"bellsim-seed")
     for part in (master, *path):
+        if type(part) not in (int, str, bool) and isinstance(part, numbers.Integral):
+            part = int(part)
         token = f"{type(part).__name__}:{part}".encode()
         h.update(len(token).to_bytes(4, "little"))
         h.update(token)

@@ -194,9 +194,12 @@ def _run_row(
     ci_lo, ci_hi = wilson_interval(violations, trials)
     mean_s = float(resolved.mean())
     sd_s = float(resolved.std(ddof=1)) if trials > 1 else 0.0
-    z = (mean_s - threshold) / sd_s if sd_s > 0 else math.inf * np.sign(mean_s - threshold)
-    if mean_s == threshold and sd_s == 0:
+    if sd_s > 0:
+        z = (mean_s - threshold) / sd_s
+    elif mean_s == threshold:
         z = 0.0
+    else:
+        z = math.copysign(math.inf, mean_s - threshold)
     return StudyRow(n_per_context, trials, frequency, ci_lo, ci_hi, mean_s, sd_s, float(z))
 
 

@@ -272,3 +272,27 @@ class TestWeakBValues:
         argv = ["weak-bvalues", "--source", "calibrated", "--target-s", "2.0",
                 "--n", "500", "--seed", "4"]
         assert run_twice_identical(argv, tmp_path)
+
+
+class TestFloatArguments:
+    ANGLES = ["0", "-1e-05", "0.7", "-2.5E-7"]
+
+    @pytest.mark.parametrize(
+        ("argv", "record"),
+        [
+            (["simulate-lhv", "--variant", "sign_cosine", "--n", "20", "--seed", "1"], "run.json"),
+            (["simulate-quantum", "--state", "singlet", "--n", "20", "--seed", "1"], "run.json"),
+            (["violation-curve", "--generator", "singlet", "--n", "10", "--trials", "3",
+              "--seed", "1"], "run.json"),
+            (["weak-bvalues", "--source", "lhv", "--variant", "sign_cosine", "--n", "20",
+              "--seed", "1"], "summary.json"),
+        ],
+        ids=["simulate-lhv", "simulate-quantum", "violation-curve", "weak-bvalues"],
+    )
+    def test_negative_angles_in_exponent_notation(self, tmp_path, argv, record):
+        out = tmp_path / "out"
+        assert main([*argv, "--angles", *self.ANGLES, "--out", str(out)]) == EXIT_OK
+        spec = json.loads((out / record).read_text())["spec"]
+        # the parsed values reach the spec: an 'angles' list, or the LHV model's name
+        angles = spec.get("angles") or spec["model"]
+        assert "-1e-05" in str(angles) and "-2.5e-07" in str(angles)

@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bellsim
 from bellsim.core import CANONICAL_CONTEXTS, Context, b_statistic, s_statistic
 from bellsim.errors import ConfigError
 from bellsim.lhv import (
@@ -234,3 +238,26 @@ class TestModelMapping:
             model_from_mapping({"outcomes": [1, 1, 1, 1]})
         with pytest.raises(ConfigError, match="missing"):
             model_from_mapping({"variant": "sign_cosine", "a1": 0.0})
+
+
+class TestLazyQuadratureImport:
+    """scipy.integrate is most of bellsim's import time; only interval models load it."""
+
+    def test_cli_import_and_finite_models_leave_it_out(self):
+        code = (
+            "import sys\n"
+            "import bellsim.cli\n"
+            "print('scipy.integrate' in sys.modules)\n"
+            "from bellsim.lhv import boundary_mixture_model, deterministic_model, exact_lhv_s, "
+            "sample_bundle, sign_cosine_model, validate_model\n"
+            "for model in (boundary_mixture_model(), deterministic_model(1, 1, 1, -1)):\n"
+            "    validate_model(model); exact_lhv_s(model); sample_bundle(model, 10, 1)\n"
+            "print('scipy.integrate' in sys.modules)\n"
+            "exact_lhv_s(sign_cosine_model(0.0, 1.0, 2.0, 3.0))\n"
+            "print('scipy.integrate' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(bellsim.__path__[0])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False", "False", "True"]

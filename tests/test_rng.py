@@ -35,3 +35,26 @@ def test_categorical_degenerate_vector():
     rng = np.random.default_rng(1)
     draws = categorical(rng, np.array([0.0, 1.0, 0.0, 0.0]), 1000)
     assert (draws == 1).all()
+
+
+def test_numpy_and_python_int_seeds_give_equal_streams():
+    for make in (np.int64, np.int32, np.uint64, np.uint8):
+        assert derive_seed(make(7), "x") == derive_seed(7, "x")
+        assert derive_seed(7, "trial", make(3)) == derive_seed(7, "trial", 3)
+        assert spawn_rng(make(9), "ctx", make(2)).random(4).tolist() == spawn_rng(9, "ctx", 2).random(4).tolist()
+    # bool keeps its own encoding; it is not the integer 1
+    assert derive_seed(1, True) != derive_seed(1, 1)
+
+
+def test_python_int_seeds_are_unchanged():
+    # values recorded before integer seeds were normalized; existing streams must not move
+    assert derive_seed(7, "x") == 15647060205696623661
+    assert derive_seed(42, "trial", 7) == 1837239193255546802
+    assert derive_seed(0) == 10859181324133925864
+    assert derive_seed(2**63 + 5, "curve-n", 10000) == 1471924542904625261
+    assert derive_seed(-3, "a", 0) == 13440618888737295997
+    assert derive_seed(1, True) == 16888354520136515430
+    assert derive_seed(9, "ctx", 3, "weak-source") == 12970295843029836468
+    assert spawn_rng(42, "trial", 7).random(3).tolist() == [
+        0.38277346550837044, 0.30790164072816373, 0.8606150415921476,
+    ]

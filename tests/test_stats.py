@@ -85,6 +85,13 @@ class TestViolationFrequency:
         assert result.mean_s == 2.0
         assert result.sd_s == 0.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_spread_at_threshold_gives_zero_z_without_warning(self):
+        generator = generator_from_lhv(deterministic_model(1, 1, 1, 1))
+        assert significance_curve(generator, [10], 5, 1).rows[0].z == 0.0
+        assert significance_curve(generator, [10], 5, 1, threshold=1.0).rows[0].z == math.inf
+        assert significance_curve(generator, [10], 5, 1, threshold=3.0).rows[0].z == -math.inf
+
     def test_boundary_model_near_half(self):
         result = violation_frequency(
             ViolationStudy(BOUNDARY, n_per_context=10_000, trials=2_000, seed=5)
