@@ -23,7 +23,7 @@ from .core import (
 )
 from .errors import DomainError
 from .quantum import OUTCOME_PAIRS, AngleQuadruple, Convention, DensityMatrix, born_probabilities
-from .rng import categorical, spawn_rng
+from .rng import categorical, sample_size, spawn_rng
 
 __all__ = [
     "Behavior",
@@ -55,6 +55,8 @@ class Behavior:
         probs = np.asarray(self.probs, dtype=np.float64)
         if probs.shape != (4, 4):
             raise DomainError(f"behavior needs a (4, 4) probability table, got {probs.shape}")
+        if not np.isfinite(probs).all():
+            raise DomainError("behavior probabilities must be finite")
         if probs.min() < -PROB_TOL:
             raise DomainError(f"negative probability {probs.min():.3e} in behavior")
         sums = probs.sum(axis=1)
@@ -149,19 +151,22 @@ def behavior_from_bundle(bundle: ExperimentBundle) -> Behavior:
 
 
 def sample_bundle_from_behavior(
-    behavior: Behavior, n_per_context: int, seed: int
+    behavior: Behavior, n_per_context: int, seed: int, label: str = "behavior-context"
 ) -> ExperimentBundle:
-    """Multinomial draws from each context's distribution; deterministic given seed."""
-    if n_per_context < 1:
-        raise DomainError(f"n_per_context must be >= 1, got {n_per_context}")
+    """Multinomial draws from each context's distribution; deterministic given seed.
+
+    Context c draws from the stream (seed, label, c.index), so sources that share
+    this sampler keep their own streams by passing their own label.
+    """
+    n_per_context = sample_size(n_per_context)
     datasets = []
     for context in CANONICAL_CONTEXTS:
         probs = np.clip(behavior.probs[context.index], 0.0, None)
         probs = probs / probs.sum()
-        rng = spawn_rng(seed, "behavior-context", context.index)
+        rng = spawn_rng(seed, label, context.index)
         draws = categorical(rng, probs, n_per_context)
         datasets.append(
-            ContextDataset(context, OUTCOME_PAIRS[draws], {"seed": seed, "generator": "behavior"})
+            ContextDataset(context, OUTCOME_PAIRS[draws], {"seed": seed, "generator": label})
         )
     return ExperimentBundle(tuple(datasets))
 

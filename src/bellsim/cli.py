@@ -24,6 +24,7 @@ from .behaviors import behavior_from_bundle, behavior_s
 from .core import b_statistic, s_statistic
 from .errors import BellSimError, ConfigError, DomainError, NumericError
 from .fileio import (
+    STUDY_KEYS,
     read_behavior,
     read_bundle_csv,
     read_density,
@@ -32,15 +33,7 @@ from .fileio import (
     write_bundle_csv,
     write_records_csv,
 )
-from .lhv import (
-    LhvModel,
-    boundary_mixture_model,
-    deterministic_model,
-    exact_lhv_s,
-    sample_bundle,
-    sample_counterfactual_table,
-    sign_cosine_model,
-)
+from .lhv import LhvModel, exact_lhv_s, model_from_mapping, sample_bundle, sample_counterfactual_table
 from .quantum import (
     TSIRELSON_ANGLES,
     TSIRELSON_BOUND,
@@ -97,21 +90,32 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
-def _lhv_model_from_args(args: argparse.Namespace) -> LhvModel:
-    if getattr(args, "model", None):
+# The flags each LHV variant reads; violation-curve records them in its spec.
+_VARIANT_FLAGS = {
+    "deterministic": ("outcomes",),
+    "sign_cosine": ("angles", "bob_sign"),
+    "boundary_mixture": (),
+}
+
+
+def _lhv_model(args: argparse.Namespace, name: str | None = None) -> LhvModel:
+    """Build the LHV model ``name``: "model" reads --model FILE, a variant reads its flags.
+
+    Without a name (simulate-lhv, weak-bvalues), --model FILE wins over --variant.
+    """
+    name = name or ("model" if args.model else args.variant)
+    if name == "model":
+        if not args.model:
+            raise ConfigError("--generator model needs --model FILE")
         return read_model(Path(args.model))
-    variant = getattr(args, "variant", None)
-    if variant == "deterministic":
-        if args.outcomes is None:
-            raise ConfigError("deterministic variant needs --outcomes o1 o2 o3 o4")
-        return deterministic_model(*args.outcomes)
-    if variant == "sign_cosine":
-        if args.angles is None:
-            raise ConfigError("sign_cosine variant needs --angles a1 a2 b1 b2")
-        return sign_cosine_model(*args.angles, bob_sign=args.bob_sign)
-    if variant == "boundary_mixture":
-        return boundary_mixture_model()
-    raise ConfigError("specify an LHV model via --model FILE or --variant NAME")
+    if name is None:
+        raise ConfigError("specify an LHV model via --model FILE or --variant NAME")
+    mapping: dict[str, Any] = {"variant": name}
+    if name == "deterministic":
+        mapping["outcomes"] = args.outcomes
+    if name == "sign_cosine":
+        mapping.update(zip(("a1", "a2", "b1", "b2"), args.angles or ()), bob_sign=args.bob_sign)
+    return model_from_mapping(mapping)
 
 
 def _state_from_args(args: argparse.Namespace) -> tuple[DensityMatrix, str]:
@@ -131,7 +135,7 @@ def _angles_from_args(args: argparse.Namespace) -> AngleQuadruple:
 
 
 def cmd_simulate_lhv(args: argparse.Namespace) -> int:
-    model = _lhv_model_from_args(args)
+    model = _lhv_model(args)
     spec = {
         "subcommand": "simulate-lhv",
         "model": model.name,
@@ -238,74 +242,28 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
 
 def _generator_from_args(args: argparse.Namespace) -> tuple[BundleGenerator, dict[str, Any]]:
     name = args.generator
-    if name == "model":
-        if not args.model:
-            raise ConfigError("--generator model needs --model FILE")
-        model = read_model(Path(args.model))
-        return generator_from_lhv(model), {"generator": "model", "model": model.name}
     if name == "behavior":
         if not args.behavior:
             raise ConfigError("--generator behavior needs --behavior FILE")
         behavior = read_behavior(Path(args.behavior))
         return generator_from_behavior(behavior), {"generator": "behavior", "file": args.behavior}
-    if name == "boundary_mixture":
-        return generator_from_lhv(boundary_mixture_model()), {"generator": "boundary_mixture"}
-    if name == "deterministic":
-        if args.outcomes is None:
-            raise ConfigError("--generator deterministic needs --outcomes o1 o2 o3 o4")
-        model = deterministic_model(*args.outcomes)
-        return generator_from_lhv(model), {"generator": "deterministic", "outcomes": args.outcomes}
-    if name == "sign_cosine":
-        if args.angles is None:
-            raise ConfigError("--generator sign_cosine needs --angles a1 a2 b1 b2")
-        model = sign_cosine_model(*args.angles, bob_sign=args.bob_sign)
-        spec = {"generator": "sign_cosine", "angles": args.angles, "bob_sign": args.bob_sign}
-        return generator_from_lhv(model), spec
     if name in ("singlet", "mixed"):
         rho = singlet() if name == "singlet" else maximally_mixed()
         angles = _angles_from_args(args)
         spec = {"generator": name, "angles": list(angles.as_tuple())}
         return generator_from_quantum(rho, angles), spec
-    raise ConfigError(f"unknown generator {name!r}")
-
-
-_STUDY_SPEC_KEYS = {
-    "generator", "model", "behavior", "angles", "outcomes", "bob_sign",
-    "n", "trials", "threshold", "mode", "seed",
-}
-
-
-def _apply_study_spec(args: argparse.Namespace) -> None:
-    """Fill violation-curve arguments from a 'key = value' study spec file."""
-    mapping = read_keyvalue(Path(args.spec))
-    unknown = set(mapping) - _STUDY_SPEC_KEYS
-    if unknown:
-        raise ConfigError(f"{args.spec}: unknown study keys {sorted(unknown)}")
-    if "generator" in mapping:
-        args.generator = mapping["generator"]
-    if args.generator is None:
-        raise ConfigError(f"{args.spec}: study spec must name a generator")
-    for key in ("model", "behavior", "mode"):
-        if mapping.get(key):
-            setattr(args, key, mapping[key])
-    if "angles" in mapping:
-        args.angles = [float(v) for v in mapping["angles"].replace(",", " ").split()]
-    if "outcomes" in mapping:
-        args.outcomes = [int(v) for v in mapping["outcomes"].replace(",", " ").split()]
-    if "bob_sign" in mapping:
-        args.bob_sign = float(mapping["bob_sign"])
-    if "n" in mapping:
-        args.n = [int(v) for v in mapping["n"].replace(",", " ").split()]
-    for key in ("trials", "seed"):
-        if key in mapping:
-            setattr(args, key, int(mapping[key]))
-    if "threshold" in mapping:
-        args.threshold = float(mapping["threshold"])
+    if name != "model" and name not in _VARIANT_FLAGS:
+        raise ConfigError(f"unknown generator {name!r}")
+    model = _lhv_model(args, name)
+    if name == "model":
+        return generator_from_lhv(model), {"generator": "model", "model": model.name}
+    spec = {"generator": name, **{flag: getattr(args, flag) for flag in _VARIANT_FLAGS[name]}}
+    return generator_from_lhv(model), spec
 
 
 def cmd_violation_curve(args: argparse.Namespace) -> int:
     if args.spec:
-        _apply_study_spec(args)
+        vars(args).update(read_keyvalue(Path(args.spec), STUDY_KEYS))
     for field, label in ((args.generator, "--generator"), (args.n, "--n"),
                          (args.trials, "--trials"), (args.seed, "--seed")):
         if field is None:
@@ -351,7 +309,7 @@ def cmd_weak_bvalues(args: argparse.Namespace) -> int:
         source_spec: dict[str, Any] = {"source": "calibrated", "target_s": args.target_s}
         reference = args.target_s
     else:
-        model = _lhv_model_from_args(args)
+        model = _lhv_model(args)
         table = sample_counterfactual_table(model, args.n, derive_seed(args.seed, "weak-source"))
         run = per_pair_b_values_lhv(table, config, args.seed)
         source_spec = {"source": "lhv", "model": model.name}
@@ -393,6 +351,13 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
+def _add_model_flags(parser: argparse.ArgumentParser, model_help: str) -> None:
+    parser.add_argument("--model", help=model_help)
+    parser.add_argument("--outcomes", type=int, nargs=4, metavar=("A1", "A2", "B1", "B2"))
+    parser.add_argument("--angles", type=float, nargs=4, metavar=("A1", "A2", "B1", "B2"))
+    parser.add_argument("--bob-sign", type=float, default=-1.0, choices=[-1.0, 1.0])
+
+
 def _add_seed_out(parser: argparse.ArgumentParser, seed_required: bool = True) -> None:
     parser.add_argument("--seed", type=int, required=seed_required, help="master seed (required; no wall-clock default)")
     parser.add_argument("--out", required=True, help="output directory")
@@ -403,11 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("simulate-lhv", help="sample a four-context bundle from an LHV model")
-    p.add_argument("--model", help="model specification file")
-    p.add_argument("--variant", choices=["deterministic", "sign_cosine", "boundary_mixture"])
-    p.add_argument("--outcomes", type=int, nargs=4, metavar=("A1", "A2", "B1", "B2"))
-    p.add_argument("--angles", type=float, nargs=4, metavar=("A1", "A2", "B1", "B2"))
-    p.add_argument("--bob-sign", type=float, default=-1.0, choices=[-1.0, 1.0])
+    p.add_argument("--variant", choices=list(_VARIANT_FLAGS))
+    _add_model_flags(p, "model specification file")
     p.add_argument("--n", type=int, required=True, help="pairs per context")
     _add_seed_out(p)
     p.set_defaults(func=cmd_simulate_lhv)
@@ -434,13 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("violation-curve", help="violation frequency and z-score per sample size")
     p.add_argument("--spec", help="study spec file ('key = value'); its values take precedence over flags")
     p.add_argument("--generator",
-                   choices=["boundary_mixture", "sign_cosine", "deterministic", "model",
-                            "behavior", "singlet", "mixed"])
-    p.add_argument("--model", help="model file for --generator model")
+                   choices=[*_VARIANT_FLAGS, "model", "behavior", "singlet", "mixed"])
     p.add_argument("--behavior", help="behavior file for --generator behavior")
-    p.add_argument("--outcomes", type=int, nargs=4)
-    p.add_argument("--angles", type=float, nargs=4)
-    p.add_argument("--bob-sign", type=float, default=-1.0, choices=[-1.0, 1.0])
+    _add_model_flags(p, "model file for --generator model")
     p.add_argument("--n", type=int, nargs="+", help="per-context sample sizes")
     p.add_argument("--trials", type=int)
     p.add_argument("--threshold", type=float, default=2.0)
@@ -452,11 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("weak-bvalues", help="per-pair pointer B-values and exceedance fractions")
     p.add_argument("--source", choices=["calibrated", "lhv"], required=True)
     p.add_argument("--target-s", type=float, help="symmetry center for the calibrated source")
-    p.add_argument("--model", help="LHV model file for --source lhv")
-    p.add_argument("--variant", choices=["deterministic", "sign_cosine", "boundary_mixture"])
-    p.add_argument("--outcomes", type=int, nargs=4)
-    p.add_argument("--angles", type=float, nargs=4)
-    p.add_argument("--bob-sign", type=float, default=-1.0, choices=[-1.0, 1.0])
+    p.add_argument("--variant", choices=list(_VARIANT_FLAGS))
+    _add_model_flags(p, "LHV model file for --source lhv")
     p.add_argument("--n", type=int, required=True, help="number of pairs")
     p.add_argument("--g", type=float, default=1.0, help="readout gain")
     p.add_argument("--sigma", type=float, default=1.0, help="pointer spread per reading")

@@ -17,7 +17,8 @@ suffix.
   bundle                 trial,context_i,context_j,a,b   (canonical context order)
   pointer records        trial,rA1,rA2,rB1,rB2,bvalue    (repr floats)
   behavior               "context i j = p p p p" lines, optional "counts i j = ..."
-  model specification    "key = value" lines with a "variant" key; unknown keys rejected
+  model specification    "key = value" lines with a "variant" key (keys: MODEL_KEYS)
+  study specification    "key = value" lines (keys: STUDY_KEYS)
   density matrix         16 "re im" lines, row-major
   angle quadruple        one line: a1 a2 b1 b2 (radians)
 """
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from pathlib import Path
 from typing import Any
 
@@ -46,6 +47,8 @@ from .quantum import AngleQuadruple, DensityMatrix
 from .weak import PointerRun
 
 __all__ = [
+    "MODEL_KEYS",
+    "STUDY_KEYS",
     "read_angles",
     "read_behavior",
     "read_bundle_csv",
@@ -79,7 +82,10 @@ def _preamble_lines(preamble: Mapping[str, Any] | None) -> list[str]:
 
 
 def _data_lines(path: Path) -> list[str]:
-    lines = Path(path).read_text().splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     return [ln.strip() for ln in lines if ln.strip() and not ln.lstrip().startswith("#")]
 
 
@@ -248,20 +254,48 @@ def read_behavior(path: Path) -> Behavior:
     return Behavior(probs, counts if has_counts.all() else None)
 
 
-def _parse_scalar(text: str) -> Any:
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
+def _values(convert: Callable[[str], Any], count: int | None = None) -> Callable[[str], list]:
+    """Parser of a list of values separated by commas or spaces (exactly ``count``, if given)."""
+
+    def parse(text: str) -> list:
+        values = [convert(v) for v in text.replace(",", " ").split()]
+        if count is not None and len(values) != count:
+            raise ValueError(f"expected {count} values, got {len(values)}")
+        return values
+
+    return parse
 
 
-def read_keyvalue(path: Path) -> dict[str, str]:
-    """Parse a 'key = value' file into raw strings, rejecting duplicates."""
-    mapping: dict[str, str] = {}
+# Value parser of each key a model file may hold; model_from_mapping checks
+# which keys its variant takes.
+MODEL_KEYS: dict[str, Callable[[str], Any]] = {
+    "variant": str,
+    "outcomes": _values(int),
+    **dict.fromkeys(("a1", "a2", "b1", "b2", "bob_sign"), float),
+    "strategies": lambda text: [_values(int)(row) for row in text.split(";")],
+    "weights": _values(float),
+}
+
+# Value parser of each key a violation-curve study spec may hold; each key
+# sets the command-line argument of the same name.
+STUDY_KEYS: dict[str, Callable[[str], Any]] = {
+    **dict.fromkeys(("generator", "model", "behavior", "mode"), str),
+    "angles": _values(float, 4),
+    "outcomes": _values(int, 4),
+    "bob_sign": float,
+    "n": _values(int),
+    **dict.fromkeys(("trials", "seed"), int),
+    "threshold": float,
+}
+
+
+def read_keyvalue(path: Path, keys: Mapping[str, Callable[[str], Any]]) -> dict[str, Any]:
+    """Parse a 'key = value' file, reading each value with its key's parser.
+
+    Unknown and duplicate keys, and values their parser rejects, are ConfigErrors.
+    """
+    mapping: dict[str, Any] = {}
+    unknown = []
     for line in _data_lines(Path(path)):
         if "=" not in line:
             raise ConfigError(f"{path}: expected 'key = value' lines, got {line!r}")
@@ -270,29 +304,23 @@ def read_keyvalue(path: Path) -> dict[str, str]:
         value = value.strip()
         if not key or not value:
             raise ConfigError(f"{path}: malformed line {line!r}")
-        if key in mapping:
+        if key in mapping or key in unknown:
             raise ConfigError(f"{path}: duplicate key {key!r}")
-        mapping[key] = value
+        if key not in keys:
+            unknown.append(key)
+            continue
+        try:
+            mapping[key] = keys[key](value)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: bad value for {key!r}: {value!r} ({exc})") from exc
+    if unknown:
+        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}; expected some of {sorted(keys)}")
     return mapping
 
 
 def read_model(path: Path) -> LhvModel:
     """Parse a 'key = value' model file into a built-in LHV model."""
-    mapping: dict[str, Any] = {}
-    for key, value in read_keyvalue(Path(path)).items():
-        if key == "strategies":
-            try:
-                mapping[key] = [
-                    tuple(int(v) for v in chunk.replace(",", " ").split())
-                    for chunk in value.split(";")
-                ]
-            except ValueError as exc:
-                raise ConfigError(f"{path}: bad strategies {value!r}: {exc}") from exc
-        elif key in ("weights", "outcomes"):
-            mapping[key] = [_parse_scalar(v) for v in value.replace(",", " ").split()]
-        else:
-            mapping[key] = _parse_scalar(value)
-    return model_from_mapping(mapping)
+    return model_from_mapping(read_keyvalue(Path(path), MODEL_KEYS))
 
 
 def write_density(

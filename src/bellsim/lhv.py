@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import CANONICAL_CONTEXTS, CHSH_SIGNS, Context, ContextDataset, CounterfactualTable, ExperimentBundle
 from .errors import ConfigError, NumericError
-from .rng import categorical, spawn_rng
+from .rng import categorical, sample_size, spawn_rng
 
 __all__ = [
     "FiniteSpace",
@@ -105,7 +105,7 @@ def validate_model(model: LhvModel) -> LhvModel:
         weights = model.space.weights
         if (weights < 0).any():
             raise ConfigError(f"model {model.name!r}: negative probability mass")
-        if abs(float(weights.sum()) - 1.0) > DENSITY_TOL:
+        if not abs(float(weights.sum()) - 1.0) <= DENSITY_TOL:  # NaN masses fail too
             raise ConfigError(
                 f"model {model.name!r}: masses sum to {weights.sum()!r}, not 1 within {DENSITY_TOL}"
             )
@@ -162,8 +162,7 @@ def _draw_lambda(model: LhvModel, rng: np.random.Generator, size: int) -> np.nda
 
 def sample_counterfactual_table(model: LhvModel, n: int, seed: int) -> CounterfactualTable:
     """Draw n lambdas from one stream; row k holds (A1, A2, B1, B2) at lambda_k."""
-    if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
+    n = sample_size(n, "n")
     model = _checked(model)
     lam = _draw_lambda(model, spawn_rng(seed, "lhv-table"), n)
     columns = [
@@ -182,8 +181,7 @@ def sample_bundle(model: LhvModel, n_per_context: int, seed: int) -> ExperimentB
     Per-context streams derive from (seed, context index), so any evaluation
     order produces identical bytes.
     """
-    if n_per_context < 1:
-        raise ConfigError(f"n_per_context must be >= 1, got {n_per_context}")
+    n_per_context = sample_size(n_per_context)
     model = _checked(model)
     datasets = []
     for context in CANONICAL_CONTEXTS:
@@ -253,19 +251,31 @@ def exact_lhv_s(model: LhvModel) -> float:
     return total
 
 
+def _numbers(key: str, value: object, shape: tuple[int, ...] | None = ()) -> np.ndarray:
+    """``value`` as an array of real numbers, of the given shape unless that is None."""
+    try:
+        array = np.asarray(value)
+    except ValueError as exc:  # ragged nesting
+        raise ConfigError(f"{key} must be a rectangular array of numbers, got {value!r}") from exc
+    if array.dtype.kind not in "iuf" or shape not in (None, array.shape):
+        of_shape = "" if shape is None else f" of shape {shape}"
+        raise ConfigError(f"{key} must be numbers{of_shape}, got {value!r}")
+    return array
+
+
 def _strategy_table(strategies: object) -> np.ndarray:
-    table = np.asarray(strategies, dtype=np.int64)
+    table = _numbers("strategies", strategies, None)
     if table.ndim != 2 or table.shape[1] != 4 or table.size == 0:
         raise ConfigError(f"strategies must be an (m, 4) array of +/-1, got shape {table.shape}")
     if not np.isin(table, (-1, 1)).all():
         raise ConfigError("strategy entries must be +1 or -1")
-    return table
+    return table.astype(np.int64)
 
 
 def mixture_model(strategies: object, weights: object, name: str = "mixture") -> LhvModel:
     """Finite model: lambda indexes a deterministic strategy (a1, a2, b1, b2)."""
     table = _strategy_table(strategies)
-    weights = np.asarray(weights, dtype=np.float64)
+    weights = _numbers("weights", weights, None).astype(np.float64)
     if weights.shape != (table.shape[0],):
         raise ConfigError(f"need one weight per strategy, got {weights.shape} for {table.shape[0]}")
 
@@ -397,23 +407,18 @@ def model_from_mapping(spec: Mapping[str, Any]) -> LhvModel:
     if unknown:
         raise ConfigError(f"unknown keys for variant {variant!r}: {sorted(unknown)}")
     if variant == "deterministic":
-        outcomes = spec.get("outcomes")
-        if outcomes is None or len(outcomes) != 4:
-            raise ConfigError("deterministic variant needs outcomes = four +/-1 values")
-        return deterministic_model(*(int(v) for v in outcomes))
+        outcomes = _numbers("deterministic outcomes", spec.get("outcomes"), (4,))
+        return deterministic_model(*outcomes.tolist())  # entries other than +/-1 are rejected there
     if variant == "sign_cosine":
         missing = {"a1", "a2", "b1", "b2"} - set(spec)
         if missing:
             raise ConfigError(f"sign_cosine variant missing keys: {sorted(missing)}")
-        return sign_cosine_model(
-            float(spec["a1"]),
-            float(spec["a2"]),
-            float(spec["b1"]),
-            float(spec["b2"]),
-            bob_sign=float(spec.get("bob_sign", -1.0)),
+        a1, a2, b1, b2, bob_sign = (  # bob_sign defaults to -1
+            float(_numbers(key, spec.get(key, -1.0))) for key in ("a1", "a2", "b1", "b2", "bob_sign")
         )
-    strategies = spec.get("strategies", DEFAULT_BOUNDARY_STRATEGIES)
-    weights = spec.get("weights", None)
+        return sign_cosine_model(a1, a2, b1, b2, bob_sign=bob_sign)
+    table = _strategy_table(spec.get("strategies", DEFAULT_BOUNDARY_STRATEGIES))
+    weights = spec.get("weights")
     if weights is None:
-        weights = np.full(len(strategies), 1.0 / len(strategies))
-    return boundary_mixture_model(strategies, weights)
+        weights = np.full(len(table), 1.0 / len(table))
+    return boundary_mixture_model(table, weights)

@@ -18,14 +18,12 @@ from typing import Literal
 
 import numpy as np
 
-from .core import CANONICAL_CONTEXTS, CHSH_SIGNS, ContextDataset, ExperimentBundle
+from .core import CANONICAL_CONTEXTS, CHSH_SIGNS, ExperimentBundle
 from .errors import ConfigError, DomainError
-from .rng import categorical, spawn_rng
 
 __all__ = [
     "AngleQuadruple",
     "DensityMatrix",
-    "MeasurementSetting",
     "TSIRELSON_ANGLES",
     "TSIRELSON_BOUND",
     "born_probabilities",
@@ -66,6 +64,8 @@ class DensityMatrix:
         m = np.asarray(self.matrix, dtype=np.complex128)
         if m.shape != (4, 4):
             raise DomainError(f"density matrix must be 4x4, got {m.shape}")
+        if not np.isfinite(m).all():
+            raise DomainError("density matrix entries must be finite")
         herm = float(np.abs(m - m.conj().T).max())
         if herm > HERMITIAN_TOL:
             raise DomainError(f"matrix is not Hermitian: max |rho - rho^dag| = {herm:.3e}")
@@ -103,23 +103,6 @@ def random_density_matrix(rng: np.random.Generator) -> DensityMatrix:
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     rho = m @ m.conj().T
     return DensityMatrix(rho / np.trace(rho))
-
-
-@dataclass(frozen=True)
-class MeasurementSetting:
-    """A dichotomic observable: which party, which setting slot, what angle."""
-
-    party: Literal["alice", "bob"]
-    index: int
-    angle: float
-
-    def __post_init__(self) -> None:
-        if self.party not in ("alice", "bob"):
-            raise DomainError(f"party must be 'alice' or 'bob', got {self.party!r}")
-        if self.index not in (1, 2):
-            raise DomainError(f"setting index must be 1 or 2, got {self.index}")
-        if not math.isfinite(self.angle):
-            raise DomainError(f"angle must be finite, got {self.angle}")
 
 
 @dataclass(frozen=True)
@@ -235,23 +218,10 @@ def sample_bundle_quantum(
     convention: Convention = "spin",
 ) -> ExperimentBundle:
     """Per-context i.i.d. draws from the Born distribution; deterministic given seed."""
-    if n_per_context < 1:
-        raise ConfigError(f"n_per_context must be >= 1, got {n_per_context}")
-    datasets = []
-    for context in CANONICAL_CONTEXTS:
-        probs = born_probabilities(
-            rho, angles.alice(context.alice), angles.bob(context.bob), convention
-        )
-        probs = np.clip(probs, 0.0, None)
-        probs /= probs.sum()
-        rng = spawn_rng(seed, "quantum-context", context.index)
-        draws = categorical(rng, probs, n_per_context)
-        datasets.append(
-            ContextDataset(
-                context, OUTCOME_PAIRS[draws], {"seed": seed, "generator": "quantum"}
-            )
-        )
-    return ExperimentBundle(tuple(datasets))
+    from .behaviors import behavior_from_quantum, sample_bundle_from_behavior  # imports this module
+
+    behavior = behavior_from_quantum(rho, angles, convention)
+    return sample_bundle_from_behavior(behavior, n_per_context, seed, "quantum-context")
 
 
 def correlation_block(rho: DensityMatrix) -> np.ndarray:

@@ -13,7 +13,9 @@ import numbers
 
 import numpy as np
 
-__all__ = ["categorical", "derive_seed", "spawn_rng"]
+from .errors import ConfigError
+
+__all__ = ["categorical", "derive_seed", "sample_size", "spawn_rng"]
 
 
 def derive_seed(master: int, *path: object) -> int:
@@ -38,6 +40,13 @@ def derive_seed(master: int, *path: object) -> int:
 def spawn_rng(master: int, *path: object) -> np.random.Generator:
     """Generator seeded by the derived (master, *path) seed."""
     return np.random.default_rng(derive_seed(master, *path))
+
+
+def sample_size(n: object, name: str = "n_per_context") -> int:
+    """``n`` as a draw count: an integer of any integer type, at least 1."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ConfigError(f"{name} must be an integer >= 1, got {n!r}")
+    return int(n)
 
 
 def categorical(rng: np.random.Generator, probs: np.ndarray, size: int) -> np.ndarray:

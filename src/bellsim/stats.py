@@ -24,12 +24,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .behaviors import Behavior, behavior_s, sample_bundle_from_behavior
+from .behaviors import Behavior, behavior_from_quantum, behavior_s, sample_bundle_from_behavior
 from .core import ExperimentBundle, correlation, s_statistic
 from .errors import ConfigError, DomainError
 from .lhv import LhvModel, exact_lhv_s, sample_bundle
-from .quantum import AngleQuadruple, DensityMatrix, s_quantum, sample_bundle_quantum
-from .rng import derive_seed
+from .quantum import AngleQuadruple, DensityMatrix, s_quantum
+from .rng import derive_seed, sample_size
 
 __all__ = [
     "BundleGenerator",
@@ -67,12 +67,13 @@ def generator_from_lhv(model: LhvModel) -> BundleGenerator:
 
 
 def generator_from_quantum(rho: DensityMatrix, angles: AngleQuadruple) -> BundleGenerator:
-    exact = s_quantum(rho, angles)
+    """Born sampling at the given angles, on the streams of ``sample_bundle_quantum``."""
+    behavior = behavior_from_quantum(rho, angles)  # once per generator, not once per trial
 
     def sample(n_per_context: int, seed: int) -> ExperimentBundle:
-        return sample_bundle_quantum(rho, angles, n_per_context, seed)
+        return sample_bundle_from_behavior(behavior, n_per_context, seed, "quantum-context")
 
-    return BundleGenerator("quantum", exact, sample)
+    return BundleGenerator("quantum", s_quantum(rho, angles), sample)
 
 
 def generator_from_behavior(behavior: Behavior, label: str = "behavior") -> BundleGenerator:
@@ -98,8 +99,7 @@ class ViolationStudy:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if self.n_per_context < 1:
-            raise ConfigError(f"n_per_context must be >= 1, got {self.n_per_context}")
+        sample_size(self.n_per_context)
         if not (self.threshold > 0):
             raise ConfigError(f"threshold must be positive, got {self.threshold}")
         if self.mode not in ("signed", "absolute"):
@@ -234,10 +234,13 @@ def significance_curve(
 
     The top-level scalars summarize the largest n (the last row).
     """
+    n_values = [sample_size(n, "each n") for n in n_values]
     if not n_values:
         raise ConfigError("n_values must be nonempty")
-    if list(n_values) != sorted(n_values) or len(set(n_values)) != len(n_values):
+    if n_values != sorted(n_values) or len(set(n_values)) != len(n_values):
         raise ConfigError(f"n_values must be strictly ascending, got {n_values}")
+    if mode not in ("signed", "absolute"):
+        raise ConfigError(f"mode must be 'signed' or 'absolute', got {mode!r}")
     rows = tuple(
         _run_row(generator, n, trials, threshold, derive_seed(seed, "curve-n", n), mode)
         for n in n_values

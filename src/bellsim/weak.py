@@ -30,7 +30,7 @@ import numpy as np
 
 from .core import CounterfactualTable
 from .errors import ConfigError, DomainError
-from .rng import spawn_rng
+from .rng import sample_size, spawn_rng
 
 __all__ = [
     "PerPairRecord",
@@ -148,8 +148,7 @@ def per_pair_b_values_calibrated(
     distribution and the median drifts off the target; the noiseless
     reference reading is what makes the 50% exceedance exact.)
     """
-    if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
+    n = sample_size(n, "n")
     if not math.isfinite(target_s):
         raise ConfigError(f"target_s must be finite, got {target_s}")
     rng = spawn_rng(seed, "weak-calibrated")

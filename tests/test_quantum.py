@@ -238,3 +238,36 @@ def test_angle_quadruple_validation():
     assert q.alice(1) == 0.1 and q.alice(2) == 0.2
     assert q.bob(1) == 0.3 and q.bob(2) == 0.4
     assert q.as_tuple() == (0.1, 0.2, 0.3, 0.4)
+
+
+def test_born_sampling_matches_the_per_context_reference():
+    """Born bundles are drawn as the per-context loop below draws them: same streams, same bytes.
+
+    Covers ``sample_bundle_quantum`` (both conventions) and the quantum violation
+    generator, which samples a Behavior built once instead of recomputing Born
+    probabilities per trial.
+    """
+    from bellsim.quantum import OUTCOME_PAIRS
+    from bellsim.rng import categorical, spawn_rng
+    from bellsim.stats import generator_from_quantum
+
+    rng = np.random.default_rng(11)
+    for case in range(48):
+        rho = singlet() if case % 6 == 0 else random_density_matrix(rng)
+        angles = AngleQuadruple(*rng.uniform(-math.pi, math.pi, size=4))
+        convention = ("spin", "photon")[case % 2]
+        n, seed = int(rng.integers(1, 300)), int(rng.integers(2**62))
+        bundle = sample_bundle_quantum(rho, angles, n, seed, convention)
+        for dataset in bundle.datasets:
+            context = dataset.context
+            probs = born_probabilities(
+                rho, angles.alice(context.alice), angles.bob(context.bob), convention
+            )
+            probs = np.clip(probs, 0.0, None)
+            probs /= probs.sum()
+            draws = categorical(spawn_rng(seed, "quantum-context", context.index), probs, n)
+            assert np.array_equal(dataset.pairs, OUTCOME_PAIRS[draws])
+        if convention == "spin":
+            from_generator = generator_from_quantum(rho, angles).sample(n, seed)
+            for a, b in zip(bundle.datasets, from_generator.datasets):
+                assert np.array_equal(a.pairs, b.pairs)
