@@ -16,9 +16,13 @@ decides that question exactly:
     forms; for no-signaling behaviors, feasibility holds iff it is <= 2.
   * ``reshuffle_feasible`` -- the count-level variant: can four N x 2 data
     tables be reordered into N consistent quadruples?  Solved by the same LP
-    on count tables (real relaxation, optional per-context L1 slack), with an
-    integer witness attempted by rounding plus greedy repair for N <= 10^4;
-    results that only prove the real relaxation are labeled as such.
+    on count tables (optional per-context L1 slack).  At slack 0 the answer
+    is an exact integer reshuffle for every N: the marginal system is
+    unimodular (every basis of its 9 independent rows has determinant +-1),
+    so each vertex of {w >= 0 : P w = counts} is integral (Veinott & Dantzig,
+    SIAM Rev. 10, 371 (1968)).  The phase-1 simplex stops at a vertex, so
+    rounding its witness removes only float noise, and the rounded witness
+    is checked exactly against the counts.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import numpy as np
 from ._simplex import phase1_solve
 from .behaviors import Behavior, behavior_from_bundle
 from .core import CANONICAL_CONTEXTS, Context, CounterfactualTable, ExperimentBundle, project_bundle
-from .errors import DomainError
+from .errors import DomainError, NumericError
 
 __all__ = [
     "ASSIGNMENTS",
@@ -141,7 +145,7 @@ class FeasibilityResult:
     witness: JointDistribution | None = None
     certificate: Certificate | None = None
     witness_counts: np.ndarray | None = None
-    integrality: str | None = None  # for count problems: "integer" | "relaxation"
+    integrality: str | None = None  # "integer" for slack-0 count problems, else None
 
     def __post_init__(self) -> None:
         if self.status not in ("feasible", "infeasible"):
@@ -198,11 +202,18 @@ def fine_feasible_lp(behavior: Behavior) -> FeasibilityResult:
         witness = JointDistribution(weights)
         residual = _max_marginal_violation(witness.weights, behavior.probs)
         return FeasibilityResult("feasible", residual=residual, witness=witness)
+    return _infeasible(behavior, infeasibility, infeasibility)
+
+
+def _infeasible(
+    behavior: Behavior, infeasibility: float, violation_mass: float
+) -> FeasibilityResult:
+    """Infeasible verdict: the violated CHSH form, else inconsistent marginals."""
     value, signs = chsh_certificate_detail(behavior)
     if value > 2.0 + LP_TOL:
         certificate = Certificate("chsh", value, signs)
     else:
-        certificate = Certificate("marginal-inconsistency", infeasibility)
+        certificate = Certificate("marginal-inconsistency", violation_mass)
     return FeasibilityResult("infeasible", residual=infeasibility, certificate=certificate)
 
 
@@ -244,58 +255,6 @@ def reshuffle_problem_from_table(table: CounterfactualTable, slack: float = 0.0)
 def reshuffle_problem_from_bundle(bundle: ExperimentBundle, slack: float = 0.0) -> ReshuffleProblem:
     behavior = behavior_from_bundle(bundle)
     return ReshuffleProblem(behavior.counts, slack)
-
-
-def _repair_integer_witness(
-    weights: np.ndarray, counts: np.ndarray, max_steps: int = 1024
-) -> np.ndarray | None:
-    """Round the real witness and greedily swap unit counts until the tables match."""
-    total = int(counts[0].sum())
-    w = np.rint(weights).astype(np.int64)
-    w = np.maximum(w, 0)
-    # Restore the grand total first (swaps below preserve it).
-    fractional = weights - w
-    while w.sum() != total:
-        if w.sum() < total:
-            k = int(np.argmax(fractional))
-            w[k] += 1
-            fractional[k] -= 1.0
-        else:
-            candidates = np.where(w > 0, fractional, np.inf)
-            k = int(np.argmin(candidates))
-            w[k] -= 1
-            fractional[k] += 1.0
-
-    proj = PROJECTION.reshape(16, 16)  # rows: (context, outcome), cols: assignment
-
-    def l1(vec: np.ndarray) -> int:
-        return int(np.abs(counts.reshape(16) - proj @ vec).sum())
-
-    current = l1(w)
-    for _ in range(max_steps):
-        if current == 0:
-            return w
-        best_gain = 0
-        best_move = None
-        residual = counts.reshape(16) - proj @ w
-        for src in range(16):
-            if w[src] == 0:
-                continue
-            for dst in range(16):
-                if dst == src:
-                    continue
-                delta = proj[:, dst] - proj[:, src]
-                gain = int(np.abs(residual).sum() - np.abs(residual - delta).sum())
-                if gain > best_gain:
-                    best_gain = gain
-                    best_move = (src, dst)
-        if best_move is None:
-            return None
-        src, dst = best_move
-        w[src] -= 1
-        w[dst] += 1
-        current -= best_gain
-    return None
 
 
 def _slack_system(
@@ -341,10 +300,10 @@ def reshuffle_feasible(problem: ReshuffleProblem) -> FeasibilityResult:
     """Decide whether the four count tables can be reshuffled into consistent quadruples.
 
     The exact variant (slack 0, equal totals) asks for assignment counts whose
-    projections reproduce every table; with slack > 0 each context table may
-    deviate by up to ``slack`` in L1.  Real-relaxation feasibility is decided
-    by the LP; for slack 0 and N <= 10^4 an integer witness is attempted and
-    the result labeled "integer" or "relaxation" accordingly.
+    projections reproduce every table; a feasible answer carries an integer
+    witness for every N (see the module docstring), labeled "integer".  With
+    slack > 0 each context table may deviate by up to ``slack`` in L1, and the
+    witness is the LP's real-valued one.
     """
     counts = problem.counts
     totals = problem.totals
@@ -358,44 +317,29 @@ def reshuffle_feasible(problem: ReshuffleProblem) -> FeasibilityResult:
     scale = float(max(1, counts.sum()))
     if problem.slack == 0.0:
         a_eq, b_eq = _marginal_system(counts / scale, totals[0] / scale)
-        infeasibility, x = phase1_solve(a_eq, b_eq, tol=LP_TOL)
-        witness_counts = x * scale
     else:
         mass = float(np.rint(totals.mean()))
         a_eq, b_eq = _slack_system(counts, problem.slack, mass, scale)
-        infeasibility, x = phase1_solve(a_eq, b_eq, tol=LP_TOL)
-        witness_counts = x[:16] * scale
-
+    infeasibility, x = phase1_solve(a_eq, b_eq, tol=LP_TOL)
     frequencies = counts / np.maximum(totals, 1)[:, None]
-    if infeasibility <= LP_TOL:
-        integrality = None
-        if problem.slack == 0.0 and totals[0] <= 10_000:
-            integral = _repair_integer_witness(witness_counts, counts)
-            if integral is not None:
-                witness_counts = integral.astype(np.float64)
-                integrality = "integer"
-            else:
-                integrality = "relaxation"
-        elif problem.slack == 0.0:
-            integrality = "relaxation"
-        mass = witness_counts.sum()
-        witness = JointDistribution(np.clip(witness_counts, 0.0, None) / mass)
-        if problem.slack == 0.0:
-            residual = _max_marginal_violation(witness.weights, frequencies)
-        else:
-            residual = infeasibility
+    if infeasibility > LP_TOL:
+        return _infeasible(Behavior(frequencies), infeasibility, infeasibility * scale)
+    if problem.slack > 0.0:
+        witness_counts = x[:16] * scale
+        witness = JointDistribution(np.clip(witness_counts, 0.0, None) / witness_counts.sum())
         return FeasibilityResult(
-            "feasible",
-            residual=residual,
-            witness=witness,
-            witness_counts=witness_counts,
-            integrality=integrality,
+            "feasible", residual=infeasibility, witness=witness, witness_counts=witness_counts
         )
-
-    behavior = Behavior(frequencies)
-    value, signs = chsh_certificate_detail(behavior)
-    if value > 2.0 + LP_TOL:
-        certificate = Certificate("chsh", value, signs)
-    else:
-        certificate = Certificate("marginal-inconsistency", infeasibility * scale)
-    return FeasibilityResult("infeasible", residual=infeasibility, certificate=certificate)
+    integral = np.rint(x * scale).astype(np.int64)
+    projected = PROJECTION.reshape(16, 16).astype(np.int64) @ integral
+    if integral.min() < 0 or not np.array_equal(projected, counts.reshape(16)):
+        raise NumericError("rounded LP vertex does not reproduce the count tables")
+    witness_counts = integral.astype(np.float64)
+    witness = JointDistribution(witness_counts / witness_counts.sum())
+    return FeasibilityResult(
+        "feasible",
+        residual=_max_marginal_violation(witness.weights, frequencies),
+        witness=witness,
+        witness_counts=witness_counts,
+        integrality="integer",
+    )

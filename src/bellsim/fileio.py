@@ -226,32 +226,33 @@ def write_behavior(
 
 
 def read_behavior(path: Path) -> Behavior:
-    probs = np.full((4, 4), np.nan)
-    counts = np.full((4, 4), -1, dtype=np.int64)
+    tables = {"context": np.zeros((4, 4)), "counts": np.zeros((4, 4), dtype=np.int64)}
+    given = {kind: np.zeros(4, dtype=bool) for kind in tables}
     for line in _data_lines(Path(path)):
         if "=" not in line:
             raise ConfigError(f"{path}: expected 'context i j = ...' lines, got {line!r}")
         head, _, tail = line.partition("=")
         fields = head.split()
-        if len(fields) != 3 or fields[0] not in ("context", "counts"):
+        if len(fields) != 3 or fields[0] not in tables:
             raise ConfigError(f"{path}: unknown directive {head.strip()!r}")
+        kind = fields[0]
+        convert = float if kind == "context" else int
         try:
             context = Context(int(fields[1]), int(fields[2]))
-            values = [float(v) for v in tail.split()]
-        except (ValueError, TypeError) as exc:
+            values = np.array([convert(v) for v in tail.split()], dtype=tables[kind].dtype)
+        except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"{path}: malformed line {line!r}: {exc}") from exc
         if len(values) != 4:
             raise ConfigError(f"{path}: need 4 values per context, got {len(values)}")
-        if fields[0] == "context":
-            probs[context.index] = values
-        else:
-            counts[context.index] = np.asarray(values, dtype=np.int64)
-    if np.isnan(probs).any():
+        if given[kind][context.index]:
+            raise ConfigError(f"{path}: repeated line {head.strip()!r}")
+        given[kind][context.index] = True
+        tables[kind][context.index] = values
+    if not given["context"].all():
         raise ConfigError(f"{path}: missing context lines (need all four)")
-    has_counts = counts >= 0
-    if has_counts.any() and not has_counts.all():
+    if given["counts"].any() and not given["counts"].all():
         raise ConfigError(f"{path}: counts given for only some contexts")
-    return Behavior(probs, counts if has_counts.all() else None)
+    return Behavior(tables["context"], tables["counts"] if given["counts"].all() else None)
 
 
 def _values(convert: Callable[[str], Any], count: int | None = None) -> Callable[[str], list]:

@@ -344,11 +344,13 @@ def sign_cosine_model(
     """
     if bob_sign not in (-1.0, 1.0, -1, 1):
         raise ConfigError(f"bob_sign must be +1 or -1, got {bob_sign}")
-    alice_angles = {1: float(a1), 2: float(a2)}
-    bob_angles = {1: float(b1), 2: float(b2)}
-    for label, angle in (("a1", a1), ("a2", a2), ("b1", b1), ("b2", b2)):
-        if not math.isfinite(float(angle)):
-            raise ConfigError(f"angle {label} must be finite, got {angle}")
+    keys = ("a1", "a2", "b1", "b2")
+    angles = {key: float(_numbers(key, value)) for key, value in zip(keys, (a1, a2, b1, b2))}
+    for key, angle in angles.items():
+        if not math.isfinite(angle):
+            raise ConfigError(f"angle {key} must be finite, got {angle}")
+    alice_angles = {1: angles["a1"], 2: angles["a2"]}
+    bob_angles = {1: angles["b1"], 2: angles["b2"]}
     two_pi = 2.0 * math.pi
 
     def alice(setting: int, lam: np.ndarray) -> np.ndarray:

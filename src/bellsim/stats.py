@@ -97,13 +97,18 @@ class ViolationStudy:
     mode: str = "signed"  # "signed" | "absolute"
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
         sample_size(self.n_per_context)
-        if not (self.threshold > 0):
-            raise ConfigError(f"threshold must be positive, got {self.threshold}")
-        if self.mode not in ("signed", "absolute"):
-            raise ConfigError(f"mode must be 'signed' or 'absolute', got {self.mode!r}")
+        _check_study(self.trials, self.threshold, self.mode)
+
+
+def _check_study(trials: int, threshold: float, mode: str) -> None:
+    """Settings shared by one study and a curve: trials, a finite positive threshold, mode."""
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise ConfigError(f"threshold must be finite and positive, got {threshold}")
+    if mode not in ("signed", "absolute"):
+        raise ConfigError(f"mode must be 'signed' or 'absolute', got {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -239,8 +244,7 @@ def significance_curve(
         raise ConfigError("n_values must be nonempty")
     if n_values != sorted(n_values) or len(set(n_values)) != len(n_values):
         raise ConfigError(f"n_values must be strictly ascending, got {n_values}")
-    if mode not in ("signed", "absolute"):
-        raise ConfigError(f"mode must be 'signed' or 'absolute', got {mode!r}")
+    _check_study(trials, threshold, mode)
     rows = tuple(
         _run_row(generator, n, trials, threshold, derive_seed(seed, "curve-n", n), mode)
         for n in n_values

@@ -1,8 +1,9 @@
 """Bad input ends in a BellSimError: a ConfigError or DomainError, CLI exit 2.
 
 Covers model files and study specs whose values do not parse as their key's
-type, files that are not UTF-8, non-finite behavior and state entries, and
-sample sizes that are not positive integers.
+type, files that are not UTF-8, non-finite behavior and state entries,
+repeated behavior-file lines, sample sizes that are not positive integers,
+study settings (trials, threshold) out of range and non-numeric angles.
 """
 
 import numpy as np
@@ -21,7 +22,13 @@ from bellsim.fileio import (
     read_model,
     read_table_csv,
 )
-from bellsim.lhv import boundary_mixture_model, model_from_mapping, sample_bundle, sample_counterfactual_table
+from bellsim.lhv import (
+    boundary_mixture_model,
+    model_from_mapping,
+    sample_bundle,
+    sample_counterfactual_table,
+    sign_cosine_model,
+)
 from bellsim.quantum import TSIRELSON_ANGLES, DensityMatrix, sample_bundle_quantum, singlet
 from bellsim.stats import ViolationStudy, generator_from_lhv, significance_curve
 from bellsim.weak import PointerConfig, per_pair_b_values_calibrated
@@ -176,3 +183,75 @@ def test_numpy_integer_sample_sizes_match_python_ints():
 def test_significance_curve_rejects_unknown_mode():
     with pytest.raises(ConfigError, match="mode"):
         significance_curve(generator_from_lhv(MODEL), [10], 5, 1, mode="sideways")
+
+
+BEHAVIOR_LINES = ["context 1 1 = 0.5 0 0 0.5", "context 1 2 = 0.5 0 0 0.5",
+                  "context 2 1 = 0.5 0 0 0.5", "context 2 2 = 0 0.5 0.5 0"]
+COUNT_LINES = ["counts 1 1 = 5 0 0 5", "counts 1 2 = 5 0 0 5",
+               "counts 2 1 = 5 0 0 5", "counts 2 2 = 0 5 5 0"]
+
+
+@pytest.mark.parametrize(
+    ("lines", "error", "message"),
+    [
+        (["context 1 1 = nan 0 0 1", *BEHAVIOR_LINES[1:]], DomainError, "finite"),
+        ([*BEHAVIOR_LINES, "context 1 1 = 1 0 0 0"], ConfigError, "repeated line 'context 1 1'"),
+        ([*BEHAVIOR_LINES, *COUNT_LINES, "counts 2 2 = 0 5 5 0"], ConfigError,
+         "repeated line 'counts 2 2'"),
+        ([*BEHAVIOR_LINES, "counts 1 1 = nan 0 0 10", *COUNT_LINES[1:]], ConfigError, "malformed"),
+        ([*BEHAVIOR_LINES, "counts 1 1 = 2.5 0 0 7.5", *COUNT_LINES[1:]], ConfigError, "malformed"),
+        ([*BEHAVIOR_LINES, COUNT_LINES[0]], ConfigError, "counts given for only some contexts"),
+    ],
+    ids=["nan-probability", "repeated-context", "repeated-counts", "nan-count", "fractional-count",
+         "partial-counts"],
+)
+def test_behavior_file_lines(tmp_path, capsys, lines, error, message):
+    path = tmp_path / "input.behavior"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(error, match=message):
+        read_behavior(path)
+    assert main(["feasibility", "--behavior", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("bellsim: configuration error:")
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+def test_study_threshold_must_be_finite_and_positive(threshold):
+    generator = generator_from_lhv(MODEL)
+    with pytest.raises(ConfigError, match="threshold must be finite and positive"):
+        ViolationStudy(generator, 10, 5, 1, threshold=threshold)
+    with pytest.raises(ConfigError, match="threshold must be finite and positive"):
+        significance_curve(generator, [10], 5, 1, threshold=threshold)
+
+
+@pytest.mark.parametrize(
+    ("source", "text"),
+    [
+        ("--threshold", "nan"),
+        ("--threshold", "inf"),
+        ("--spec", "threshold = nan\n"),
+        ("--spec", "threshold = inf\n"),
+        ("--trials", "0"),
+    ],
+    ids=["flag-nan", "flag-inf", "spec-nan", "spec-inf", "trials-zero"],
+)
+def test_violation_curve_rejects_study_settings_out_of_range(tmp_path, capsys, source, text):
+    argv = ["violation-curve", "--generator", "boundary_mixture", "--n", "10", "--trials", "3",
+            "--seed", "1", "--out", str(tmp_path / "out")]
+    if source == "--spec":
+        (tmp_path / "study.spec").write_text(text)
+        argv += ["--spec", str(tmp_path / "study.spec")]
+    else:
+        argv += [source, text]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("bellsim: configuration error:")
+    assert not (tmp_path / "out" / "curve.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "angles",
+    [("x", 1, 2, 3), (0, [1, 2], 2, 3), (0, 1, None, 3), (0, 1, 2, float("nan"))],
+    ids=["text", "list", "none", "nan"],
+)
+def test_sign_cosine_model_rejects_non_numeric_angles(angles):
+    with pytest.raises(ConfigError, match="a1|a2|b1|b2"):
+        sign_cosine_model(*angles)

@@ -1,8 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bellsim import feasibility
+from bellsim._simplex import phase1_solve
 from bellsim.behaviors import (
     Behavior,
     behavior_from_quantum,
@@ -10,10 +14,11 @@ from bellsim.behaviors import (
     random_no_signaling_behavior,
 )
 from bellsim.core import CANONICAL_CONTEXTS, CounterfactualTable, project_bundle
-from bellsim.errors import DomainError
+from bellsim.errors import DomainError, NumericError
 from bellsim.feasibility import (
     ASSIGNMENTS,
     CHSH_SIGN_PATTERNS,
+    PROJECTION,
     FeasibilityResult,
     JointDistribution,
     ReshuffleProblem,
@@ -208,3 +213,57 @@ class TestReshuffle:
             ReshuffleProblem(PR_BOX_COUNTS, -1.0)
         with pytest.raises(DomainError, match="all-empty"):
             reshuffle_feasible(ReshuffleProblem(np.zeros((4, 4), dtype=int), 0.0))
+
+
+class TestIntegerReshuffle:
+    """Slack-0 count problems get an exact integer reshuffle at every N."""
+
+    def test_marginal_system_is_unimodular(self):
+        a_eq, _ = feasibility._marginal_system(np.zeros((4, 4)), 0.0)
+        rows = []
+        for r in range(len(a_eq)):
+            if np.linalg.matrix_rank(a_eq[rows + [r]]) > len(rows):
+                rows.append(r)
+        assert len(rows) == np.linalg.matrix_rank(a_eq) == 9
+        bases = np.array(list(itertools.combinations(range(16), 9)))
+        dets = np.abs(np.linalg.det(a_eq[rows][:, bases].transpose(1, 0, 2)))
+        assert len(dets) == 11440
+        assert np.abs(dets - np.rint(dets)).max() < 1e-9
+        assert set(np.rint(dets).tolist()) == {0.0, 1.0}
+        assert int(np.rint(dets).sum()) == 4096
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.floats(0.0, 7.0),
+        st.sampled_from([0.05, 0.3, 1.0, 5.0]),
+        st.integers(1, 16),
+    )
+    def test_feasible_count_tables_get_exact_integer_witness(self, seed, log10_n, alpha, support):
+        rng = np.random.default_rng(seed)
+        weights = np.zeros(16)
+        weights[rng.choice(16, size=support, replace=False)] = rng.dirichlet(np.full(support, alpha))
+        assignment_counts = rng.multinomial(int(10**log10_n), weights / weights.sum())
+        counts = (PROJECTION @ assignment_counts).astype(np.int64)
+        result = reshuffle_feasible(ReshuffleProblem(counts))
+        assert result.feasible and result.integrality == "integer"
+        witness = result.witness_counts
+        assert witness.min() >= 0 and np.array_equal(witness, np.rint(witness))
+        assert np.array_equal((PROJECTION @ witness).astype(np.int64), counts)
+
+    def test_large_projected_table_gets_integer_witness(self):
+        problem = reshuffle_problem_from_table(random_table(41, n=50_000))
+        result = reshuffle_feasible(problem)
+        assert result.integrality == "integer"
+        assert np.array_equal((PROJECTION @ result.witness_counts).astype(np.int64), problem.counts)
+        assert result.residual <= 1e-12
+
+    def test_witness_off_the_counts_raises_instead_of_relabeling(self, monkeypatch):
+        def all_on_first_assignment(a_eq, b_eq, tol):
+            infeasibility, x = phase1_solve(a_eq, b_eq, tol=tol)
+            return infeasibility, np.eye(16)[0] * x.sum()
+
+        monkeypatch.setattr(feasibility, "phase1_solve", all_on_first_assignment)
+        problem = reshuffle_problem_from_table(CounterfactualTable(np.array(ASSIGNMENTS)))
+        with pytest.raises(NumericError, match="does not reproduce"):
+            reshuffle_feasible(problem)
