@@ -102,11 +102,14 @@ class SignalingReport:
 
     alice_deficit: float
     bob_deficit: float
-    max_deficit: float
 
     def __post_init__(self) -> None:
-        if min(self.alice_deficit, self.bob_deficit, self.max_deficit) < 0:
+        if min(self.alice_deficit, self.bob_deficit) < 0:
             raise DomainError("signaling deficits cannot be negative")
+
+    @property
+    def max_deficit(self) -> float:
+        return max(self.alice_deficit, self.bob_deficit)
 
 
 def no_signaling(behavior: Behavior) -> SignalingReport:
@@ -116,7 +119,7 @@ def no_signaling(behavior: Behavior) -> SignalingReport:
     bob_plus = p[:, :, 0] + p[:, :, 2]  # P(b = +1)
     alice_deficit = float(np.abs(alice_plus[:, 0] - alice_plus[:, 1]).max())
     bob_deficit = float(np.abs(bob_plus[0, :] - bob_plus[1, :]).max())
-    return SignalingReport(alice_deficit, bob_deficit, max(alice_deficit, bob_deficit))
+    return SignalingReport(alice_deficit, bob_deficit)
 
 
 def behavior_from_quantum(

@@ -21,7 +21,7 @@ from typing import Any
 
 from . import __version__
 from .behaviors import behavior_from_bundle, behavior_s
-from .core import b_statistic, s_statistic
+from .core import ExperimentBundle, b_statistic, s_statistic
 from .errors import BellSimError, ConfigError, DomainError, NumericError
 from .fileio import (
     STUDY_KEYS,
@@ -71,9 +71,9 @@ def _write_json(path: Path, payload: dict[str, Any]) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _run_record(command: str, spec: dict[str, Any]) -> dict[str, Any]:
+def _run_record(spec: dict[str, Any]) -> dict[str, Any]:
     return {
-        "command": command,
+        "command": spec["subcommand"],
         "spec": spec,
         "spec_hash": _spec_hash(spec),
         "version": __version__,
@@ -134,6 +134,31 @@ def _angles_from_args(args: argparse.Namespace) -> AngleQuadruple:
     return AngleQuadruple(*args.angles)
 
 
+def _write_simulation(
+    args: argparse.Namespace,
+    spec: dict[str, Any],
+    bundle: ExperimentBundle,
+    exact: float,
+    **extra: Any,
+) -> int:
+    """Write bundle.csv, summary.json and run.json for a simulate-* command."""
+    out = _out_dir(args)
+    write_bundle_csv(out / "bundle.csv", bundle, {**_csv_preamble(spec), "seed": args.seed})
+    record = _run_record(spec)
+    summary = {
+        "s_hat": s_statistic(bundle),
+        "standard_error": standard_error_s(bundle) if args.n >= 2 else None,
+        "exact_s": exact,
+        "n_per_context": args.n,
+        "seed": args.seed,
+        **extra,
+        **record,
+    }
+    _write_json(out / "summary.json", summary)
+    _write_json(out / "run.json", record)
+    return EXIT_OK
+
+
 def cmd_simulate_lhv(args: argparse.Namespace) -> int:
     model = _lhv_model(args)
     spec = {
@@ -142,22 +167,8 @@ def cmd_simulate_lhv(args: argparse.Namespace) -> int:
         "n_per_context": args.n,
         "seed": args.seed,
     }
-    out = _out_dir(args)
     bundle = sample_bundle(model, args.n, args.seed)
-    s_hat = s_statistic(bundle)
-    exact = exact_lhv_s(model)
-    write_bundle_csv(out / "bundle.csv", bundle, {**_csv_preamble(spec), "seed": args.seed})
-    summary = {
-        "s_hat": s_hat,
-        "standard_error": standard_error_s(bundle) if args.n >= 2 else None,
-        "exact_s": exact,
-        "n_per_context": args.n,
-        "seed": args.seed,
-        **_run_record("simulate-lhv", spec),
-    }
-    _write_json(out / "summary.json", summary)
-    _write_json(out / "run.json", _run_record("simulate-lhv", spec))
-    return EXIT_OK
+    return _write_simulation(args, spec, bundle, exact_lhv_s(model))
 
 
 def cmd_simulate_quantum(args: argparse.Namespace) -> int:
@@ -171,23 +182,9 @@ def cmd_simulate_quantum(args: argparse.Namespace) -> int:
         "n_per_context": args.n,
         "seed": args.seed,
     }
-    out = _out_dir(args)
     bundle = sample_bundle_quantum(rho, angles, args.n, args.seed, args.convention)
     exact = s_quantum(rho, angles, args.convention)
-    s_hat = s_statistic(bundle)
-    write_bundle_csv(out / "bundle.csv", bundle, {**_csv_preamble(spec), "seed": args.seed})
-    summary = {
-        "s_hat": s_hat,
-        "standard_error": standard_error_s(bundle) if args.n >= 2 else None,
-        "exact_s": exact,
-        "tsirelson_margin": TSIRELSON_BOUND - abs(exact),
-        "n_per_context": args.n,
-        "seed": args.seed,
-        **_run_record("simulate-quantum", spec),
-    }
-    _write_json(out / "summary.json", summary)
-    _write_json(out / "run.json", _run_record("simulate-quantum", spec))
-    return EXIT_OK
+    return _write_simulation(args, spec, bundle, exact, tsirelson_margin=TSIRELSON_BOUND - abs(exact))
 
 
 def _feasibility_payload(result: FeasibilityResult) -> dict[str, Any]:
@@ -234,7 +231,7 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
     payload = {
         "behavior_s": behavior_s(behavior),
         **_feasibility_payload(result),
-        **_run_record("feasibility", spec),
+        **_run_record(spec),
     }
     _write_json(out / "result.json", payload)
     return EXIT_OK if result.feasible else EXIT_INFEASIBLE
@@ -292,7 +289,7 @@ def cmd_violation_curve(args: argparse.Namespace) -> int:
             f"{row.mean_s!r},{row.sd_s!r},{row.z!r}"
         )
     (out / "curve.csv").write_text("\n".join(lines) + "\n")
-    record = _run_record("violation-curve", spec)
+    record = _run_record(spec)
     record["exact_s"] = generator.exact_s
     record["final_frequency"] = result.violation_frequency
     record["final_ci95"] = list(result.frequency_ci95)
@@ -332,7 +329,7 @@ def cmd_weak_bvalues(args: argparse.Namespace) -> int:
         "exceedance_tsirelson": exceedance_fraction(b, TSIRELSON_BOUND),
         "reference_value": reference,
         "source_description": run.description,
-        **_run_record("weak-bvalues", spec),
+        **_run_record(spec),
     }
     _write_json(out / "summary.json", summary)
     return EXIT_OK

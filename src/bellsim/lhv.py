@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -87,6 +87,10 @@ class LhvModel:
     built-ins do).  ``breakpoints`` optionally maps ("alice"|"bob", setting)
     to the lambdas where that response flips sign, letting the quadrature
     split the discontinuous integrand analytically.
+
+    Every model is validated when it is built (``dataclasses.replace``
+    included), so an existing model always has normalized masses or density
+    and +/-1 responses.
     """
 
     name: str
@@ -96,11 +100,13 @@ class LhvModel:
     density: Callable[[np.ndarray], np.ndarray] | None = None
     sample_lambda: Callable[[np.random.Generator, int], np.ndarray] | None = None
     breakpoints: Mapping[tuple[str, int], tuple[float, ...]] | None = None
-    validated: bool = field(default=False, compare=False)
+
+    def __post_init__(self) -> None:
+        validate_model(self)
 
 
-def validate_model(model: LhvModel) -> LhvModel:
-    """Check density normalization and response ranges; returns a validated copy."""
+def validate_model(model: LhvModel) -> None:
+    """Check density normalization and response ranges; ``LhvModel`` runs it when built."""
     if isinstance(model.space, FiniteSpace):
         weights = model.space.weights
         if (weights < 0).any():
@@ -135,35 +141,18 @@ def validate_model(model: LhvModel) -> LhvModel:
                     f"model {model.name!r}: {party} response for setting {setting} "
                     "returned values outside {+1, -1}"
                 )
-    return LhvModel(
-        name=model.name,
-        space=model.space,
-        alice_response=model.alice_response,
-        bob_response=model.bob_response,
-        density=model.density,
-        sample_lambda=model.sample_lambda,
-        breakpoints=model.breakpoints,
-        validated=True,
-    )
-
-
-def _checked(model: LhvModel) -> LhvModel:
-    return model if model.validated else validate_model(model)
 
 
 def _draw_lambda(model: LhvModel, rng: np.random.Generator, size: int) -> np.ndarray:
     if model.sample_lambda is not None:
         return model.sample_lambda(rng, size)
-    space = model.space
-    if isinstance(space, FiniteSpace):
-        return space.points[categorical(rng, space.weights, size)]
-    raise ConfigError(f"model {model.name!r} has no lambda sampler")
+    # validation leaves only finite spaces without a sampler
+    return model.space.points[categorical(rng, model.space.weights, size)]
 
 
 def sample_counterfactual_table(model: LhvModel, n: int, seed: int) -> CounterfactualTable:
     """Draw n lambdas from one stream; row k holds (A1, A2, B1, B2) at lambda_k."""
     n = sample_size(n, "n")
-    model = _checked(model)
     lam = _draw_lambda(model, spawn_rng(seed, "lhv-table"), n)
     columns = [
         model.alice_response(1, lam),
@@ -182,7 +171,6 @@ def sample_bundle(model: LhvModel, n_per_context: int, seed: int) -> ExperimentB
     order produces identical bytes.
     """
     n_per_context = sample_size(n_per_context)
-    model = _checked(model)
     datasets = []
     for context in CANONICAL_CONTEXTS:
         lam = _draw_lambda(model, spawn_rng(seed, "lhv-context", context.index), n_per_context)
@@ -202,7 +190,6 @@ def exact_lhv_correlation(model: LhvModel, context: Context) -> float:
     quadrature, split at the responses' sign-change points when the model
     exposes them.
     """
-    model = _checked(model)
     space = model.space
     if isinstance(space, FiniteSpace):
         product = model.alice_response(context.alice, space.points) * model.bob_response(
@@ -285,13 +272,12 @@ def mixture_model(strategies: object, weights: object, name: str = "mixture") ->
     def bob(setting: int, lam: np.ndarray) -> np.ndarray:
         return table[lam, 2 + setting - 1].astype(np.int8)
 
-    model = LhvModel(
+    return LhvModel(
         name=name,
         space=FiniteSpace(np.arange(table.shape[0]), weights),
         alice_response=alice,
         bob_response=bob,
     )
-    return validate_model(model)
 
 
 def deterministic_model(a1: int, a2: int, b1: int, b2: int) -> LhvModel:
@@ -370,7 +356,7 @@ def sign_cosine_model(
 
     breakpoints = {("alice", i): flips(alice_angles[i]) for i in (1, 2)}
     breakpoints.update({("bob", j): flips(bob_angles[j]) for j in (1, 2)})
-    model = LhvModel(
+    return LhvModel(
         name=f"sign_cosine(a1={a1!r},a2={a2!r},b1={b1!r},b2={b2!r},bob_sign={int(bob_sign)})",
         space=IntervalSpace(0.0, two_pi),
         alice_response=alice,
@@ -379,7 +365,6 @@ def sign_cosine_model(
         sample_lambda=sampler,
         breakpoints=breakpoints,
     )
-    return validate_model(model)
 
 
 _VARIANT_KEYS = {

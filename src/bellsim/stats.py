@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,23 +124,34 @@ class StudyRow:
     sd_s: float
     z: float
 
+    def __post_init__(self) -> None:
+        if not (0.0 <= self.ci_lo <= self.frequency <= self.ci_hi <= 1.0):
+            raise DomainError(
+                f"CI ({self.ci_lo}, {self.ci_hi}) must contain frequency {self.frequency}"
+            )
+
 
 @dataclass(frozen=True)
 class StudyResult:
-    """Violation frequency with its 95% Wilson interval; rows per sample size."""
+    """Rows per sample size; the summary properties read the last (largest n) row."""
 
-    violation_frequency: float
-    frequency_ci95: tuple[float, float]
-    mean_s: float
-    sd_s: float
-    rows: tuple[StudyRow, ...] = field(default_factory=tuple)
+    rows: tuple[StudyRow, ...]
 
-    def __post_init__(self) -> None:
-        lo, hi = self.frequency_ci95
-        if not (0.0 <= lo <= self.violation_frequency <= hi <= 1.0):
-            raise DomainError(
-                f"CI ({lo}, {hi}) must contain frequency {self.violation_frequency}"
-            )
+    @property
+    def violation_frequency(self) -> float:
+        return self.rows[-1].frequency
+
+    @property
+    def frequency_ci95(self) -> tuple[float, float]:
+        return (self.rows[-1].ci_lo, self.rows[-1].ci_hi)
+
+    @property
+    def mean_s(self) -> float:
+        return self.rows[-1].mean_s
+
+    @property
+    def sd_s(self) -> float:
+        return self.rows[-1].sd_s
 
 
 def wilson_interval(successes: int, trials: int, z: float = _WILSON_Z95) -> tuple[float, float]:
@@ -218,13 +229,7 @@ def violation_frequency(study: ViolationStudy) -> StudyResult:
         study.seed,
         study.mode,
     )
-    return StudyResult(
-        violation_frequency=row.frequency,
-        frequency_ci95=(row.ci_lo, row.ci_hi),
-        mean_s=row.mean_s,
-        sd_s=row.sd_s,
-        rows=(row,),
-    )
+    return StudyResult((row,))
 
 
 def significance_curve(
@@ -237,7 +242,7 @@ def significance_curve(
 ) -> StudyResult:
     """Violation frequency and z-score per sample size; n_values must ascend.
 
-    The top-level scalars summarize the largest n (the last row).
+    The result's summary properties read the largest n (the last row).
     """
     n_values = [sample_size(n, "each n") for n in n_values]
     if not n_values:
@@ -249,11 +254,4 @@ def significance_curve(
         _run_row(generator, n, trials, threshold, derive_seed(seed, "curve-n", n), mode)
         for n in n_values
     )
-    last = rows[-1]
-    return StudyResult(
-        violation_frequency=last.frequency,
-        frequency_ci95=(last.ci_lo, last.ci_hi),
-        mean_s=last.mean_s,
-        sd_s=last.sd_s,
-        rows=rows,
-    )
+    return StudyResult(rows)

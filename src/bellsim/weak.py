@@ -22,8 +22,8 @@ vehicle for targets like 2*sqrt(2) that no counterfactual table can reach.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -67,30 +67,25 @@ class PerPairRecord:
     b_value: float
 
 
-def _b_values(readings: np.ndarray, g: float) -> np.ndarray:
-    ra1, ra2, rb1, rb2 = readings.T
-    return (ra1 * rb1 + ra1 * rb2 + ra2 * rb1 - ra2 * rb2) / (g * g)
-
-
 @dataclass(frozen=True)
 class PointerRun(Sequence):
-    """A batch of per-pair records, stored columnar; indexes as PerPairRecord."""
+    """A batch of per-pair records, stored columnar; indexes as PerPairRecord.
+
+    ``b_values`` is derived from ``readings`` when the run is built.
+    """
 
     readings: np.ndarray  # (n, 4) float: r_A1, r_A2, r_B1, r_B2
-    b_values: np.ndarray  # (n,)
     config: PointerConfig
     description: str
+    b_values: np.ndarray = field(init=False)  # (n,)
 
     def __post_init__(self) -> None:
         readings = np.asarray(self.readings, dtype=np.float64)
-        b_values = np.asarray(self.b_values, dtype=np.float64)
-        if readings.ndim != 2 or readings.shape[1] != 4 or b_values.shape != (readings.shape[0],):
-            raise DomainError(
-                f"inconsistent run shapes: readings {readings.shape}, b_values {b_values.shape}"
-            )
-        recomputed = _b_values(readings, self.config.coupling)
-        if readings.shape[0] and float(np.abs(recomputed - b_values).max()) > 1e-9:
-            raise DomainError("b_values do not match the readings' bilinear combination")
+        if readings.ndim != 2 or readings.shape[1] != 4:
+            raise DomainError(f"readings must have shape (n, 4), got {readings.shape}")
+        ra1, ra2, rb1, rb2 = readings.T
+        g = self.config.coupling
+        b_values = (ra1 * rb1 + ra1 * rb2 + ra2 * rb1 - ra2 * rb2) / (g * g)
         readings.setflags(write=False)
         b_values.setflags(write=False)
         object.__setattr__(self, "readings", readings)
@@ -104,10 +99,6 @@ class PointerRun(Sequence):
             raise TypeError("PointerRun does not support slicing; index single records")
         row = self.readings[k]
         return PerPairRecord(*(float(v) for v in row), float(self.b_values[k]))
-
-    def __iter__(self) -> Iterator[PerPairRecord]:
-        for k in range(len(self)):
-            yield self[k]
 
 
 def per_pair_b_values_lhv(
@@ -128,7 +119,6 @@ def per_pair_b_values_lhv(
     readings = means + sigma * rng.standard_normal(means.shape)
     return PointerRun(
         readings,
-        _b_values(readings, g),
         config,
         "lhv-source: readings g*v + sigma*eps around predetermined outcomes",
     )
@@ -163,7 +153,6 @@ def per_pair_b_values_calibrated(
     readings[:, 3] = noise[:, 2]  # r_B2: zero-mean
     return PointerRun(
         readings,
-        _b_values(readings, g),
         config,
         f"calibrated-source: symmetric about target_s={target_s!r}; no counterfactual "
         "table underlies these readings (targets beyond 2 are unreachable by one)",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -24,7 +25,6 @@ from bellsim.lhv import (
     sample_bundle,
     sample_counterfactual_table,
     sign_cosine_model,
-    validate_model,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -189,24 +189,22 @@ class TestValidation:
         def resp(setting, lam):
             return np.ones_like(lam, dtype=np.int8)
 
-        model = LhvModel("broken", IntervalSpace(0.0, 1.0), resp, resp)
         with pytest.raises(ConfigError, match="density"):
-            validate_model(model)
+            LhvModel("broken", IntervalSpace(0.0, 1.0), resp, resp)
 
     def test_unnormalized_density_rejected(self):
         def resp(setting, lam):
             return np.ones_like(lam, dtype=np.int8)
 
-        model = LhvModel(
-            "unnormalized",
-            IntervalSpace(0.0, 1.0),
-            resp,
-            resp,
-            density=lambda lam: np.full_like(lam, 2.0),
-            sample_lambda=lambda rng, size: rng.uniform(0, 1, size),
-        )
         with pytest.raises(ConfigError, match="integrates"):
-            validate_model(model)
+            LhvModel(
+                "unnormalized",
+                IntervalSpace(0.0, 1.0),
+                resp,
+                resp,
+                density=lambda lam: np.full_like(lam, 2.0),
+                sample_lambda=lambda rng, size: rng.uniform(0, 1, size),
+            )
 
     def test_response_range_checked(self):
         def bad(setting, lam):
@@ -215,9 +213,20 @@ class TestValidation:
         def good(setting, lam):
             return np.ones_like(lam, dtype=np.int8)
 
-        model = LhvModel("bad-response", FiniteSpace(np.arange(2), np.array([0.5, 0.5])), bad, good)
         with pytest.raises(ConfigError, match="outside"):
-            validate_model(model)
+            LhvModel("bad-response", FiniteSpace(np.arange(2), np.array([0.5, 0.5])), bad, good)
+
+    def test_replace_revalidates_masses(self):
+        with pytest.raises(ConfigError, match="sum"):
+            dataclasses.replace(
+                boundary_mixture_model(), space=FiniteSpace(np.arange(2), np.array([0.9, 0.9]))
+            )
+
+    def test_replace_revalidates_density(self):
+        with pytest.raises(ConfigError, match="integrates"):
+            dataclasses.replace(
+                sign_cosine_model(0.0, 1.0, 2.0, 3.0), density=lambda lam: np.full_like(lam, 0.5)
+            )
 
 
 class TestModelMapping:

@@ -98,9 +98,14 @@ class TestRecordsAndConfig:
             PointerConfig(noise_sd=-0.1)
 
     def test_record_invariant_enforced(self):
-        readings = np.array([[1.0, 1.0, 1.0, 1.0]])
-        with pytest.raises(DomainError, match="bilinear"):
-            PointerRun(readings, np.array([99.0]), PointerConfig(1.0, 0.0), "test")
+        readings = np.array([[1.0, 2.0, 3.0, 5.0]])
+        run = PointerRun(readings, PointerConfig(2.0, 0.0), "test")
+        # (r_A1 r_B1 + r_A1 r_B2 + r_A2 r_B1 - r_A2 r_B2) / g^2 = (3 + 5 + 6 - 10) / 4
+        assert run.b_values.tolist() == [1.0]
+
+    def test_readings_need_four_columns(self):
+        with pytest.raises(DomainError, match="shape"):
+            PointerRun(np.zeros((5, 3)), PointerConfig(), "test")
 
     def test_record_access(self):
         run = per_pair_b_values_calibrated(1.0, PointerConfig(1.0, 0.5), 5, seed=2)
