@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -211,6 +212,8 @@ def _feasibility_payload(result: FeasibilityResult) -> dict[str, Any]:
 def cmd_feasibility(args: argparse.Namespace) -> int:
     if (args.behavior is None) == (args.bundle is None):
         raise ConfigError("provide exactly one of --behavior FILE or --bundle FILE")
+    if not 0.0 <= args.slack < math.inf:  # NaN fails too
+        raise ConfigError(f"--slack must be finite and >= 0, got {args.slack}")
     if args.behavior:
         source = {"behavior_file": args.behavior}
         behavior = read_behavior(Path(args.behavior))

@@ -14,4 +14,4 @@ class ConfigError(BellSimError, ValueError):
 
 
 class NumericError(BellSimError, ArithmeticError):
-    """Numerical routine failed to meet its tolerance (quadrature, solver breakdown)."""
+    """Numerical routine failed to meet its tolerance (solver breakdown, inexact rounding)."""

@@ -28,6 +28,7 @@ decides that question exactly:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,8 +237,8 @@ class ReshuffleProblem:
         counts = counts.astype(np.int64)
         if counts.min() < 0:
             raise DomainError("counts must be nonnegative")
-        if not (self.slack >= 0.0):
-            raise DomainError(f"slack must be >= 0, got {self.slack}")
+        if not 0.0 <= self.slack < math.inf:  # NaN fails too
+            raise DomainError(f"slack must be finite and >= 0, got {self.slack}")
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
 

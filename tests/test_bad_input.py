@@ -3,15 +3,17 @@
 Covers model files and study specs whose values do not parse as their key's
 type, files that are not UTF-8, non-finite behavior and state entries,
 repeated behavior-file lines, sample sizes that are not positive integers,
-study settings (trials, threshold) out of range and non-numeric angles.
+study settings (trials, threshold, slack) out of range and non-numeric angles.
 """
 
 import numpy as np
 import pytest
 
 from bellsim.behaviors import Behavior, pr_box, sample_bundle_from_behavior
-from bellsim.cli import EXIT_CONFIG, main
+from bellsim.cli import EXIT_CONFIG, EXIT_OK, main
+from bellsim.core import project_bundle
 from bellsim.errors import ConfigError, DomainError
+from bellsim.feasibility import ReshuffleProblem
 from bellsim.fileio import (
     STUDY_KEYS,
     read_angles,
@@ -21,6 +23,7 @@ from bellsim.fileio import (
     read_keyvalue,
     read_model,
     read_table_csv,
+    write_bundle_csv,
 )
 from bellsim.lhv import (
     boundary_mixture_model,
@@ -255,3 +258,28 @@ def test_violation_curve_rejects_study_settings_out_of_range(tmp_path, capsys, s
 def test_sign_cosine_model_rejects_non_numeric_angles(angles):
     with pytest.raises(ConfigError, match="a1|a2|b1|b2"):
         sign_cosine_model(*angles)
+
+
+@pytest.mark.parametrize("slack", [float("nan"), float("inf"), float("-inf")])
+def test_reshuffle_problem_rejects_non_finite_slack(slack):
+    with pytest.raises(DomainError, match="slack must be finite"):
+        ReshuffleProblem(np.full((4, 4), 5), slack)
+
+
+@pytest.mark.parametrize("level", [[], ["--level", "counts"], ["--level", "distribution"]],
+                         ids=["default", "counts", "distribution"])
+@pytest.mark.parametrize("source", ["--bundle", "--behavior"])
+def test_feasibility_rejects_non_finite_or_negative_slack(tmp_path, capsys, source, level):
+    if source == "--bundle":
+        path = tmp_path / "bundle.csv"
+        write_bundle_csv(path, project_bundle(sample_counterfactual_table(MODEL, 20, 1)))
+    else:
+        path = tmp_path / "input.behavior"
+        path.write_text("\n".join([*BEHAVIOR_LINES, *COUNT_LINES]) + "\n")
+    argv = ["feasibility", source, str(path), *level]
+    for slack in ("inf", "nan", "-1"):
+        assert main([*argv, "--slack", slack, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("bellsim: configuration error: --slack must be finite")
+        assert not (tmp_path / "out").exists()
+    if source == "--bundle":  # a projected table is feasible at every level and slack
+        assert main([*argv, "--slack", "1e308", "--out", str(tmp_path / "out")]) == EXIT_OK

@@ -13,9 +13,9 @@ import bellsim
 from bellsim.core import CANONICAL_CONTEXTS, Context, b_statistic, s_statistic
 from bellsim.errors import ConfigError
 from bellsim.lhv import (
-    FiniteSpace,
-    IntervalSpace,
-    LhvModel,
+    ANGLE_LIMIT,
+    MixtureModel,
+    SignCosineModel,
     boundary_mixture_model,
     deterministic_model,
     exact_lhv_correlation,
@@ -42,10 +42,13 @@ def sign_cosine_closed_form(a, b):
 
 
 def brute_force_correlation(model, context, k=200_000):
-    """Independent oracle: midpoint discretization of lambda over [0, 2pi)."""
+    """Independent oracle: midpoint discretization of lambda over [0, 2pi).
+
+    Sums the model's own responses against the uniform density 1/(2pi).
+    """
     lam = (np.arange(k) + 0.5) * (TWO_PI / k)
     product = model.alice_response(context.alice, lam) * model.bob_response(context.bob, lam)
-    density = model.density(lam)
+    density = 1.0 / TWO_PI
     return float((product * density).sum() * (TWO_PI / k))
 
 
@@ -58,14 +61,19 @@ class TestSignCosine:
             closed = sign_cosine_closed_form(a, b)
             assert brute_force_correlation(model, context) == pytest.approx(closed, abs=2e-4)
 
-    def test_quadrature_matches_closed_form(self):
-        model = sign_cosine_model(0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.tuples(*[st.floats(-2 * TWO_PI, 2 * TWO_PI, allow_nan=False) for _ in range(4)]),
+        st.sampled_from([-1, 1]),
+    )
+    def test_closed_form_matches_midpoint_sum(self, angles, bob_sign):
+        # A_i * B_j jumps at most 4 times on [0, 2pi); each jump can put at most
+        # one of the K midpoint cells on the wrong side, costing <= 2/K.
+        k = 2**16
+        model = sign_cosine_model(*angles, bob_sign=bob_sign)
         for context in CANONICAL_CONTEXTS:
-            a = (0.0, math.pi / 2)[context.alice - 1]
-            b = (math.pi / 4, 3 * math.pi / 4)[context.bob - 1]
-            assert exact_lhv_correlation(model, context) == pytest.approx(
-                sign_cosine_closed_form(a, b), abs=1e-9
-            )
+            reference = brute_force_correlation(model, context, k)
+            assert abs(exact_lhv_correlation(model, context) - reference) <= 8 / k
 
     def test_equal_angles_give_perfect_anticorrelation(self):
         model = sign_cosine_model(0.7, 2.0, 0.7, 3.0)
@@ -185,48 +193,50 @@ class TestValidation:
         with pytest.raises(ConfigError, match="\\+1 or -1"):
             mixture_model([(1, 0, 1, 1)], [1.0])
 
-    def test_interval_model_requires_density_and_sampler(self):
-        def resp(setting, lam):
-            return np.ones_like(lam, dtype=np.int8)
-
-        with pytest.raises(ConfigError, match="density"):
-            LhvModel("broken", IntervalSpace(0.0, 1.0), resp, resp)
-
-    def test_unnormalized_density_rejected(self):
-        def resp(setting, lam):
-            return np.ones_like(lam, dtype=np.int8)
-
-        with pytest.raises(ConfigError, match="integrates"):
-            LhvModel(
-                "unnormalized",
-                IntervalSpace(0.0, 1.0),
-                resp,
-                resp,
-                density=lambda lam: np.full_like(lam, 2.0),
-                sample_lambda=lambda rng, size: rng.uniform(0, 1, size),
-            )
-
     def test_response_range_checked(self):
-        def bad(setting, lam):
-            return np.full_like(lam, 2, dtype=np.int8)
-
-        def good(setting, lam):
-            return np.ones_like(lam, dtype=np.int8)
-
-        with pytest.raises(ConfigError, match="outside"):
-            LhvModel("bad-response", FiniteSpace(np.arange(2), np.array([0.5, 0.5])), bad, good)
+        with pytest.raises(ConfigError, match="\\+1 or -1"):
+            MixtureModel("bad-response", ((2, 1, 1, 1), (1, 1, 1, 1)), (0.5, 0.5))
 
     def test_replace_revalidates_masses(self):
         with pytest.raises(ConfigError, match="sum"):
-            dataclasses.replace(
-                boundary_mixture_model(), space=FiniteSpace(np.arange(2), np.array([0.9, 0.9]))
-            )
+            dataclasses.replace(boundary_mixture_model(), weights=(0.9, 0.9))
 
-    def test_replace_revalidates_density(self):
-        with pytest.raises(ConfigError, match="integrates"):
-            dataclasses.replace(
-                sign_cosine_model(0.0, 1.0, 2.0, 3.0), density=lambda lam: np.full_like(lam, 0.5)
-            )
+    def test_angles_beyond_the_limit_rejected(self):
+        # at 1e17 rad, lambda - a1 rounds to -a1 for every lambda in [0, 2pi), so A1
+        # would stop depending on lambda and the closed form would not describe it
+        with pytest.raises(ConfigError, match="a1"):
+            sign_cosine_model(1e17, 1.0, 0.5, 2.0)
+        sign_cosine_model(ANGLE_LIMIT, -ANGLE_LIMIT, 0.5, 2.0)
+
+    def test_replace_revalidates_angles(self):
+        model = sign_cosine_model(0.0, 1.0, 2.0, 3.0)
+        with pytest.raises(ConfigError, match="finite"):
+            dataclasses.replace(model, b2=math.inf)
+        with pytest.raises(ConfigError, match="bob_sign"):
+            dataclasses.replace(model, bob_sign=0)
+
+
+class TestValueSemantics:
+    """Models hold plain tuples and numbers, so they compare and hash by value."""
+
+    def test_equal_builds_compare_equal(self):
+        assert boundary_mixture_model() == boundary_mixture_model()
+        assert sign_cosine_model(0.1, 0.2, 0.3, 0.4, 1) == sign_cosine_model(0.1, 0.2, 0.3, 0.4, 1)
+        assert deterministic_model(1, 1, 1, -1) == model_from_mapping(
+            {"variant": "deterministic", "outcomes": [1, 1, 1, -1]}
+        )
+
+    def test_models_are_hashable(self):
+        models = {boundary_mixture_model(), boundary_mixture_model(), sign_cosine_model(0, 1, 2, 3)}
+        assert len(models) == 2
+        assert hash(sign_cosine_model(0, 1, 2, 3)) == hash(sign_cosine_model(0, 1, 2, 3))
+
+    def test_different_parameters_compare_unequal(self):
+        strategies = boundary_mixture_model().strategies
+        assert boundary_mixture_model(strategies, (0.25, 0.75)) != boundary_mixture_model()
+        assert sign_cosine_model(0, 1, 2, 3) != sign_cosine_model(0, 1, 2, 3, bob_sign=1)
+        assert isinstance(boundary_mixture_model(), MixtureModel)
+        assert isinstance(sign_cosine_model(0, 1, 2, 3), SignCosineModel)
 
 
 class TestModelMapping:
@@ -249,24 +259,31 @@ class TestModelMapping:
             model_from_mapping({"variant": "sign_cosine", "a1": 0.0})
 
 
-class TestLazyQuadratureImport:
-    """scipy.integrate is most of bellsim's import time; only interval models load it."""
+class TestNoScipy:
+    """bellsim needs no scipy: every model is built, sampled and solved without it."""
 
-    def test_cli_import_and_finite_models_leave_it_out(self):
+    def test_models_and_lhv_commands_leave_scipy_out(self, tmp_path):
         code = (
             "import sys\n"
             "import bellsim.cli\n"
-            "print('scipy.integrate' in sys.modules)\n"
-            "from bellsim.lhv import boundary_mixture_model, deterministic_model, exact_lhv_s, "
-            "sample_bundle, sign_cosine_model, validate_model\n"
-            "for model in (boundary_mixture_model(), deterministic_model(1, 1, 1, -1)):\n"
-            "    validate_model(model); exact_lhv_s(model); sample_bundle(model, 10, 1)\n"
-            "print('scipy.integrate' in sys.modules)\n"
-            "exact_lhv_s(sign_cosine_model(0.0, 1.0, 2.0, 3.0))\n"
-            "print('scipy.integrate' in sys.modules)\n"
+            "from bellsim.lhv import (boundary_mixture_model, deterministic_model, exact_lhv_s,\n"
+            "    mixture_model, model_from_mapping, sample_bundle, sample_counterfactual_table,\n"
+            "    sign_cosine_model)\n"
+            "models = [boundary_mixture_model(), deterministic_model(1, 1, 1, -1),\n"
+            "          mixture_model([(1, 1, 1, 1), (-1, 1, 1, 1)], [0.3, 0.7]),\n"
+            "          sign_cosine_model(0.0, 1.0, 2.0, 3.0),\n"
+            "          model_from_mapping({'variant': 'sign_cosine', 'a1': 0, 'a2': 1, 'b1': 2, 'b2': 3})]\n"
+            "for model in models:\n"
+            "    exact_lhv_s(model); sample_bundle(model, 10, 1); sample_counterfactual_table(model, 10, 1)\n"
+            "angles = ['--angles', '0.2', '1.1', '-0.5', '2.5']\n"
+            "assert bellsim.cli.main(['simulate-lhv', '--variant', 'sign_cosine', *angles,\n"
+            "                         '--n', '20', '--seed', '1', '--out', 'lhv']) == 0\n"
+            "assert bellsim.cli.main(['violation-curve', '--generator', 'sign_cosine', *angles,\n"
+            "                         '--n', '10', '--trials', '3', '--seed', '1', '--out', 'curve']) == 0\n"
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
         )
         env = {**os.environ, "PYTHONPATH": os.path.dirname(bellsim.__path__[0])}
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+        done = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True,
                               text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["False", "False", "True"]
+        assert done.stdout.split() == ["[]"]
