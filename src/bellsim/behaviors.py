@@ -14,13 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    CANONICAL_CONTEXTS,
-    CHSH_SIGNS,
-    Context,
-    ContextDataset,
-    ExperimentBundle,
-)
+from .core import CANONICAL_CONTEXTS, CHSH_SIGNS, Context, ContextDataset, ExperimentBundle
+from .core import ArrayValue, frozen_array
 from .errors import DomainError
 from .quantum import OUTCOME_PAIRS, AngleQuadruple, Convention, DensityMatrix, born_probabilities
 from .rng import categorical, sample_size, spawn_rng
@@ -44,36 +39,26 @@ PROB_TOL = 1e-12
 _CORRELATION_WEIGHTS = np.array([1.0, -1.0, -1.0, 1.0])
 
 
-@dataclass(frozen=True)
-class Behavior:
+@dataclass(frozen=True, eq=False)
+class Behavior(ArrayValue):
     """Per-context probability vectors; rows follow the canonical context order."""
 
     probs: np.ndarray
     counts: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        probs = np.asarray(self.probs, dtype=np.float64)
-        if probs.shape != (4, 4):
-            raise DomainError(f"behavior needs a (4, 4) probability table, got {probs.shape}")
-        if not np.isfinite(probs).all():
-            raise DomainError("behavior probabilities must be finite")
+        probs = frozen_array(self.probs, np.float64, (4, 4), "behavior probabilities")
         if probs.min() < -PROB_TOL:
             raise DomainError(f"negative probability {probs.min():.3e} in behavior")
         sums = probs.sum(axis=1)
         if np.abs(sums - 1.0).max() > PROB_TOL:
             raise DomainError(f"context rows must each sum to 1, got sums {sums.tolist()}")
-        probs = probs.copy()
-        probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
         if self.counts is not None:
-            counts = np.asarray(self.counts, dtype=np.int64)
-            if counts.shape != (4, 4) or counts.min() < 0:
-                raise DomainError("counts must be a nonnegative (4, 4) integer table")
-            counts.setflags(write=False)
+            counts = frozen_array(self.counts, np.int64, (4, 4), "counts")
+            if counts.min() < 0:
+                raise DomainError("counts must be nonnegative")
             object.__setattr__(self, "counts", counts)
-
-    def context_probs(self, context: Context) -> np.ndarray:
-        return self.probs[context.index]
 
 
 def behavior_correlation(behavior: Behavior, context: Context) -> float:

@@ -32,6 +32,7 @@ from .fileio import (
     read_keyvalue,
     read_model,
     write_bundle_csv,
+    write_curve_csv,
     write_records_csv,
 )
 from .lhv import LhvModel, exact_lhv_s, model_from_mapping, sample_bundle, sample_counterfactual_table
@@ -284,14 +285,7 @@ def cmd_violation_curve(args: argparse.Namespace) -> int:
     )
     out = _out_dir(args)
     preamble = {**_csv_preamble(spec), "seed": args.seed, "exact-s": generator.exact_s}
-    lines = [f"# {k}: {v}" for k, v in preamble.items()]
-    lines.append("n,trials,frequency,ci_lo,ci_hi,mean_s,sd_s,z")
-    for row in result.rows:
-        lines.append(
-            f"{row.n},{row.trials},{row.frequency!r},{row.ci_lo!r},{row.ci_hi!r},"
-            f"{row.mean_s!r},{row.sd_s!r},{row.z!r}"
-        )
-    (out / "curve.csv").write_text("\n".join(lines) + "\n")
+    write_curve_csv(out / "curve.csv", result, preamble)
     record = _run_record(spec)
     record["exact_s"] = generator.exact_s
     record["final_frequency"] = result.violation_frequency

@@ -22,7 +22,7 @@ The minus sign in S sits on the fixed (2,2) slot.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 import numpy as np
@@ -30,6 +30,7 @@ import numpy as np
 from .errors import DomainError
 
 __all__ = [
+    "ArrayValue",
     "CANONICAL_CONTEXTS",
     "CHSH_SIGNS",
     "Context",
@@ -39,6 +40,7 @@ __all__ = [
     "ExperimentBundle",
     "b_statistic",
     "correlation",
+    "frozen_array",
     "project_bundle",
     "project_context",
     "row_c_value",
@@ -75,24 +77,62 @@ class Context:
 CANONICAL_CONTEXTS = (Context(1, 1), Context(1, 2), Context(2, 1), Context(2, 2))
 
 
-def _outcome_array(values: object, *, columns: int) -> np.ndarray:
-    """Coerce to a read-only (n, columns) int8 array of strict +/-1 entries."""
-    arr = np.asarray(values)
-    if arr.size == 0:
-        arr = arr.reshape(0, columns)
-    if arr.ndim != 2 or arr.shape[1] != columns:
-        raise DomainError(f"expected shape (n, {columns}), got {arr.shape}")
-    if not np.issubdtype(arr.dtype, np.integer):
-        as_int = np.asarray(arr, dtype=np.int64)
-        if arr.dtype != object and not np.array_equal(as_int, arr):
-            raise DomainError("outcomes must be integers +1 or -1")
-        arr = as_int
-    if arr.size and not (np.abs(arr) == 1).all():
-        bad = arr[np.abs(arr) != 1][:4]
-        raise DomainError(f"outcomes must be +1 or -1, found {bad.tolist()}")
-    out = np.ascontiguousarray(arr, dtype=np.int8)
+def frozen_array(values: object, dtype: type, shape: tuple[int | None, ...], name: str) -> np.ndarray:
+    """``values`` as a read-only copy of the given dtype and shape (a leading None: any length).
+
+    Every value type builds its arrays here.  Ragged or non-numeric input, NaN
+    or inf, the wrong shape and values the dtype cannot hold exactly (2.5 or
+    1e20 as int64, 300 as int8) are DomainErrors.
+    """
+    try:
+        arr = np.asarray(values)
+    except (ValueError, TypeError) as exc:  # ragged nesting
+        raise DomainError(f"{name} must be a rectangular array of numbers") from exc
+    target = np.dtype(dtype)
+    if arr.dtype.kind not in ("iufc" if target.kind == "c" else "iuf"):
+        raise DomainError(f"{name} must hold numbers, got dtype {arr.dtype}")
+    if arr.ndim != len(shape) or arr.shape[1:] != shape[1:] or shape[0] not in (None, arr.shape[0]):
+        expected = "x".join("n" if n is None else str(n) for n in shape)
+        raise DomainError(f"{name} must have shape {expected}, got {arr.shape}")
+    if arr.dtype.kind in "fc" and not np.isfinite(arr).all():
+        raise DomainError(f"{name} must be finite")
+    if target.kind in "iu" and arr.dtype != target and arr.size and not np.can_cast(arr.dtype, target):
+        info = np.iinfo(target)  # .item() compares as Python numbers, exactly
+        integral = arr.dtype.kind != "f" or np.array_equal(np.rint(arr), arr)
+        if not (integral and info.min <= arr.min().item() and arr.max().item() <= info.max):
+            raise DomainError(f"{name} must be integers in the {target} range")
+    # copy whatever may be the caller's memory; a fresh array is converted at most once
+    out = arr.astype(target, order="C", copy=arr is values or arr.base is not None)
     out.setflags(write=False)
     return out
+
+
+class ArrayValue:
+    """Value ``==`` and hash for frozen dataclasses that hold arrays (declared ``eq=False``).
+
+    Array fields compare with ``np.array_equal``, the others with ``==``.  The hash
+    reads the array fields only: a metadata dict is not hashable.
+    """
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(np.array_equal(a, b) if np.ndarray in (type(a), type(b)) else a == b for a, b in pairs)
+
+    def __hash__(self) -> int:
+        arrays = (getattr(self, f.name) for f in fields(self))
+        # + 0 turns -0.0 into 0.0, which == does not tell apart
+        return hash((type(self), *((a + 0).tobytes() for a in arrays if isinstance(a, np.ndarray))))
+
+
+def _outcome_array(values: object, *, columns: int) -> np.ndarray:
+    """A read-only (n, columns) int8 array of strict +/-1 entries."""
+    arr = frozen_array(values, np.int8, (None, columns), "outcomes")
+    if not (np.abs(arr) == 1).all():
+        bad = arr[np.abs(arr) != 1][:4]
+        raise DomainError(f"outcomes must be +1 or -1, found {bad.tolist()}")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -110,8 +150,8 @@ class CounterfactualRow:
                 raise DomainError(f"{name} must be +1 or -1, got {getattr(self, name)}")
 
 
-@dataclass(frozen=True)
-class CounterfactualTable:
+@dataclass(frozen=True, eq=False)
+class CounterfactualTable(ArrayValue):
     """N rows of four jointly existing +/-1 outcomes, columns (a1, a2, b1, b2)."""
 
     outcomes: np.ndarray
@@ -129,22 +169,18 @@ class CounterfactualTable:
             (r.a1, r.a2, r.b1, r.b2) if isinstance(r, CounterfactualRow) else tuple(r)
             for r in rows
         ]
-        return cls(np.array(data, dtype=np.int64).reshape(len(data), 4), metadata)
+        return cls(data or np.empty((0, 4), dtype=np.int8), metadata)
 
     @property
     def n_rows(self) -> int:
         return self.outcomes.shape[0]
 
-    def row(self, k: int) -> CounterfactualRow:
-        a1, a2, b1, b2 = (int(v) for v in self.outcomes[k])
-        return CounterfactualRow(a1, a2, b1, b2)
-
     def __len__(self) -> int:
         return self.n_rows
 
 
-@dataclass(frozen=True)
-class ContextDataset:
+@dataclass(frozen=True, eq=False)
+class ContextDataset(ArrayValue):
     """Pairs (a, b) measured in one context; columns (a, b)."""
 
     context: Context

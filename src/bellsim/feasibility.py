@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,7 @@ import numpy as np
 from ._simplex import phase1_solve
 from .behaviors import Behavior, behavior_from_bundle
 from .core import CANONICAL_CONTEXTS, Context, CounterfactualTable, ExperimentBundle, project_bundle
+from .core import ArrayValue, frozen_array
 from .errors import DomainError, NumericError
 
 __all__ = [
@@ -82,27 +84,23 @@ def _projection_tensor() -> np.ndarray:
     return tensor
 
 
-PROJECTION = _projection_tensor()
-PROJECTION.setflags(write=False)
+PROJECTION = frozen_array(_projection_tensor(), np.float64, (4, 4, 16), "projection")
 
 
-@dataclass(frozen=True)
-class JointDistribution:
+@dataclass(frozen=True, eq=False)
+class JointDistribution(ArrayValue):
     """Weights over the 16 deterministic assignments; the 'tacitly assumed' object."""
 
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.shape != (16,):
-            raise DomainError(f"joint distribution needs 16 weights, got shape {w.shape}")
+        w = frozen_array(self.weights, np.float64, (16,), "joint distribution weights")
         if w.min() < -1e-12:
             raise DomainError(f"negative weight {w.min():.3e}")
         if abs(float(w.sum()) - 1.0) > 1e-10:
             raise DomainError(f"weights sum to {w.sum()!r}, not 1 within 1e-10")
-        w = np.clip(w, 0.0, None)
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        clipped = np.clip(w, 0.0, None)  # drops the tolerated round-off below 0
+        object.__setattr__(self, "weights", frozen_array(clipped, np.float64, (16,), "weights"))
 
     def context_marginal(self, context: Context) -> np.ndarray:
         """Outcome-pair distribution this joint induces in the given context."""
@@ -137,8 +135,8 @@ class Certificate:
         return f"context marginals admit no joint distribution (violation mass {self.value:.3e})"
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
+@dataclass(frozen=True, eq=False)
+class FeasibilityResult(ArrayValue):
     """LP outcome: a witness joint distribution, or an infeasibility certificate."""
 
     status: str  # "feasible" | "infeasible"
@@ -155,6 +153,9 @@ class FeasibilityResult:
             raise DomainError("exactly one of witness/certificate must be present")
         if self.status == "feasible" and self.residual > WITNESS_TOL:
             raise DomainError(f"feasible result with residual {self.residual:.3e} > {WITNESS_TOL}")
+        if self.witness_counts is not None:
+            counts = frozen_array(self.witness_counts, np.float64, (16,), "witness counts")
+            object.__setattr__(self, "witness_counts", counts)
 
     @property
     def feasible(self) -> bool:
@@ -218,28 +219,20 @@ def _infeasible(
     return FeasibilityResult("infeasible", residual=infeasibility, certificate=certificate)
 
 
-@dataclass(frozen=True)
-class ReshuffleProblem:
+@dataclass(frozen=True, eq=False)
+class ReshuffleProblem(ArrayValue):
     """Four context count tables plus an allowed per-context L1 deviation (in counts)."""
 
     counts: np.ndarray
     slack: float = 0.0
 
     def __post_init__(self) -> None:
-        counts = np.asarray(self.counts)
-        if counts.shape != (4, 4):
-            raise DomainError(f"counts must be (4, 4) per-context tables, got {counts.shape}")
-        if not np.issubdtype(counts.dtype, np.integer):
-            rounded = np.rint(counts)
-            if not np.array_equal(rounded, counts):
-                raise DomainError("count tables must hold integers")
-            counts = rounded
-        counts = counts.astype(np.int64)
+        counts = frozen_array(self.counts, np.int64, (4, 4), "counts")
         if counts.min() < 0:
             raise DomainError("counts must be nonnegative")
-        if not 0.0 <= self.slack < math.inf:  # NaN fails too
+        # NaN fails the range test too
+        if not (isinstance(self.slack, numbers.Real) and 0.0 <= self.slack < math.inf):
             raise DomainError(f"slack must be finite and >= 0, got {self.slack}")
-        counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
 
     @property
@@ -335,12 +328,11 @@ def reshuffle_feasible(problem: ReshuffleProblem) -> FeasibilityResult:
     projected = PROJECTION.reshape(16, 16).astype(np.int64) @ integral
     if integral.min() < 0 or not np.array_equal(projected, counts.reshape(16)):
         raise NumericError("rounded LP vertex does not reproduce the count tables")
-    witness_counts = integral.astype(np.float64)
-    witness = JointDistribution(witness_counts / witness_counts.sum())
+    witness = JointDistribution(integral / integral.sum())
     return FeasibilityResult(
         "feasible",
         residual=_max_marginal_violation(witness.weights, frequencies),
         witness=witness,
-        witness_counts=witness_counts,
+        witness_counts=integral,
         integrality="integer",
     )

@@ -16,6 +16,7 @@ suffix.
   context dataset        trial,a,b
   bundle                 trial,context_i,context_j,a,b   (canonical context order)
   pointer records        trial,rA1,rA2,rB1,rB2,bvalue    (repr floats)
+  significance curve     n,trials,frequency,ci_lo,ci_hi,mean_s,sd_s,z   (repr floats)
   behavior               "context i j = p p p p" lines, optional "counts i j = ..."
   model specification    "key = value" lines with a "variant" key (keys: MODEL_KEYS)
   study specification    "key = value" lines (keys: STUDY_KEYS)
@@ -28,6 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable, Iterable, Iterator, Mapping
+from dataclasses import astuple
 from pathlib import Path
 from typing import Any
 
@@ -44,6 +46,7 @@ from .core import (
 from .errors import ConfigError
 from .lhv import LhvModel, model_from_mapping
 from .quantum import AngleQuadruple, DensityMatrix
+from .stats import StudyResult
 from .weak import PointerRun
 
 __all__ = [
@@ -60,6 +63,7 @@ __all__ = [
     "write_angles",
     "write_behavior",
     "write_bundle_csv",
+    "write_curve_csv",
     "write_dataset_csv",
     "write_density",
     "write_records_csv",
@@ -70,6 +74,7 @@ TABLE_HEADER = "trial,a1,a2,b1,b2"
 DATASET_HEADER = "trial,a,b"
 BUNDLE_HEADER = "trial,context_i,context_j,a,b"
 RECORDS_HEADER = "trial,rA1,rA2,rB1,rB2,bvalue"
+CURVE_HEADER = "n,trials,frequency,ci_lo,ci_hi,mean_s,sd_s,z"  # StudyRow's fields, in order
 
 # Rows formatted per write: bounds the text held in memory at once.
 CHUNK_ROWS = 8192
@@ -209,6 +214,14 @@ def write_records_csv(
             yield "".join([f"{k},{r[0]!r},{r[1]!r},{r[2]!r},{r[3]!r},{b!r}\n" for k, r, b in rows])
 
     _write_csv(path, RECORDS_HEADER, preamble, blocks())
+
+
+def write_curve_csv(
+    path: Path, result: StudyResult, preamble: Mapping[str, Any] | None = None
+) -> None:
+    """One row per sample size of a significance curve: n and trials, then repr floats."""
+    rows = (f"{r.n},{r.trials}," + ",".join(map(repr, astuple(r)[2:])) + "\n" for r in result.rows)
+    _write_csv(path, CURVE_HEADER, preamble, rows)
 
 
 def write_behavior(

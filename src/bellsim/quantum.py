@@ -18,7 +18,7 @@ from typing import Literal
 
 import numpy as np
 
-from .core import CANONICAL_CONTEXTS, CHSH_SIGNS, ExperimentBundle
+from .core import CANONICAL_CONTEXTS, CHSH_SIGNS, ArrayValue, ExperimentBundle, frozen_array
 from .errors import ConfigError, DomainError
 
 __all__ = [
@@ -54,18 +54,14 @@ IDENTITY_2 = np.eye(2)
 OUTCOME_PAIRS = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=np.int8)
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
+@dataclass(frozen=True, eq=False)
+class DensityMatrix(ArrayValue):
     """4x4 two-qubit density matrix; Hermitian, unit trace, positive semidefinite."""
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=np.complex128)
-        if m.shape != (4, 4):
-            raise DomainError(f"density matrix must be 4x4, got {m.shape}")
-        if not np.isfinite(m).all():
-            raise DomainError("density matrix entries must be finite")
+        m = frozen_array(self.matrix, np.complex128, (4, 4), "density matrix")
         herm = float(np.abs(m - m.conj().T).max())
         if herm > HERMITIAN_TOL:
             raise DomainError(f"matrix is not Hermitian: max |rho - rho^dag| = {herm:.3e}")
@@ -77,8 +73,6 @@ class DensityMatrix:
             raise DomainError(
                 f"matrix is not positive semidefinite: min eigenvalue {eigenvalues.min():.3e}"
             )
-        m = m.copy()
-        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -115,9 +109,7 @@ class AngleQuadruple:
     b2: float
 
     def __post_init__(self) -> None:
-        for name in ("a1", "a2", "b1", "b2"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"angle {name} must be finite")
+        frozen_array(self.as_tuple(), np.float64, (4,), "angles a1, a2, b1, b2")
 
     def alice(self, index: int) -> float:
         return self.a1 if index == 1 else self.a2

@@ -19,6 +19,7 @@ the side of the generator's exact S (S-hat > 2 for positive exact S,
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -98,17 +99,16 @@ class ViolationStudy:
 
     def __post_init__(self) -> None:
         sample_size(self.n_per_context)
-        _check_study(self.trials, self.threshold, self.mode)
+        object.__setattr__(self, "trials", _check_study(self.trials, self.threshold, self.mode))
 
 
-def _check_study(trials: int, threshold: float, mode: str) -> None:
-    """Settings shared by one study and a curve: trials, a finite positive threshold, mode."""
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
-    if not (math.isfinite(threshold) and threshold > 0):
+def _check_study(trials: int, threshold: float, mode: str) -> int:
+    """Check the settings a study and a curve share; returns trials as a Python int."""
+    if not (isinstance(threshold, numbers.Real) and math.isfinite(threshold) and threshold > 0):
         raise ConfigError(f"threshold must be finite and positive, got {threshold}")
     if mode not in ("signed", "absolute"):
         raise ConfigError(f"mode must be 'signed' or 'absolute', got {mode!r}")
+    return sample_size(trials, "trials")
 
 
 @dataclass(frozen=True)
@@ -249,7 +249,7 @@ def significance_curve(
         raise ConfigError("n_values must be nonempty")
     if n_values != sorted(n_values) or len(set(n_values)) != len(n_values):
         raise ConfigError(f"n_values must be strictly ascending, got {n_values}")
-    _check_study(trials, threshold, mode)
+    trials = _check_study(trials, threshold, mode)
     rows = tuple(
         _run_row(generator, n, trials, threshold, derive_seed(seed, "curve-n", n), mode)
         for n in n_values

@@ -22,13 +22,14 @@ vehicle for targets like 2*sqrt(2) that no counterfactual table can reach.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
-from .core import CounterfactualTable
+from .core import ArrayValue, CounterfactualTable, frozen_array
 from .errors import ConfigError, DomainError
 from .rng import sample_size, spawn_rng
 
@@ -50,10 +51,11 @@ class PointerConfig:
     noise_sd: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.coupling > 0 and math.isfinite(self.coupling)):
-            raise ConfigError(f"coupling g must be positive, got {self.coupling}")
-        if not (self.noise_sd >= 0 and math.isfinite(self.noise_sd)):
-            raise ConfigError(f"noise_sd must be >= 0, got {self.noise_sd}")
+        g, sigma = self.coupling, self.noise_sd
+        if not (isinstance(g, numbers.Real) and g > 0 and math.isfinite(g)):
+            raise ConfigError(f"coupling g must be positive, got {g!r}")
+        if not (isinstance(sigma, numbers.Real) and sigma >= 0 and math.isfinite(sigma)):
+            raise ConfigError(f"noise_sd must be >= 0, got {sigma!r}")
 
 
 @dataclass(frozen=True)
@@ -67,8 +69,8 @@ class PerPairRecord:
     b_value: float
 
 
-@dataclass(frozen=True)
-class PointerRun(Sequence):
+@dataclass(frozen=True, eq=False)
+class PointerRun(ArrayValue, Sequence):
     """A batch of per-pair records, stored columnar; indexes as PerPairRecord.
 
     ``b_values`` is derived from ``readings`` when the run is built.
@@ -80,16 +82,12 @@ class PointerRun(Sequence):
     b_values: np.ndarray = field(init=False)  # (n,)
 
     def __post_init__(self) -> None:
-        readings = np.asarray(self.readings, dtype=np.float64)
-        if readings.ndim != 2 or readings.shape[1] != 4:
-            raise DomainError(f"readings must have shape (n, 4), got {readings.shape}")
+        readings = frozen_array(self.readings, np.float64, (None, 4), "readings")
         ra1, ra2, rb1, rb2 = readings.T
         g = self.config.coupling
         b_values = (ra1 * rb1 + ra1 * rb2 + ra2 * rb1 - ra2 * rb2) / (g * g)
-        readings.setflags(write=False)
-        b_values.setflags(write=False)
         object.__setattr__(self, "readings", readings)
-        object.__setattr__(self, "b_values", b_values)
+        object.__setattr__(self, "b_values", frozen_array(b_values, np.float64, (None,), "b-values"))
 
     def __len__(self) -> int:
         return self.readings.shape[0]
@@ -139,7 +137,7 @@ def per_pair_b_values_calibrated(
     reference reading is what makes the 50% exceedance exact.)
     """
     n = sample_size(n, "n")
-    if not math.isfinite(target_s):
+    if not (isinstance(target_s, numbers.Real) and math.isfinite(target_s)):
         raise ConfigError(f"target_s must be finite, got {target_s}")
     rng = spawn_rng(seed, "weak-calibrated")
     g, sigma = config.coupling, config.noise_sd

@@ -3,7 +3,8 @@
 Covers model files and study specs whose values do not parse as their key's
 type, files that are not UTF-8, non-finite behavior and state entries,
 repeated behavior-file lines, sample sizes that are not positive integers,
-study settings (trials, threshold, slack) out of range and non-numeric angles.
+study settings (trials, threshold, slack) out of range or of the wrong type,
+and non-numeric angles and pointer settings.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 from bellsim.behaviors import Behavior, pr_box, sample_bundle_from_behavior
 from bellsim.cli import EXIT_CONFIG, EXIT_OK, main
-from bellsim.core import project_bundle
+from bellsim.core import CounterfactualTable, project_bundle
 from bellsim.errors import ConfigError, DomainError
 from bellsim.feasibility import ReshuffleProblem
 from bellsim.fileio import (
@@ -24,6 +25,7 @@ from bellsim.fileio import (
     read_model,
     read_table_csv,
     write_bundle_csv,
+    write_curve_csv,
 )
 from bellsim.lhv import (
     boundary_mixture_model,
@@ -32,7 +34,13 @@ from bellsim.lhv import (
     sample_counterfactual_table,
     sign_cosine_model,
 )
-from bellsim.quantum import TSIRELSON_ANGLES, DensityMatrix, sample_bundle_quantum, singlet
+from bellsim.quantum import (
+    TSIRELSON_ANGLES,
+    AngleQuadruple,
+    DensityMatrix,
+    sample_bundle_quantum,
+    singlet,
+)
 from bellsim.stats import ViolationStudy, generator_from_lhv, significance_curve
 from bellsim.weak import PointerConfig, per_pair_b_values_calibrated
 
@@ -283,3 +291,67 @@ def test_feasibility_rejects_non_finite_or_negative_slack(tmp_path, capsys, sour
         assert not (tmp_path / "out").exists()
     if source == "--bundle":  # a projected table is feasible at every level and slack
         assert main([*argv, "--slack", "1e308", "--out", str(tmp_path / "out")]) == EXIT_OK
+
+
+@pytest.mark.parametrize("trials", [2.5, True, "5", None, 0])
+def test_study_trials_must_be_a_positive_integer(trials):
+    generator = generator_from_lhv(MODEL)
+    with pytest.raises(ConfigError, match="trials must be an integer >= 1"):
+        ViolationStudy(generator, 10, trials, 1)
+    with pytest.raises(ConfigError, match="trials must be an integer >= 1"):
+        significance_curve(generator, [10], trials, 1)
+
+
+@pytest.mark.parametrize("threshold", ["2", None, [2.0], complex(2.0, 0.0)])
+def test_study_threshold_must_be_a_number(threshold):
+    generator = generator_from_lhv(MODEL)
+    with pytest.raises(ConfigError, match="threshold must be finite and positive"):
+        ViolationStudy(generator, 10, 5, 1, threshold=threshold)
+    with pytest.raises(ConfigError, match="threshold must be finite and positive"):
+        significance_curve(generator, [10], 5, 1, threshold=threshold)
+
+
+@pytest.mark.parametrize(
+    "angles",
+    [("x", 0, 0, 0), (0, None, 0, 0), (0, 0, [1, 2], 0), (0, 0, 0, float("inf"))],
+    ids=["text", "none", "list", "inf"],
+)
+def test_angle_quadruple_rejects_non_numeric_angles(angles):
+    with pytest.raises(DomainError, match="angles"):
+        AngleQuadruple(*angles)
+
+
+@pytest.mark.parametrize(
+    ("coupling", "noise_sd"),
+    [("x", 1.0), (1.0, None), (None, 1.0), (1.0, "0.5"), (float("nan"), 1.0)],
+    ids=["coupling-text", "noise-none", "coupling-none", "noise-text", "coupling-nan"],
+)
+def test_pointer_config_rejects_non_numeric_settings(coupling, noise_sd):
+    with pytest.raises(ConfigError, match="coupling|noise_sd"):
+        PointerConfig(coupling, noise_sd)
+
+
+def test_numpy_integer_trials_give_the_same_curve_bytes(tmp_path):
+    generator = generator_from_lhv(MODEL)
+    for trials, name in ((5, "int.csv"), (np.int64(5), "numpy.csv")):
+        result = significance_curve(generator, [10, 20], trials, 1)
+        assert all(type(row.frequency) is float and type(row.trials) is int for row in result.rows)
+        write_curve_csv(tmp_path / name, result)
+    assert (tmp_path / "int.csv").read_bytes() == (tmp_path / "numpy.csv").read_bytes()
+    assert type(ViolationStudy(generator, 10, np.int64(5), 1).trials) is int
+
+
+def test_non_numeric_slack_and_target_are_bellsim_errors():
+    with pytest.raises(DomainError, match="slack must be finite"):
+        ReshuffleProblem(np.full((4, 4), 5), "1")
+    with pytest.raises(ConfigError, match="target_s must be finite"):
+        per_pair_b_values_calibrated("2", PointerConfig(), 3, 1)
+
+
+@pytest.mark.parametrize(
+    "rows", [[(1, 1, 1)], [(1, 1, 1, 1), (1, 1)], [("1", "1", "1", "1")]], ids=["three", "ragged", "text"]
+)
+def test_table_rows_must_be_four_numbers(rows):
+    with pytest.raises(DomainError, match="outcomes"):
+        CounterfactualTable.from_rows(rows)
+    assert CounterfactualTable.from_rows([]).outcomes.shape == (0, 4)
