@@ -18,7 +18,7 @@ from .core import CANONICAL_CONTEXTS, CHSH_SIGNS, Context, ContextDataset, Exper
 from .core import ArrayValue, frozen_array
 from .errors import DomainError
 from .quantum import OUTCOME_PAIRS, AngleQuadruple, Convention, DensityMatrix, born_probabilities
-from .rng import categorical, sample_size, spawn_rng
+from .rng import categorical, category_counts, sample_size, spawn_rng
 
 __all__ = [
     "Behavior",
@@ -31,6 +31,7 @@ __all__ = [
     "pr_box",
     "random_no_signaling_behavior",
     "sample_bundle_from_behavior",
+    "sample_plus_counts_from_behavior",
 ]
 
 PROB_TOL = 1e-12
@@ -149,14 +150,34 @@ def sample_bundle_from_behavior(
     n_per_context = sample_size(n_per_context)
     datasets = []
     for context in CANONICAL_CONTEXTS:
-        probs = np.clip(behavior.probs[context.index], 0.0, None)
-        probs = probs / probs.sum()
         rng = spawn_rng(seed, label, context.index)
-        draws = categorical(rng, probs, n_per_context)
+        draws = categorical(rng, _sampling_probs(behavior, context), n_per_context)
         datasets.append(
             ContextDataset(context, OUTCOME_PAIRS[draws], {"seed": seed, "generator": label})
         )
     return ExperimentBundle(tuple(datasets))
+
+
+def sample_plus_counts_from_behavior(
+    behavior: Behavior, n_per_context: int, seed: int, label: str = "behavior-context"
+) -> tuple[int, int, int, int]:
+    """Per-context counts of (+,+) and (-,-) pairs in ``sample_bundle_from_behavior``'s bundle.
+
+    Draws the same streams as that sampler but builds no datasets.
+    """
+    n_per_context = sample_size(n_per_context)
+    plus = []
+    for context in CANONICAL_CONTEXTS:
+        rng = spawn_rng(seed, label, context.index)
+        counts = category_counts(rng, _sampling_probs(behavior, context), n_per_context)
+        plus.append(int(counts[0] + counts[3]))
+    return tuple(plus)
+
+
+def _sampling_probs(behavior: Behavior, context: Context) -> np.ndarray:
+    # a row may dip below 0 by up to PROB_TOL; the samplers draw from it clipped and renormalized
+    probs = np.clip(behavior.probs[context.index], 0.0, None)
+    return probs / probs.sum()
 
 
 def random_no_signaling_behavior(rng: np.random.Generator) -> Behavior:

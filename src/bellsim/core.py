@@ -41,10 +41,12 @@ __all__ = [
     "b_statistic",
     "correlation",
     "frozen_array",
+    "plus_count",
     "project_bundle",
     "project_context",
     "row_c_value",
     "row_c_values",
+    "s_from_counts",
     "s_statistic",
 ]
 
@@ -255,17 +257,36 @@ def project_bundle(table: CounterfactualTable) -> ExperimentBundle:
     return ExperimentBundle(tuple(project_context(table, c) for c in CANONICAL_CONTEXTS))
 
 
+def plus_count(dataset: ContextDataset) -> int:
+    """Number of the dataset's pairs with a*b = +1."""
+    return int(np.count_nonzero(dataset.pairs[:, 0] == dataset.pairs[:, 1]))
+
+
+def _count_correlation(plus: int, n: int) -> float:
+    # sum of a*b is K - (n - K); an exact integer, so one rounding in the division
+    return (2 * plus - n) / n
+
+
 def correlation(dataset: ContextDataset) -> float:
     """Empirical mean of a*b over the dataset's pairs; in [-1, 1]."""
     if dataset.n_pairs == 0:
         raise DomainError(f"correlation undefined for empty dataset in context {dataset.context}")
-    products = dataset.pairs[:, 0].astype(np.int16) * dataset.pairs[:, 1]
-    return int(products.sum(dtype=np.int64)) / dataset.n_pairs
+    return _count_correlation(plus_count(dataset), dataset.n_pairs)
+
+
+def s_from_counts(counts: Iterable[tuple[int, int]]) -> float:
+    """S-hat from per-context (plus count K, pairs n) in canonical order: sum of sign * (2K - n) / n.
+
+    Only the four counts matter, so sources that know them need not build the pairs.
+    """
+    total = 0.0
+    for sign, context, (plus, n) in zip(CHSH_SIGNS, CANONICAL_CONTEXTS, counts, strict=True):
+        if n == 0:
+            raise DomainError(f"correlation undefined for empty dataset in context {context}")
+        total += sign * _count_correlation(plus, n)
+    return total
 
 
 def s_statistic(bundle: ExperimentBundle) -> float:
     """S = E11 + E12 + E21 - E22 from the four per-context correlations; in [-4, 4]."""
-    total = 0.0
-    for sign, dataset in zip(CHSH_SIGNS, bundle.datasets):
-        total += sign * correlation(dataset)
-    return total
+    return s_from_counts((plus_count(d), d.n_pairs) for d in bundle.datasets)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .core import CANONICAL_CONTEXTS, CHSH_SIGNS, Context, ContextDataset, CounterfactualTable, ExperimentBundle
 from .errors import ConfigError
-from .rng import categorical, sample_size, spawn_rng
+from .rng import categorical, category_counts, sample_size, spawn_rng
 
 __all__ = [
     "LhvModel",
@@ -48,6 +48,7 @@ __all__ = [
     "model_from_mapping",
     "sample_bundle",
     "sample_counterfactual_table",
+    "sample_plus_counts",
     "sign_cosine_model",
 ]
 
@@ -83,6 +84,12 @@ class MixtureModel:
     def bob_response(self, setting: int, lam: np.ndarray) -> np.ndarray:
         return np.asarray(self.strategies)[lam, 2 + setting - 1].astype(np.int8)
 
+    def plus_count(self, context: Context, rng: np.random.Generator, size: int) -> int:
+        """Pairs with a*b = +1 among ``size`` draws: the strategy counts where a_i * b_j = +1."""
+        counts = category_counts(rng, self.weights, size).tolist()
+        i, j = context.alice - 1, 2 + context.bob - 1
+        return sum(k for k, s in zip(counts, self.strategies) if s[i] == s[j])
+
     def correlation(self, context: Context) -> float:
         points = np.arange(len(self.strategies))
         product = self.alice_response(context.alice, points) * self.bob_response(context.bob, points)
@@ -115,6 +122,14 @@ class SignCosineModel:
 
     def bob_response(self, setting: int, lam: np.ndarray) -> np.ndarray:
         return (self.bob_sign * _sign_pm(np.cos(lam - (self.b1, self.b2)[setting - 1]))).astype(np.int8)
+
+    def plus_count(self, context: Context, rng: np.random.Generator, size: int) -> int:
+        """Pairs with a*b = +1 among ``size`` draws: where the two cosine signs agree, or disagree if bob_sign is -1."""
+        lam = self.draw_lambda(rng, size)
+        alice = np.cos(lam - (self.a1, self.a2)[context.alice - 1]) >= 0.0
+        bob = np.cos(lam - (self.b1, self.b2)[context.bob - 1]) >= 0.0
+        agree = int(np.count_nonzero(alice == bob))
+        return agree if self.bob_sign == 1 else size - agree
 
     def correlation(self, context: Context) -> float:
         """bob_sign * (1 - 2 d / pi): the two signs disagree on a set of measure 2d out of 2pi."""
@@ -180,6 +195,18 @@ def sample_bundle(model: LhvModel, n_per_context: int, seed: int) -> ExperimentB
             ContextDataset(context, pairs, {"seed": seed, "generator": f"lhv:{model.name}"})
         )
     return ExperimentBundle(tuple(datasets))
+
+
+def sample_plus_counts(model: LhvModel, n_per_context: int, seed: int) -> tuple[int, int, int, int]:
+    """Per-context counts of pairs with a*b = +1 in ``sample_bundle(model, n_per_context, seed)``.
+
+    Draws the same streams as ``sample_bundle`` but builds no datasets.
+    """
+    n_per_context = sample_size(n_per_context)
+    return tuple(
+        model.plus_count(context, spawn_rng(seed, "lhv-context", context.index), n_per_context)
+        for context in CANONICAL_CONTEXTS
+    )
 
 
 def exact_lhv_correlation(model: LhvModel, context: Context) -> float:

@@ -9,6 +9,12 @@ atom of the discrete estimator; below the boundary it decays to zero as the
 per-context sample size grows; for quantum generators above the bound the
 z-score grows like sqrt(n).
 
+A trial's S-hat depends only on four integers, the per-context counts K_c of
+pairs with a*b = +1: S-hat = sum of sign_c * (2 K_c - n) / n.  So a trial
+draws those counts from the same per-context streams its source's bundle
+sampler draws, without building the pairs, and the S-hat is bitwise the
+``s_statistic`` of that bundle.
+
 Per-trial seeds derive from (master seed, trial index) and per-context seeds
 from the trial seed, so results are identical under any parallel schedule.
 Violation counting is sign-resolved by default: the estimate is compared on
@@ -22,13 +28,14 @@ import math
 import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .behaviors import Behavior, behavior_from_quantum, behavior_s, sample_bundle_from_behavior
-from .core import ExperimentBundle, correlation, s_statistic
+from .behaviors import Behavior, behavior_from_quantum, behavior_s, sample_plus_counts_from_behavior
+from .core import ExperimentBundle, correlation, s_from_counts
 from .errors import ConfigError, DomainError
-from .lhv import LhvModel, exact_lhv_s, sample_bundle
+from .lhv import LhvModel, exact_lhv_s, sample_plus_counts
 from .quantum import AngleQuadruple, DensityMatrix, s_quantum
 from .rng import derive_seed, sample_size
 
@@ -51,39 +58,33 @@ _WILSON_Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 @dataclass(frozen=True)
 class BundleGenerator:
-    """A named source of experiment bundles with a known exact S."""
+    """A named source of four-context experiments with a known exact S.
+
+    A trial needs only ``plus_counts(n_per_context, seed)``: the counts of
+    pairs with a*b = +1 per context, in canonical order, of the bundle the
+    source's sampler would draw from that seed.
+    """
 
     label: str
     exact_s: float
-    sample: Callable[[int, int], ExperimentBundle]  # (n_per_context, seed) -> bundle
+    plus_counts: Callable[[int, int], tuple[int, int, int, int]]  # (n_per_context, seed) -> K_c
 
 
 def generator_from_lhv(model: LhvModel) -> BundleGenerator:
-    exact = exact_lhv_s(model)
-
-    def sample(n_per_context: int, seed: int) -> ExperimentBundle:
-        return sample_bundle(model, n_per_context, seed)
-
-    return BundleGenerator(f"lhv:{model.name}", exact, sample)
+    """Trials on the streams of ``sample_bundle(model, ...)``."""
+    return BundleGenerator(f"lhv:{model.name}", exact_lhv_s(model), partial(sample_plus_counts, model))
 
 
 def generator_from_quantum(rho: DensityMatrix, angles: AngleQuadruple) -> BundleGenerator:
     """Born sampling at the given angles, on the streams of ``sample_bundle_quantum``."""
     behavior = behavior_from_quantum(rho, angles)  # once per generator, not once per trial
-
-    def sample(n_per_context: int, seed: int) -> ExperimentBundle:
-        return sample_bundle_from_behavior(behavior, n_per_context, seed, "quantum-context")
-
-    return BundleGenerator("quantum", s_quantum(rho, angles), sample)
+    plus_counts = partial(sample_plus_counts_from_behavior, behavior, label="quantum-context")
+    return BundleGenerator("quantum", s_quantum(rho, angles), plus_counts)
 
 
 def generator_from_behavior(behavior: Behavior, label: str = "behavior") -> BundleGenerator:
-    exact = behavior_s(behavior)
-
-    def sample(n_per_context: int, seed: int) -> ExperimentBundle:
-        return sample_bundle_from_behavior(behavior, n_per_context, seed)
-
-    return BundleGenerator(label, exact, sample)
+    """Trials on the streams of ``sample_bundle_from_behavior(behavior, ...)``."""
+    return BundleGenerator(label, behavior_s(behavior), partial(sample_plus_counts_from_behavior, behavior))
 
 
 @dataclass(frozen=True)
@@ -201,9 +202,10 @@ def _run_row(
     mode: str,
 ) -> StudyRow:
     s_values = np.empty(trials)
+    sizes = (n_per_context,) * 4
     for t in range(trials):
-        bundle = generator.sample(n_per_context, derive_seed(seed, "trial", t))
-        s_values[t] = s_statistic(bundle)
+        plus = generator.plus_counts(n_per_context, derive_seed(seed, "trial", t))
+        s_values[t] = s_from_counts(zip(plus, sizes))
     resolved = _signed_values(s_values, generator.exact_s, mode)
     violations = int((resolved > threshold).sum())  # ties count as non-violations
     frequency = violations / trials

@@ -85,7 +85,8 @@ class PointerRun(ArrayValue, Sequence):
         readings = frozen_array(self.readings, np.float64, (None, 4), "readings")
         ra1, ra2, rb1, rb2 = readings.T
         g = self.config.coupling
-        b_values = (ra1 * rb1 + ra1 * rb2 + ra2 * rb1 - ra2 * rb2) / (g * g)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow ends as inf or NaN, rejected below
+            b_values = (ra1 * rb1 + ra1 * rb2 + ra2 * rb1 - ra2 * rb2) / (g * g)
         object.__setattr__(self, "readings", readings)
         object.__setattr__(self, "b_values", frozen_array(b_values, np.float64, (None,), "b-values"))
 
@@ -159,7 +160,14 @@ def per_pair_b_values_calibrated(
 
 def exceedance_fraction(values: Sequence[float] | np.ndarray, threshold: float) -> float:
     """Fraction of values strictly above the threshold."""
-    arr = np.asarray(values, dtype=np.float64)
+    if not (isinstance(threshold, numbers.Real) and math.isfinite(threshold)):
+        raise ConfigError(f"threshold must be a finite number, got {threshold!r}")
+    try:
+        arr = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DomainError("values must be numbers") from exc
     if arr.size == 0:
         raise DomainError("exceedance fraction undefined for an empty list")
+    if np.isnan(arr).any():
+        raise DomainError("values must not be NaN")
     return float((arr > threshold).mean())

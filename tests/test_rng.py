@@ -1,6 +1,8 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bellsim.rng import categorical, derive_seed, spawn_rng
+from bellsim.rng import categorical, category_counts, derive_seed, spawn_rng
 
 
 def test_derivation_is_deterministic():
@@ -35,6 +37,20 @@ def test_categorical_degenerate_vector():
     rng = np.random.default_rng(1)
     draws = categorical(rng, np.array([0.0, 1.0, 0.0, 0.0]), 1000)
     assert (draws == 1).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    masses=st.lists(st.sampled_from([0.0, 0.0, 1e-9, 0.1, 0.25, 0.3, 1.0, 7.0]), min_size=1, max_size=16)
+    .filter(lambda m: sum(m) > 0),
+    size=st.one_of(st.just(1), st.integers(1, 3000)),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_category_counts_equal_bincount_of_categorical(masses, size, seed):
+    probs = np.array(masses) / sum(masses)  # zero-mass categories included
+    counts = category_counts(np.random.default_rng(seed), probs, size)
+    draws = categorical(np.random.default_rng(seed), probs, size)
+    assert np.array_equal(counts, np.bincount(draws, minlength=len(probs)))
 
 
 def test_numpy_and_python_int_seeds_give_equal_streams():

@@ -4,12 +4,27 @@ import numpy as np
 import pytest
 from scipy.stats import binomtest
 
-from bellsim.behaviors import pr_box
-from bellsim.core import CANONICAL_CONTEXTS, ContextDataset, ExperimentBundle
+from bellsim.behaviors import (
+    Behavior,
+    behavior_from_quantum,
+    pr_box,
+    sample_bundle_from_behavior,
+    sample_plus_counts_from_behavior,
+)
+from bellsim.core import CANONICAL_CONTEXTS, ContextDataset, ExperimentBundle, plus_count, s_from_counts, s_statistic
 from bellsim.errors import ConfigError, DomainError
-from bellsim.lhv import boundary_mixture_model, deterministic_model, sign_cosine_model
-from bellsim.quantum import TSIRELSON_ANGLES, singlet
+from bellsim.lhv import (
+    boundary_mixture_model,
+    deterministic_model,
+    mixture_model,
+    sample_bundle,
+    sample_plus_counts,
+    sign_cosine_model,
+)
+from bellsim.quantum import TSIRELSON_ANGLES, AngleQuadruple, random_density_matrix, singlet
+from bellsim.rng import derive_seed
 from bellsim.stats import (
+    BundleGenerator,
     ViolationStudy,
     generator_from_behavior,
     generator_from_lhv,
@@ -172,6 +187,75 @@ class TestSignificanceCurve:
             significance_curve(BOUNDARY, [100, 50], trials=10, seed=1)
         with pytest.raises(ConfigError):
             significance_curve(BOUNDARY, [100, 100], trials=10, seed=1)
+
+
+def random_mixture(rng):
+    m = int(rng.integers(1, 17))
+    weights = rng.random(m) * (rng.random(m) < 0.8)  # some strategies carry no mass
+    weights[rng.integers(m)] += 0.1
+    return mixture_model(rng.choice([-1, 1], size=(m, 4)), weights / weights.sum())
+
+
+def random_sign_cosine(rng, bob_sign):
+    return sign_cosine_model(*rng.uniform(-2 * math.pi, 2 * math.pi, 4), bob_sign=bob_sign)
+
+
+def random_behavior(rng):
+    rows = rng.random((4, 4)) * (rng.random((4, 4)) < 0.8)
+    rows[:, rng.integers(4)] += 0.1
+    return Behavior(rows / rows.sum(axis=1, keepdims=True))
+
+
+def bundle_plus_counts(bundle):
+    return tuple(plus_count(dataset) for dataset in bundle.datasets)
+
+
+class TestCountPath:
+    """Trials draw per-context plus counts on the bundle samplers' own streams."""
+
+    def test_lhv_counts_match_the_sampled_bundle(self):
+        rng = np.random.default_rng(2024)
+        models = [random_mixture(rng) for _ in range(24)]
+        models += [random_sign_cosine(rng, sign) for sign in (-1, 1) for _ in range(8)]
+        for model in models:
+            n, seed = int(rng.integers(1, 400)), int(rng.integers(2**63))
+            bundle = sample_bundle(model, n, seed)
+            assert sample_plus_counts(model, n, seed) == bundle_plus_counts(bundle)
+            assert generator_from_lhv(model).plus_counts(n, seed) == bundle_plus_counts(bundle)
+
+    def test_behavior_and_born_counts_match_the_sampled_bundle(self):
+        rng = np.random.default_rng(2025)
+        behaviors = [random_behavior(rng) for _ in range(16)] + [pr_box()]
+        for _ in range(8):
+            angles = AngleQuadruple(*rng.uniform(-math.pi, math.pi, 4))
+            behaviors.append(behavior_from_quantum(random_density_matrix(rng), angles))
+        for behavior in behaviors:
+            n, seed = int(rng.integers(1, 400)), int(rng.integers(2**63))
+            for label in ("behavior-context", "quantum-context"):
+                bundle = sample_bundle_from_behavior(behavior, n, seed, label)
+                assert sample_plus_counts_from_behavior(behavior, n, seed, label) == bundle_plus_counts(bundle)
+            assert generator_from_behavior(behavior).plus_counts(n, seed) == bundle_plus_counts(
+                sample_bundle_from_behavior(behavior, n, seed)
+            )
+
+    def test_trial_s_hat_is_bitwise_the_bundle_statistic(self):
+        rng = np.random.default_rng(2026)
+        for model in [boundary_mixture_model(), random_mixture(rng), random_sign_cosine(rng, -1)]:
+            for n in (1, 7, 100, 999):
+                seed = int(rng.integers(2**63))
+                bundle = sample_bundle(model, n, seed)
+                assert s_from_counts(zip(sample_plus_counts(model, n, seed), (n,) * 4)) == s_statistic(bundle)
+
+    def test_study_matches_the_bundle_loop(self):
+        # reference: the per-trial bundle loop the count path replaces
+        model, n, trials, seed = boundary_mixture_model(), 300, 64, 8
+        s_values = np.array([
+            s_statistic(sample_bundle(model, n, derive_seed(seed, "trial", t))) for t in range(trials)
+        ])
+        result = violation_frequency(ViolationStudy(generator_from_lhv(model), n, trials, seed))
+        assert result.mean_s == float(s_values.mean())
+        assert result.sd_s == float(s_values.std(ddof=1))
+        assert result.violation_frequency == float((s_values > 2.0).mean())
 
 
 class TestWilsonCoverage:

@@ -103,6 +103,11 @@ class TestRecordsAndConfig:
         # (r_A1 r_B1 + r_A1 r_B2 + r_A2 r_B1 - r_A2 r_B2) / g^2 = (3 + 5 + 6 - 10) / 4
         assert run.b_values.tolist() == [1.0]
 
+    def test_overflowing_b_values_rejected_without_warning(self):
+        # the products overflow to inf (and inf - inf to NaN) under the suite's -W error
+        with pytest.raises(DomainError, match="b-values must be finite"):
+            PointerRun(np.full((1, 4), 1e200), PointerConfig(), "t")
+
     def test_readings_need_four_columns(self):
         with pytest.raises(DomainError, match="shape"):
             PointerRun(np.zeros((5, 3)), PointerConfig(), "test")
@@ -134,3 +139,17 @@ class TestExceedance:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             exceedance_fraction([], 1.0)
+
+    def test_nan_values_rejected(self):
+        with pytest.raises(DomainError, match="NaN"):
+            exceedance_fraction([1.0, math.nan], 0.0)
+        with pytest.raises(DomainError):
+            exceedance_fraction(["a"], 0.0)
+
+    @pytest.mark.parametrize("threshold", ["2", None, math.nan, math.inf, -math.inf])
+    def test_bad_threshold_rejected(self, threshold):
+        with pytest.raises(ConfigError, match="threshold"):
+            exceedance_fraction([1.0, 3.0], threshold)
+
+    def test_infinite_values_compare(self):
+        assert exceedance_fraction([math.inf, -math.inf], 0.0) == 0.5
