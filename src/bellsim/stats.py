@@ -19,7 +19,11 @@ Per-trial seeds derive from (master seed, trial index) and per-context seeds
 from the trial seed, so results are identical under any parallel schedule.
 Violation counting is sign-resolved by default: the estimate is compared on
 the side of the generator's exact S (S-hat > 2 for positive exact S,
--S-hat > 2 for negative); "absolute" mode uses |S-hat| instead.
+-S-hat > 2 for negative); "absolute" mode uses |S-hat| instead.  The
+comparison is exact: n * S-hat = 2 (K_11 + K_12 + K_21 - K_22) - 2n is an
+integer, and a trial violates iff it exceeds floor(threshold * n), so a tie
+(S-hat equal to the threshold) never counts, however the float S-hat rounds.
+The mean, sd and z-score are computed from the float S-hat.
 """
 
 from __future__ import annotations
@@ -62,7 +66,8 @@ class BundleGenerator:
 
     A trial needs only ``plus_counts(n_per_context, seed)``: the counts of
     pairs with a*b = +1 per context, in canonical order, of the bundle the
-    source's sampler would draw from that seed.
+    source's sampler would draw from that seed.  Its S-hat and its exact
+    violation verdict (ties never count) both follow from those four counts.
     """
 
     label: str
@@ -202,12 +207,20 @@ def _run_row(
     mode: str,
 ) -> StudyRow:
     s_values = np.empty(trials)
+    margins = np.empty(trials, dtype=np.int64)  # n * S-hat, an exact integer
     sizes = (n_per_context,) * 4
     for t in range(trials):
         plus = generator.plus_counts(n_per_context, derive_seed(seed, "trial", t))
         s_values[t] = s_from_counts(zip(plus, sizes))
+        k11, k12, k21, k22 = plus
+        margins[t] = 2 * (k11 + k12 + k21 - k22) - 2 * n_per_context
+    # n * S-hat > n * threshold, decided in integers so that a tie never counts,
+    # however the float S-hat rounds: with threshold = num / den exactly, the
+    # limit is floor(num * n / den); |n * S-hat| <= 4n bounds it
+    num, den = float(threshold).as_integer_ratio()
+    limit = min(num * n_per_context // den, 4 * n_per_context)
+    violations = int((_signed_values(margins, generator.exact_s, mode) > limit).sum())
     resolved = _signed_values(s_values, generator.exact_s, mode)
-    violations = int((resolved > threshold).sum())  # ties count as non-violations
     frequency = violations / trials
     ci_lo, ci_hi = wilson_interval(violations, trials)
     mean_s = float(resolved.mean())
@@ -222,7 +235,7 @@ def _run_row(
 
 
 def violation_frequency(study: ViolationStudy) -> StudyResult:
-    """Fraction of trials whose sign-resolved S-hat strictly exceeds the threshold."""
+    """Fraction of trials whose sign-resolved S-hat strictly exceeds the threshold; ties never count."""
     row = _run_row(
         study.generator,
         study.n_per_context,

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,15 @@ from bellsim.behaviors import (
     sample_bundle_from_behavior,
     sample_plus_counts_from_behavior,
 )
-from bellsim.core import CANONICAL_CONTEXTS, ContextDataset, ExperimentBundle, plus_count, s_from_counts, s_statistic
+from bellsim.core import (
+    CANONICAL_CONTEXTS,
+    CHSH_SIGNS,
+    ContextDataset,
+    ExperimentBundle,
+    plus_count,
+    s_from_counts,
+    s_statistic,
+)
 from bellsim.errors import ConfigError, DomainError
 from bellsim.lhv import (
     boundary_mixture_model,
@@ -249,13 +258,37 @@ class TestCountPath:
     def test_study_matches_the_bundle_loop(self):
         # reference: the per-trial bundle loop the count path replaces
         model, n, trials, seed = boundary_mixture_model(), 300, 64, 8
-        s_values = np.array([
-            s_statistic(sample_bundle(model, n, derive_seed(seed, "trial", t))) for t in range(trials)
-        ])
+        bundles = [sample_bundle(model, n, derive_seed(seed, "trial", t)) for t in range(trials)]
+        exact = [
+            sum(sign * Fraction(2 * plus_count(d) - n, n) for sign, d in zip(CHSH_SIGNS, bundle.datasets))
+            for bundle in bundles
+        ]
+        s_values = np.array([s_statistic(bundle) for bundle in bundles])
         result = violation_frequency(ViolationStudy(generator_from_lhv(model), n, trials, seed))
         assert result.mean_s == float(s_values.mean())
         assert result.sd_s == float(s_values.std(ddof=1))
-        assert result.violation_frequency == float((s_values > 2.0).mean())
+        assert result.violation_frequency == sum(s > 2 for s in exact) / trials
+
+    @pytest.mark.parametrize("n", [1, 3, 10, 1000])
+    def test_ties_never_violate(self, n):
+        # counts (n, k, n, k) give S-hat = 2 exactly, (n, k + 1, n, k) give 2 + 2/n;
+        # the seed -> k table hands trial t the count k = t
+        k_of = {derive_seed(7, "trial", k): k for k in range(n + 1)}
+        cases = [
+            (2.0, "signed", lambda n, s: (n, k_of[s], n, k_of[s]), n + 1, 0.0),
+            (2.0, "signed", lambda n, s: (n, k_of[s] + 1, n, k_of[s]), n, 1.0),
+            (-2.0, "signed", lambda n, s: (0, k_of[s], 0, k_of[s]), n + 1, 0.0),
+            (-2.0, "signed", lambda n, s: (0, k_of[s], 0, k_of[s] + 1), n, 1.0),
+            (2.0, "absolute", lambda n, s: (0, k_of[s], 0, k_of[s]), n + 1, 0.0),
+        ]
+        for exact_s, mode, plus_counts, trials, frequency in cases:
+            study = ViolationStudy(BundleGenerator("tie", exact_s, plus_counts), n, trials, 7, mode=mode)
+            assert violation_frequency(study).violation_frequency == frequency
+
+    def test_some_float_ties_round_above_the_threshold(self):
+        # why ties are decided in integers: at n = 1000 the float S-hat of a tie can exceed 2
+        n = 1000
+        assert any(s_from_counts(zip((n, k, n, k), (n,) * 4)) > 2.0 for k in range(n + 1))
 
 
 class TestWilsonCoverage:

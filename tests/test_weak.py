@@ -135,6 +135,7 @@ class TestExceedance:
         assert exceedance_fraction([1.0, 3.0], 2.0) == 0.5
         assert exceedance_fraction([0.1, 0.5, 1.9], 2.0) == 0.0
         assert exceedance_fraction([2.0, 2.0], 2.0) == 0.0  # strict inequality
+        assert exceedance_fraction([math.inf, -math.inf], 0.0) == 0.5  # only NaN is rejected
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
@@ -150,6 +151,3 @@ class TestExceedance:
     def test_bad_threshold_rejected(self, threshold):
         with pytest.raises(ConfigError, match="threshold"):
             exceedance_fraction([1.0, 3.0], threshold)
-
-    def test_infinite_values_compare(self):
-        assert exceedance_fraction([math.inf, -math.inf], 0.0) == 0.5
