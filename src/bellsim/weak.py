@@ -85,7 +85,7 @@ class PointerRun(ArrayValue, Sequence):
         readings = frozen_array(self.readings, np.float64, (None, 4), "readings")
         ra1, ra2, rb1, rb2 = readings.T
         g = self.config.coupling
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow ends as inf or NaN, rejected below
+        with np.errstate(all="ignore"):  # overflow or a gain whose square is 0 ends as inf or NaN, rejected below
             b_values = (ra1 * rb1 + ra1 * rb2 + ra2 * rb1 - ra2 * rb2) / (g * g)
         object.__setattr__(self, "readings", readings)
         object.__setattr__(self, "b_values", frozen_array(b_values, np.float64, (None,), "b-values"))

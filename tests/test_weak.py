@@ -103,10 +103,11 @@ class TestRecordsAndConfig:
         # (r_A1 r_B1 + r_A1 r_B2 + r_A2 r_B1 - r_A2 r_B2) / g^2 = (3 + 5 + 6 - 10) / 4
         assert run.b_values.tolist() == [1.0]
 
-    def test_overflowing_b_values_rejected_without_warning(self):
-        # the products overflow to inf (and inf - inf to NaN) under the suite's -W error
+    @pytest.mark.parametrize("reading,gain", [(1e200, 1.0), (1.0, 1e-200), (0.0, 1e-200)])
+    def test_overflowing_b_values_rejected_without_warning(self, reading, gain):
+        # the products overflow to inf (inf - inf to NaN), or g^2 is 0; the suite runs under -W error
         with pytest.raises(DomainError, match="b-values must be finite"):
-            PointerRun(np.full((1, 4), 1e200), PointerConfig(), "t")
+            PointerRun(np.full((1, 4), reading), PointerConfig(coupling=gain), "t")
 
     def test_readings_need_four_columns(self):
         with pytest.raises(DomainError, match="shape"):
