@@ -1,21 +1,21 @@
 """Local-hidden-variable couplings: shared lambda, deterministic responses.
 
 A model is a hidden variable lambda with a known law plus deterministic
-response functions A_i(lambda), B_j(lambda) in {+1,-1}.  Its exact
-per-context correlation is the coupling integral
+response functions A_i(lambda), B_j(lambda) in {+1,-1}.  By Fine's theorem
+(A. Fine, PRL 48, 291 (1982)) every such model of the CHSH scenario is a
+mixture of deterministic strategies (a1, a2, b1, b2), so one type,
+``MixtureModel``, holds them all: lambda indexes finitely many strategies
+drawn with the given weights, and the exact per-context correlation
 
-    E_ij = integral of A_i(lambda) * B_j(lambda) over the law of lambda.
+    E_ij = sum over strategies of weight * a_i * b_j
 
-Two families are built in, and both give that integral in closed form:
-
-* ``MixtureModel``: lambda indexes finitely many deterministic strategies
-  (a1, a2, b1, b2) drawn with the given weights, so E_ij is the weighted sum
-  of a_i * b_j.  The ``deterministic`` and ``boundary_mixture`` variants are
-  mixtures.
-* ``SignCosineModel``: lambda is uniform on [0, 2pi), A_i = sign(cos(lambda -
-  a_i)) and B_j = bob_sign * sign(cos(lambda - b_j)), so E_ij = bob_sign *
-  (1 - 2 d / pi), where d is the angular distance between a_i and b_j folded
-  to [0, pi].
+is a finite sum.  The ``deterministic`` and ``boundary_mixture`` variants
+list their strategies.  The ``sign_cosine`` variant has lambda uniform on
+[0, 2pi), A_i = sign(cos(lambda - a_i)) and B_j = bob_sign * sign(cos(lambda
+- b_j)).  Its responses only flip at a_i +/- pi/2 and b_j +/- pi/2, so it is
+built as the mixture of at most 9 arcs, each one strategy weighted by its
+length / 2pi, and E_ij = bob_sign * (1 - 2 d / pi), where d is the angular
+distance between a_i and b_j folded to [0, pi].
 
 Because all four responses coexist per lambda, sampling one lambda stream
 yields a counterfactual table (|B| <= 2 by construction), while sampling four
@@ -39,7 +39,6 @@ from .rng import categorical, category_counts, sample_size, spawn_rng
 __all__ = [
     "LhvModel",
     "MixtureModel",
-    "SignCosineModel",
     "boundary_mixture_model",
     "deterministic_model",
     "exact_lhv_correlation",
@@ -53,8 +52,8 @@ __all__ = [
 ]
 
 MASS_TOL = 1e-9
-# Beyond 2**20 rad, rounding in lambda - angle (ulp up to 2**-32) would move the
-# responses' sign flips enough that they stop following the closed form.
+# Beyond 2**20 rad, angle +/- pi/2 rounds so coarsely (ulp over 2**-32) that the
+# sign-cosine arcs' cuts collapse and the arcs stop following the closed form.
 ANGLE_LIMIT = 2.0**20
 TWO_PI = 2.0 * math.pi
 ANGLE_KEYS = ("a1", "a2", "b1", "b2")
@@ -75,87 +74,12 @@ class MixtureModel:
     def __post_init__(self) -> None:
         validate_model(self)
 
-    def draw_lambda(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return categorical(rng, self.weights, size)
 
-    def alice_response(self, setting: int, lam: np.ndarray) -> np.ndarray:
-        return np.asarray(self.strategies)[lam, setting - 1].astype(np.int8)
-
-    def bob_response(self, setting: int, lam: np.ndarray) -> np.ndarray:
-        return np.asarray(self.strategies)[lam, 2 + setting - 1].astype(np.int8)
-
-    def plus_count(self, context: Context, rng: np.random.Generator, size: int) -> int:
-        """Pairs with a*b = +1 among ``size`` draws: the strategy counts where a_i * b_j = +1."""
-        counts = category_counts(rng, self.weights, size).tolist()
-        i, j = context.alice - 1, 2 + context.bob - 1
-        return sum(k for k, s in zip(counts, self.strategies) if s[i] == s[j])
-
-    def correlation(self, context: Context) -> float:
-        points = np.arange(len(self.strategies))
-        product = self.alice_response(context.alice, points) * self.bob_response(context.bob, points)
-        return float(np.dot(product.astype(np.float64), self.weights))
-
-
-@dataclass(frozen=True)
-class SignCosineModel:
-    """Uniform lambda on [0, 2pi); A_i = sign(cos(lambda - a_i)), B_j = bob_sign * sign(cos(lambda - b_j)).
-
-    Validated when built: the angles are finite and at most ``ANGLE_LIMIT`` in
-    magnitude, and bob_sign is +1 or -1.
-    """
-
-    name: str
-    a1: float
-    a2: float
-    b1: float
-    b2: float
-    bob_sign: int = -1
-
-    def __post_init__(self) -> None:
-        validate_model(self)
-
-    def draw_lambda(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.uniform(0.0, TWO_PI, size=size)
-
-    def alice_response(self, setting: int, lam: np.ndarray) -> np.ndarray:
-        return _sign_pm(np.cos(lam - (self.a1, self.a2)[setting - 1]))
-
-    def bob_response(self, setting: int, lam: np.ndarray) -> np.ndarray:
-        return (self.bob_sign * _sign_pm(np.cos(lam - (self.b1, self.b2)[setting - 1]))).astype(np.int8)
-
-    def plus_count(self, context: Context, rng: np.random.Generator, size: int) -> int:
-        """Pairs with a*b = +1 among ``size`` draws: where the two cosine signs agree, or disagree if bob_sign is -1."""
-        lam = self.draw_lambda(rng, size)
-        alice = np.cos(lam - (self.a1, self.a2)[context.alice - 1]) >= 0.0
-        bob = np.cos(lam - (self.b1, self.b2)[context.bob - 1]) >= 0.0
-        agree = int(np.count_nonzero(alice == bob))
-        return agree if self.bob_sign == 1 else size - agree
-
-    def correlation(self, context: Context) -> float:
-        """bob_sign * (1 - 2 d / pi): the two signs disagree on a set of measure 2d out of 2pi."""
-        d = abs((self.a1, self.a2)[context.alice - 1] - (self.b1, self.b2)[context.bob - 1]) % TWO_PI
-        d = min(d, TWO_PI - d)
-        return self.bob_sign * (1.0 - 2.0 * d / math.pi)
-
-
-LhvModel = MixtureModel | SignCosineModel
-
-
-def _sign_pm(x: np.ndarray) -> np.ndarray:
-    # sign with the measure-zero tie broken deterministically upward
-    return np.where(x >= 0.0, 1, -1).astype(np.int8)
+LhvModel = MixtureModel
 
 
 def validate_model(model: LhvModel) -> None:
-    """Check the model's parameters; both model types run it when built."""
-    if isinstance(model, SignCosineModel):
-        for key in ANGLE_KEYS:
-            angle = float(_numbers(key, getattr(model, key)))
-            if not abs(angle) <= ANGLE_LIMIT:  # NaN fails too
-                raise ConfigError(f"angle {key} must be finite and within +/-{ANGLE_LIMIT:.0f} rad, got {angle}")
-        if model.bob_sign not in (-1, 1):
-            raise ConfigError(f"bob_sign must be +1 or -1, got {model.bob_sign}")
-        return
+    """Check the model's strategies and weights; every model runs it when built."""
     table = _strategy_table(model.strategies)
     weights = _numbers("weights", model.weights, (len(table),)).astype(np.float64)
     if (weights < 0).any():
@@ -164,17 +88,16 @@ def validate_model(model: LhvModel) -> None:
         raise ConfigError(f"model {model.name!r}: masses sum to {weights.sum()!r}, not 1 within {MASS_TOL}")
 
 
+def _columns(context: Context) -> list[int]:
+    """The strategy columns (a_i, b_j) of ``context``."""
+    return [context.alice - 1, 2 + context.bob - 1]
+
+
 def sample_counterfactual_table(model: LhvModel, n: int, seed: int) -> CounterfactualTable:
     """Draw n lambdas from one stream; row k holds (A1, A2, B1, B2) at lambda_k."""
     n = sample_size(n, "n")
-    lam = model.draw_lambda(spawn_rng(seed, "lhv-table"), n)
-    columns = [
-        model.alice_response(1, lam),
-        model.alice_response(2, lam),
-        model.bob_response(1, lam),
-        model.bob_response(2, lam),
-    ]
-    outcomes = np.column_stack(columns)
+    lam = categorical(spawn_rng(seed, "lhv-table"), model.weights, n)
+    outcomes = np.asarray(model.strategies, dtype=np.int8)[lam]
     return CounterfactualTable(outcomes, {"seed": seed, "generator": f"lhv:{model.name}"})
 
 
@@ -185,33 +108,35 @@ def sample_bundle(model: LhvModel, n_per_context: int, seed: int) -> ExperimentB
     order produces identical bytes.
     """
     n_per_context = sample_size(n_per_context)
+    table = np.asarray(model.strategies, dtype=np.int8)
     datasets = []
     for context in CANONICAL_CONTEXTS:
-        lam = model.draw_lambda(spawn_rng(seed, "lhv-context", context.index), n_per_context)
-        pairs = np.column_stack(
-            [model.alice_response(context.alice, lam), model.bob_response(context.bob, lam)]
-        )
-        datasets.append(
-            ContextDataset(context, pairs, {"seed": seed, "generator": f"lhv:{model.name}"})
-        )
+        lam = categorical(spawn_rng(seed, "lhv-context", context.index), model.weights, n_per_context)
+        pairs = table[:, _columns(context)][lam]
+        datasets.append(ContextDataset(context, pairs, {"seed": seed, "generator": f"lhv:{model.name}"}))
     return ExperimentBundle(tuple(datasets))
 
 
 def sample_plus_counts(model: LhvModel, n_per_context: int, seed: int) -> tuple[int, int, int, int]:
     """Per-context counts of pairs with a*b = +1 in ``sample_bundle(model, n_per_context, seed)``.
 
-    Draws the same streams as ``sample_bundle`` but builds no datasets.
+    Draws the same streams as ``sample_bundle`` but builds no datasets: the
+    strategy counts where a_i * b_j = +1.
     """
     n_per_context = sample_size(n_per_context)
-    return tuple(
-        model.plus_count(context, spawn_rng(seed, "lhv-context", context.index), n_per_context)
-        for context in CANONICAL_CONTEXTS
-    )
+    plus = []
+    for context in CANONICAL_CONTEXTS:
+        counts = category_counts(spawn_rng(seed, "lhv-context", context.index), model.weights, n_per_context)
+        i, j = _columns(context)
+        plus.append(sum(k for k, s in zip(counts.tolist(), model.strategies) if s[i] == s[j]))
+    return tuple(plus)
 
 
 def exact_lhv_correlation(model: LhvModel, context: Context) -> float:
-    """The coupling integral E_ij in closed form: a weighted sum, or the sign-cosine formula."""
-    return model.correlation(context)
+    """The coupling integral E_ij in closed form: the weighted sum of a_i * b_j."""
+    i, j = _columns(context)
+    table = np.asarray(model.strategies, dtype=np.float64)
+    return float(np.dot(table[:, i] * table[:, j], model.weights))
 
 
 def exact_lhv_s(model: LhvModel) -> float:
@@ -286,8 +211,14 @@ def boundary_mixture_model(
 
 def sign_cosine_model(
     a1: float, a2: float, b1: float, b2: float, bob_sign: float = -1.0
-) -> SignCosineModel:
+) -> MixtureModel:
     """Uniform lambda on [0, 2pi); A_i = sign(cos(lambda - a_i)), B_j = bob_sign * sign(cos(lambda - b_j)).
+
+    Built as the mixture of the arcs between the cuts 0, 2pi and
+    (angle +/- pi/2) mod 2pi, in ascending lambda order: each arc is the
+    strategy of cosine signs at its midpoint, weighted by its length / 2pi.
+    ``categorical`` then picks the arc holding lambda = 2pi * u from the same
+    uniforms u that drawing lambda uniformly on [0, 2pi) would use.
 
     With the default bob_sign = -1 (singlet-like anticorrelation at equal
     angles), E(a, b) = (2/pi) * d(a, b) - 1 where d is the angular distance
@@ -295,11 +226,18 @@ def sign_cosine_model(
     """
     if bob_sign not in (-1, 1):
         raise ConfigError(f"bob_sign must be +1 or -1, got {bob_sign}")
-    angles = (float(_numbers(key, value)) for key, value in zip(ANGLE_KEYS, (a1, a2, b1, b2)))
-    return SignCosineModel(
-        f"sign_cosine(a1={a1!r},a2={a2!r},b1={b1!r},b2={b2!r},bob_sign={int(bob_sign)})",
-        *angles,
-        bob_sign=int(bob_sign),
+    angles = np.array([float(_numbers(key, value)) for key, value in zip(ANGLE_KEYS, (a1, a2, b1, b2))])
+    for key, angle in zip(ANGLE_KEYS, angles):
+        if not abs(angle) <= ANGLE_LIMIT:  # NaN fails too
+            raise ConfigError(f"angle {key} must be finite and within +/-{ANGLE_LIMIT:.0f} rad, got {angle}")
+    flips = np.mod(np.concatenate([angles - math.pi / 2, angles + math.pi / 2]), TWO_PI)
+    cuts = np.array(sorted({0.0, TWO_PI, *flips.tolist()}))  # np.unique would import numpy.ma
+    midpoints = (cuts[:-1] + cuts[1:]) / 2
+    signs = np.where(np.cos(midpoints[:, None] - angles) >= 0.0, 1, -1) * np.array([1, 1, bob_sign, bob_sign])
+    return mixture_model(
+        signs,
+        np.diff(cuts) / TWO_PI,
+        name=f"sign_cosine(a1={a1!r},a2={a2!r},b1={b1!r},b2={b2!r},bob_sign={int(bob_sign)})",
     )
 
 

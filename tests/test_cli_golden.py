@@ -116,8 +116,8 @@ DIGESTS: dict[str, dict[str, str]] = {
         "run.json": "af6de82cad73600e8f5279ffeb003c6fc3f5ae4204d25074e26af311146b57d8",
     },
     "curve-sign_cosine": {
-        "curve.csv": "20fe5ac4261689e4e8b25325a92689f30b27ba5a4a4895f54813071926c44a93",
-        "run.json": "ab10d7ae7202da10956a8bc7143abbf964e8dc62ded373cecf28cba51e36fc3b",
+        "curve.csv": "3d897f63db0fe328bdb060c43f470e88403147eb94b0cb34ebae131590480162",
+        "run.json": "f7f5a886f39a712bc207af172086005b5cf6028e2a4b0ac877d45f4573ffa34d",
     },
     "curve-singlet": {
         "curve.csv": "544fbffebe7ab82b09a3c1c46fec497730c1ae4a6abfc8dd404504b94f0d20ba",
@@ -132,8 +132,8 @@ DIGESTS: dict[str, dict[str, str]] = {
         "run.json": "9a6c865cf6ee65cdf8916ed5b61d198701799ace629690cc27d1fb5309f4d619",
     },
     "curve-spec-sign_cosine": {
-        "curve.csv": "4157ae5b35b48d30991295af553c2934a9c030364e23abfeab1c8ee3ad5d49a2",
-        "run.json": "80f79ceaf59a5e4519ea50f6bbd28e9bee1863b4192e3c2f8301042400807125",
+        "curve.csv": "a4dbe75bde548d987747bdec7049b68b30cea3ed38e4912f4da51151676649f6",
+        "run.json": "9d8aa584bd187bd5a9e91e791bba06efbbcb5ad25c0a97c8a3f2e38b89a90dde",
     },
     "lhv-model-boundary_mixture": {
         "bundle.csv": "3ca847cc928b5c033c30ecffc43253319e476ffcd4892e61900d809b5e4b6108",
@@ -168,12 +168,12 @@ DIGESTS: dict[str, dict[str, str]] = {
     "lhv-variant-sign_cosine": {
         "bundle.csv": "8ca76dd54becb52550e69be451a47da9ab37d7053b08f143a1f214536fbf02a1",
         "run.json": "af2437cf652a5745a02e43c66478c182269a12ebef475ca4fb81353e94d8e7be",
-        "summary.json": "648445b677f1d0d7d113bf1d216a088276b9ae8845da8549dd59a6d0018ad962",
+        "summary.json": "5f93bb2725204cf9f4cd81743f5af250c0bf1765a29dab2e4ccf2583d6b5b0f9",
     },
     "lhv-variant-sign_cosine-bob-plus": {
         "bundle.csv": "b1c206b6c2b6391dd9047c8bde21dd41523bd6ad82b0584bbe3a8b6c62de2593",
         "run.json": "4745f874842c9588d4a683f6290db5b3dd96b223519188e359051378dcad3941",
-        "summary.json": "245f56c38ab1413af4063ede828562bdf17775fcfd7b76b41a4d7210c629a50e",
+        "summary.json": "3ff7484f3a74aed96ba68a5f2c3d187afd706a97f51fdb549f8590b34bcdea57",
     },
     "quantum-mixed": {
         "bundle.csv": "70b1370d41fc6f864ab24d6630ba92679dac47828a193ce9fb2a7cf50aaedc1f",

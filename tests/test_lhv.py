@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from bellsim.errors import ConfigError
 from bellsim.lhv import (
     ANGLE_LIMIT,
     MixtureModel,
-    SignCosineModel,
     boundary_mixture_model,
     deterministic_model,
     exact_lhv_correlation,
@@ -26,6 +26,7 @@ from bellsim.lhv import (
     sample_counterfactual_table,
     sign_cosine_model,
 )
+from bellsim.rng import spawn_rng
 
 TWO_PI = 2.0 * math.pi
 
@@ -41,15 +42,50 @@ def sign_cosine_closed_form(a, b):
     return (2.0 / math.pi) * folded_distance(a, b) - 1.0
 
 
-def brute_force_correlation(model, context, k=200_000):
+def sign_cosine_responses(lam, angles, bob_sign):
+    """Columns (A1, A2, B1, B2) at each lambda: sign(cos(lambda - angle)), Bob's times bob_sign."""
+    signs = np.where(np.cos(np.asarray(lam)[:, None] - np.asarray(angles, dtype=float)) >= 0.0, 1, -1)
+    return signs * np.array([1, 1, bob_sign, bob_sign])
+
+
+def brute_force_correlation(angles, bob_sign, context, k=200_000):
     """Independent oracle: midpoint discretization of lambda over [0, 2pi).
 
-    Sums the model's own responses against the uniform density 1/(2pi).
+    Sums sign(cos(lambda - a_i)) * bob_sign * sign(cos(lambda - b_j)) against
+    the uniform density 1/(2pi).
     """
     lam = (np.arange(k) + 0.5) * (TWO_PI / k)
-    product = model.alice_response(context.alice, lam) * model.bob_response(context.bob, lam)
+    responses = sign_cosine_responses(lam, angles, bob_sign)
+    product = responses[:, context.alice - 1] * responses[:, 2 + context.bob - 1]
     density = 1.0 / TWO_PI
     return float((product * density).sum() * (TWO_PI / k))
+
+
+PI_50 = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
+
+
+def exact_sign_cosine_correlation(a, b, bob_sign):
+    """bob_sign * (1 - 2 d / pi) with d the folded distance of the floats a, b, in 50-digit arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        d = abs(Decimal(a) - Decimal(b)) % (2 * PI_50)
+        d = min(d, 2 * PI_50 - d)
+        return bob_sign * (1 - 2 * d / PI_50)
+
+
+FOUR_PI = 2 * TWO_PI
+
+
+@st.composite
+def sign_cosine_angles(draw):
+    """Four angles in [-4pi, 4pi]; each may repeat an earlier one or sit pi/2 or pi from it."""
+    angles = draw(st.lists(st.floats(-FOUR_PI, FOUR_PI, allow_nan=False), min_size=4, max_size=4))
+    offsets = st.sampled_from([0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi])
+    for k in range(1, 4):
+        tie = draw(st.none() | st.tuples(st.integers(0, k - 1), offsets))
+        if tie is not None:
+            angles[k] = min(max(angles[tie[0]] + tie[1], -FOUR_PI), FOUR_PI)
+    return angles
 
 
 class TestSignCosine:
@@ -59,7 +95,8 @@ class TestSignCosine:
             a = (0.3, 1.9)[context.alice - 1]
             b = (0.8, 4.4)[context.bob - 1]
             closed = sign_cosine_closed_form(a, b)
-            assert brute_force_correlation(model, context) == pytest.approx(closed, abs=2e-4)
+            assert exact_lhv_correlation(model, context) == pytest.approx(closed, abs=1e-12)
+            assert brute_force_correlation((0.3, 1.9, 0.8, 4.4), -1, context) == pytest.approx(closed, abs=2e-4)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -72,8 +109,37 @@ class TestSignCosine:
         k = 2**16
         model = sign_cosine_model(*angles, bob_sign=bob_sign)
         for context in CANONICAL_CONTEXTS:
-            reference = brute_force_correlation(model, context, k)
+            reference = brute_force_correlation(angles, bob_sign, context, k)
             assert abs(exact_lhv_correlation(model, context) - reference) <= 8 / k
+
+    @settings(max_examples=200, deadline=None)
+    @given(sign_cosine_angles(), st.sampled_from([-1, 1]))
+    def test_arc_mixture_matches_exact_closed_form(self, angles, bob_sign):
+        # Each cut (angle +/- pi/2) mod 2pi is off by < 2.1e-15 rad: one rounding below
+        # 16 (2**-50), one in the mod's wrap (2**-52) and up to three times the float
+        # 2pi's error (2.5e-16).  E = 1 - (measure where the signs disagree) / pi, a set
+        # of two arcs with four ends, so E is off by < 4 * 2.1e-15 / pi < 2.7e-15, plus
+        # the rounding of the weighted sum.
+        model = sign_cosine_model(*angles, bob_sign=bob_sign)
+        assert len(model.strategies) <= 9
+        for context in CANONICAL_CONTEXTS:
+            a, b = angles[context.alice - 1], angles[2 + context.bob - 1]
+            exact = exact_sign_cosine_correlation(a, b, bob_sign)
+            assert abs(Decimal(exact_lhv_correlation(model, context)) - exact) <= Decimal("4e-15")
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.tuples(*[st.floats(-2 * TWO_PI, 2 * TWO_PI, allow_nan=False) for _ in range(4)]),
+        st.sampled_from([-1, 1]),
+        st.integers(0, 2**63),
+    )
+    def test_table_stream_is_the_sign_cosine_of_uniform_lambda(self, angles, bob_sign, seed):
+        # lambda = 2pi * u on the table's stream, as rng.uniform(0, 2pi) draws it
+        n = 500
+        model = sign_cosine_model(*angles, bob_sign=bob_sign)
+        u = spawn_rng(seed, "lhv-table").random(n)
+        expected = sign_cosine_responses(TWO_PI * u, angles, bob_sign)
+        assert np.array_equal(sample_counterfactual_table(model, n, seed).outcomes, expected)
 
     def test_equal_angles_give_perfect_anticorrelation(self):
         model = sign_cosine_model(0.7, 2.0, 0.7, 3.0)
@@ -202,18 +268,15 @@ class TestValidation:
             dataclasses.replace(boundary_mixture_model(), weights=(0.9, 0.9))
 
     def test_angles_beyond_the_limit_rejected(self):
-        # at 1e17 rad, lambda - a1 rounds to -a1 for every lambda in [0, 2pi), so A1
-        # would stop depending on lambda and the closed form would not describe it
+        # at 1e17 rad, a1 +/- pi/2 rounds to a1 itself, so the arc cuts would collapse
+        # and the arcs would not describe the responses
         with pytest.raises(ConfigError, match="a1"):
             sign_cosine_model(1e17, 1.0, 0.5, 2.0)
-        sign_cosine_model(ANGLE_LIMIT, -ANGLE_LIMIT, 0.5, 2.0)
-
-    def test_replace_revalidates_angles(self):
-        model = sign_cosine_model(0.0, 1.0, 2.0, 3.0)
         with pytest.raises(ConfigError, match="finite"):
-            dataclasses.replace(model, b2=math.inf)
+            sign_cosine_model(0.0, 1.0, 2.0, math.inf)
         with pytest.raises(ConfigError, match="bob_sign"):
-            dataclasses.replace(model, bob_sign=0)
+            sign_cosine_model(0.0, 1.0, 2.0, 3.0, bob_sign=0)
+        sign_cosine_model(ANGLE_LIMIT, -ANGLE_LIMIT, 0.5, 2.0)
 
 
 class TestValueSemantics:
@@ -236,7 +299,7 @@ class TestValueSemantics:
         assert boundary_mixture_model(strategies, (0.25, 0.75)) != boundary_mixture_model()
         assert sign_cosine_model(0, 1, 2, 3) != sign_cosine_model(0, 1, 2, 3, bob_sign=1)
         assert isinstance(boundary_mixture_model(), MixtureModel)
-        assert isinstance(sign_cosine_model(0, 1, 2, 3), SignCosineModel)
+        assert isinstance(sign_cosine_model(0, 1, 2, 3), MixtureModel)
 
 
 class TestModelMapping:
