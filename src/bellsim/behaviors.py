@@ -148,10 +148,11 @@ def sample_bundle_from_behavior(
     this sampler keep their own streams by passing their own label.
     """
     n_per_context = sample_size(n_per_context)
+    probs = _sampling_probs(behavior)
     datasets = []
     for context in CANONICAL_CONTEXTS:
         rng = spawn_rng(seed, label, context.index)
-        draws = categorical(rng, _sampling_probs(behavior, context), n_per_context)
+        draws = categorical(rng, probs[context.index], n_per_context)
         datasets.append(
             ContextDataset(context, OUTCOME_PAIRS[draws], {"seed": seed, "generator": label})
         )
@@ -166,18 +167,19 @@ def sample_plus_counts_from_behavior(
     Draws the same streams as that sampler but builds no datasets.
     """
     n_per_context = sample_size(n_per_context)
+    probs = _sampling_probs(behavior)
     plus = []
     for context in CANONICAL_CONTEXTS:
         rng = spawn_rng(seed, label, context.index)
-        counts = category_counts(rng, _sampling_probs(behavior, context), n_per_context)
+        counts = category_counts(rng, probs[context.index], n_per_context)
         plus.append(int(counts[0] + counts[3]))
     return tuple(plus)
 
 
-def _sampling_probs(behavior: Behavior, context: Context) -> np.ndarray:
-    # a row may dip below 0 by up to PROB_TOL; the samplers draw from it clipped and renormalized
-    probs = np.clip(behavior.probs[context.index], 0.0, None)
-    return probs / probs.sum()
+def _sampling_probs(behavior: Behavior) -> np.ndarray:
+    # a row may dip below 0 by up to PROB_TOL; the samplers draw from each row clipped and renormalized
+    probs = np.clip(behavior.probs, 0.0, None)
+    return probs / probs.sum(axis=1, keepdims=True)
 
 
 def random_no_signaling_behavior(rng: np.random.Generator) -> Behavior:
