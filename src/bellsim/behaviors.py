@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CANONICAL_CONTEXTS, CHSH_SIGNS, Context, ContextDataset, ExperimentBundle
-from .core import ArrayValue, frozen_array
+from .core import CANONICAL_CONTEXTS, CHSH_SIGNS, Context, ContextLaw, ExperimentBundle
+from .core import ArrayValue, frozen_array, sample_contexts
 from .errors import DomainError
 from .quantum import OUTCOME_PAIRS, AngleQuadruple, Convention, DensityMatrix, born_probabilities
-from .rng import categorical, category_counts, sample_size, spawn_rng
 
 __all__ = [
     "Behavior",
@@ -26,12 +25,12 @@ __all__ = [
     "behavior_correlation",
     "behavior_from_bundle",
     "behavior_from_quantum",
+    "behavior_laws",
     "behavior_s",
     "no_signaling",
     "pr_box",
     "random_no_signaling_behavior",
     "sample_bundle_from_behavior",
-    "sample_plus_counts_from_behavior",
 ]
 
 PROB_TOL = 1e-12
@@ -139,47 +138,19 @@ def behavior_from_bundle(bundle: ExperimentBundle) -> Behavior:
     return Behavior(probs, counts)
 
 
+def behavior_laws(behavior: Behavior) -> tuple[ContextLaw, ...]:
+    """Per context: its row over ``OUTCOME_PAIRS``, clipped at 0 (it may dip to -PROB_TOL) and renormalized."""
+    probs = np.clip(behavior.probs, 0.0, None)
+    probs = probs / probs.sum(axis=1, keepdims=True)
+    return tuple((row, OUTCOME_PAIRS) for row in probs)
+
+
 def sample_bundle_from_behavior(
     behavior: Behavior, n_per_context: int, seed: int, label: str = "behavior-context"
 ) -> ExperimentBundle:
-    """Multinomial draws from each context's distribution; deterministic given seed.
-
-    Context c draws from the stream (seed, label, c.index), so sources that share
-    this sampler keep their own streams by passing their own label.
-    """
-    n_per_context = sample_size(n_per_context)
-    probs = _sampling_probs(behavior)
-    datasets = []
-    for context in CANONICAL_CONTEXTS:
-        rng = spawn_rng(seed, label, context.index)
-        draws = categorical(rng, probs[context.index], n_per_context)
-        datasets.append(
-            ContextDataset(context, OUTCOME_PAIRS[draws], {"seed": seed, "generator": label})
-        )
-    return ExperimentBundle(tuple(datasets))
-
-
-def sample_plus_counts_from_behavior(
-    behavior: Behavior, n_per_context: int, seed: int, label: str = "behavior-context"
-) -> tuple[int, int, int, int]:
-    """Per-context counts of (+,+) and (-,-) pairs in ``sample_bundle_from_behavior``'s bundle.
-
-    Draws the same streams as that sampler but builds no datasets.
-    """
-    n_per_context = sample_size(n_per_context)
-    probs = _sampling_probs(behavior)
-    plus = []
-    for context in CANONICAL_CONTEXTS:
-        rng = spawn_rng(seed, label, context.index)
-        counts = category_counts(rng, probs[context.index], n_per_context)
-        plus.append(int(counts[0] + counts[3]))
-    return tuple(plus)
-
-
-def _sampling_probs(behavior: Behavior) -> np.ndarray:
-    # a row may dip below 0 by up to PROB_TOL; the samplers draw from each row clipped and renormalized
-    probs = np.clip(behavior.probs, 0.0, None)
-    return probs / probs.sum(axis=1, keepdims=True)
+    """Multinomial draws from each context's distribution on the streams (seed, label, context index)."""
+    metadata = {"seed": seed, "generator": label}
+    return sample_contexts(behavior_laws(behavior), n_per_context, seed, label, metadata)
 
 
 def random_no_signaling_behavior(rng: np.random.Generator) -> Behavior:

@@ -215,6 +215,8 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
         raise ConfigError("provide exactly one of --behavior FILE or --bundle FILE")
     if not 0.0 <= args.slack < math.inf:  # NaN fails too
         raise ConfigError(f"--slack must be finite and >= 0, got {args.slack}")
+    if args.level == "distribution" and args.slack > 0:
+        raise ConfigError(f"--slack {args.slack} needs --level counts; the distribution level has no slack")
     if args.behavior:
         source = {"behavior_file": args.behavior}
         behavior = read_behavior(Path(args.behavior))

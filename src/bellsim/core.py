@@ -10,7 +10,8 @@ for any finite sample.  An ``ExperimentBundle`` holds four independent
 per-context datasets of (a, b) pairs; the signed sum of their four empirical
 correlations, S = E11 + E12 + E21 - E22, is only bounded by 4 a priori and can
 exceed 2 in finite samples even when each context is generated by the same
-predetermined-outcome model.
+predetermined-outcome model.  Every LHV, behavior and Born source samples
+through ``sample_contexts`` (or its counts, ``sample_context_counts``).
 
 All types are immutable after construction and all operations are pure,
 so everything here is safe to evaluate concurrently.
@@ -28,6 +29,7 @@ from typing import Any
 import numpy as np
 
 from .errors import DomainError
+from .rng import categorical, category_counts, sample_size, spawn_rng
 
 __all__ = [
     "ArrayValue",
@@ -35,6 +37,7 @@ __all__ = [
     "CHSH_SIGNS",
     "Context",
     "ContextDataset",
+    "ContextLaw",
     "CounterfactualRow",
     "CounterfactualTable",
     "ExperimentBundle",
@@ -48,6 +51,8 @@ __all__ = [
     "row_c_values",
     "s_from_counts",
     "s_statistic",
+    "sample_context_counts",
+    "sample_contexts",
 ]
 
 SETTINGS = (1, 2)
@@ -290,3 +295,37 @@ def s_from_counts(counts: Iterable[tuple[int, int]]) -> float:
 def s_statistic(bundle: ExperimentBundle) -> float:
     """S = E11 + E12 + E21 - E22 from the four per-context correlations; in [-4, 4]."""
     return s_from_counts((plus_count(d), d.n_pairs) for d in bundle.datasets)
+
+
+# One context's law: index k is drawn with probability probs[k] and records the pair pairs[k] = (a, b).
+ContextLaw = tuple[np.ndarray, np.ndarray]
+
+
+def sample_contexts(
+    laws: Iterable[ContextLaw], n: int, seed: int, label: str, metadata: Mapping[str, Any]
+) -> ExperimentBundle:
+    """Four independent experiments: context c draws n pairs from its law on the stream (seed, label, c.index).
+
+    ``laws`` follow the canonical context order.  Each stream depends only on
+    its own path, so any evaluation order produces identical bytes, and sources
+    that share this sampler keep their own streams by passing their own label.
+    """
+    n = sample_size(n)
+    datasets = []
+    for context, (probs, pairs) in zip(CANONICAL_CONTEXTS, laws, strict=True):
+        draws = categorical(spawn_rng(seed, label, context.index), probs, n)
+        datasets.append(ContextDataset(context, pairs[draws], metadata))
+    return ExperimentBundle(tuple(datasets))
+
+
+def sample_context_counts(laws: Iterable[ContextLaw], n: int, seed: int, label: str) -> tuple[int, int, int, int]:
+    """Per-context plus counts (pairs with a == b) of ``sample_contexts(laws, n, seed, label, ...)``.
+
+    Draws the same streams as that sampler but builds no datasets.
+    """
+    n = sample_size(n)
+    plus = []
+    for context, (probs, pairs) in zip(CANONICAL_CONTEXTS, laws, strict=True):
+        counts = category_counts(spawn_rng(seed, label, context.index), probs, n)
+        plus.append(sum(k for k, (a, b) in zip(counts.tolist(), pairs.tolist()) if a == b))
+    return tuple(plus)

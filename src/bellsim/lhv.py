@@ -32,9 +32,10 @@ from typing import Any
 
 import numpy as np
 
-from .core import CANONICAL_CONTEXTS, CHSH_SIGNS, Context, ContextDataset, CounterfactualTable, ExperimentBundle
+from .core import CANONICAL_CONTEXTS, CHSH_SIGNS, Context, ContextLaw, CounterfactualTable, ExperimentBundle
+from .core import sample_contexts
 from .errors import ConfigError
-from .rng import categorical, category_counts, sample_size, spawn_rng
+from .rng import categorical, sample_size, spawn_rng
 
 __all__ = [
     "LhvModel",
@@ -45,9 +46,9 @@ __all__ = [
     "exact_lhv_s",
     "mixture_model",
     "model_from_mapping",
+    "model_laws",
     "sample_bundle",
     "sample_counterfactual_table",
-    "sample_plus_counts",
     "sign_cosine_model",
 ]
 
@@ -63,8 +64,8 @@ ANGLE_KEYS = ("a1", "a2", "b1", "b2")
 class MixtureModel:
     """Lambda indexes deterministic strategies (a1, a2, b1, b2), drawn with the given weights.
 
-    Validated when built (``dataclasses.replace`` included): the strategies
-    are +/-1 and the weights are nonnegative and sum to 1.
+    Checked once and stored as tuples when built (``dataclasses.replace`` included):
+    the strategies are an (m, 4) array of +/-1, the m weights nonnegative with sum 1.
     """
 
     name: str
@@ -72,20 +73,23 @@ class MixtureModel:
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        validate_model(self)
+        table, weights = validate_model(self)
+        object.__setattr__(self, "strategies", tuple(map(tuple, table.tolist())))
+        object.__setattr__(self, "weights", tuple(weights.tolist()))
 
 
 LhvModel = MixtureModel
 
 
-def validate_model(model: LhvModel) -> None:
-    """Check the model's strategies and weights; every model runs it when built."""
+def validate_model(model: LhvModel) -> tuple[np.ndarray, np.ndarray]:
+    """Check the model's strategies and weights (every model does, once, when built); return them as arrays."""
     table = _strategy_table(model.strategies)
     weights = _numbers("weights", model.weights, (len(table),)).astype(np.float64)
     if (weights < 0).any():
         raise ConfigError(f"model {model.name!r}: negative probability mass")
     if not abs(float(weights.sum()) - 1.0) <= MASS_TOL:  # NaN masses fail too
         raise ConfigError(f"model {model.name!r}: masses sum to {weights.sum()!r}, not 1 within {MASS_TOL}")
+    return table, weights
 
 
 def _columns(context: Context) -> list[int]:
@@ -101,35 +105,17 @@ def sample_counterfactual_table(model: LhvModel, n: int, seed: int) -> Counterfa
     return CounterfactualTable(outcomes, {"seed": seed, "generator": f"lhv:{model.name}"})
 
 
-def sample_bundle(model: LhvModel, n_per_context: int, seed: int) -> ExperimentBundle:
-    """Four datasets from four independent lambda streams (fresh lambda per trial per context).
-
-    Per-context streams derive from (seed, context index), so any evaluation
-    order produces identical bytes.
-    """
-    n_per_context = sample_size(n_per_context)
+def model_laws(model: LhvModel) -> tuple[ContextLaw, ...]:
+    """Per context: lambda drawn with the model's weights, recording the strategy columns (a_i, b_j)."""
+    weights = np.asarray(model.weights, dtype=np.float64)
     table = np.asarray(model.strategies, dtype=np.int8)
-    datasets = []
-    for context in CANONICAL_CONTEXTS:
-        lam = categorical(spawn_rng(seed, "lhv-context", context.index), model.weights, n_per_context)
-        pairs = table[:, _columns(context)][lam]
-        datasets.append(ContextDataset(context, pairs, {"seed": seed, "generator": f"lhv:{model.name}"}))
-    return ExperimentBundle(tuple(datasets))
+    return tuple((weights, table[:, _columns(context)]) for context in CANONICAL_CONTEXTS)
 
 
-def sample_plus_counts(model: LhvModel, n_per_context: int, seed: int) -> tuple[int, int, int, int]:
-    """Per-context counts of pairs with a*b = +1 in ``sample_bundle(model, n_per_context, seed)``.
-
-    Draws the same streams as ``sample_bundle`` but builds no datasets: the
-    strategy counts where a_i * b_j = +1.
-    """
-    n_per_context = sample_size(n_per_context)
-    plus = []
-    for context in CANONICAL_CONTEXTS:
-        counts = category_counts(spawn_rng(seed, "lhv-context", context.index), model.weights, n_per_context)
-        i, j = _columns(context)
-        plus.append(sum(k for k, s in zip(counts.tolist(), model.strategies) if s[i] == s[j]))
-    return tuple(plus)
+def sample_bundle(model: LhvModel, n_per_context: int, seed: int) -> ExperimentBundle:
+    """Four datasets from four independent lambda streams (fresh lambda per trial per context)."""
+    metadata = {"seed": seed, "generator": f"lhv:{model.name}"}
+    return sample_contexts(model_laws(model), n_per_context, seed, "lhv-context", metadata)
 
 
 def exact_lhv_correlation(model: LhvModel, context: Context) -> float:
@@ -170,9 +156,7 @@ def _strategy_table(strategies: object) -> np.ndarray:
 
 def mixture_model(strategies: object, weights: object, name: str = "mixture") -> MixtureModel:
     """Finite model: lambda indexes a deterministic strategy (a1, a2, b1, b2)."""
-    table = _strategy_table(strategies)
-    weights = _numbers("weights", weights, (len(table),)).astype(np.float64)
-    return MixtureModel(name, tuple(map(tuple, table.tolist())), tuple(weights.tolist()))
+    return MixtureModel(name, strategies, weights)
 
 
 def deterministic_model(a1: int, a2: int, b1: int, b2: int) -> MixtureModel:

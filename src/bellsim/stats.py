@@ -36,10 +36,10 @@ from functools import partial
 
 import numpy as np
 
-from .behaviors import Behavior, behavior_from_quantum, behavior_s, sample_plus_counts_from_behavior
-from .core import ExperimentBundle, correlation, s_from_counts
+from .behaviors import Behavior, behavior_from_quantum, behavior_laws, behavior_s
+from .core import ExperimentBundle, correlation, s_from_counts, sample_context_counts
 from .errors import ConfigError, DomainError
-from .lhv import LhvModel, exact_lhv_s, sample_plus_counts
+from .lhv import LhvModel, exact_lhv_s, model_laws
 from .quantum import AngleQuadruple, DensityMatrix, s_quantum
 from .rng import derive_seed, sample_size
 
@@ -76,20 +76,22 @@ class BundleGenerator:
 
 
 def generator_from_lhv(model: LhvModel) -> BundleGenerator:
-    """Trials on the streams of ``sample_bundle(model, ...)``."""
-    return BundleGenerator(f"lhv:{model.name}", exact_lhv_s(model), partial(sample_plus_counts, model))
+    """Trials on the streams of ``sample_bundle(model, ...)``; the laws are built once per generator."""
+    plus_counts = partial(sample_context_counts, model_laws(model), label="lhv-context")
+    return BundleGenerator(f"lhv:{model.name}", exact_lhv_s(model), plus_counts)
 
 
 def generator_from_quantum(rho: DensityMatrix, angles: AngleQuadruple) -> BundleGenerator:
     """Born sampling at the given angles, on the streams of ``sample_bundle_quantum``."""
-    behavior = behavior_from_quantum(rho, angles)  # once per generator, not once per trial
-    plus_counts = partial(sample_plus_counts_from_behavior, behavior, label="quantum-context")
+    laws = behavior_laws(behavior_from_quantum(rho, angles))
+    plus_counts = partial(sample_context_counts, laws, label="quantum-context")
     return BundleGenerator("quantum", s_quantum(rho, angles), plus_counts)
 
 
 def generator_from_behavior(behavior: Behavior, label: str = "behavior") -> BundleGenerator:
     """Trials on the streams of ``sample_bundle_from_behavior(behavior, ...)``."""
-    return BundleGenerator(label, behavior_s(behavior), partial(sample_plus_counts_from_behavior, behavior))
+    plus_counts = partial(sample_context_counts, behavior_laws(behavior), label="behavior-context")
+    return BundleGenerator(label, behavior_s(behavior), plus_counts)
 
 
 @dataclass(frozen=True)
@@ -104,7 +106,7 @@ class ViolationStudy:
     mode: str = "signed"  # "signed" | "absolute"
 
     def __post_init__(self) -> None:
-        sample_size(self.n_per_context)
+        object.__setattr__(self, "n_per_context", sample_size(self.n_per_context))
         object.__setattr__(self, "trials", _check_study(self.trials, self.threshold, self.mode))
 
 

@@ -41,7 +41,7 @@ from bellsim.quantum import (
     sample_bundle_quantum,
     singlet,
 )
-from bellsim.stats import ViolationStudy, generator_from_lhv, significance_curve
+from bellsim.stats import ViolationStudy, generator_from_lhv, significance_curve, violation_frequency
 from bellsim.weak import PointerConfig, per_pair_b_values_calibrated
 
 SIGN_COSINE = "variant = sign_cosine\na1 = 0\na2 = 1\nb1 = 2\nb2 = 3\n"
@@ -174,8 +174,9 @@ MODEL = boundary_mixture_model()
         lambda n: per_pair_b_values_calibrated(2.0, PointerConfig(), n, 1),
         lambda n: ViolationStudy(generator_from_lhv(MODEL), n, 5, 1),
         lambda n: significance_curve(generator_from_lhv(MODEL), [n], 5, 1),
+        lambda n: generator_from_lhv(MODEL).plus_counts(n, 1),
     ],
-    ids=["lhv-bundle", "lhv-table", "behavior", "quantum", "weak", "study", "curve"],
+    ids=["lhv-bundle", "lhv-table", "behavior", "quantum", "weak", "study", "curve", "counts"],
 )
 def test_sample_size_must_be_a_positive_integer(sample, n):
     with pytest.raises(ConfigError, match="integer >= 1"):
@@ -290,7 +291,8 @@ def test_feasibility_rejects_non_finite_or_negative_slack(tmp_path, capsys, sour
         assert capsys.readouterr().err.startswith("bellsim: configuration error: --slack must be finite")
         assert not (tmp_path / "out").exists()
     if source == "--bundle":  # a projected table is feasible at every level and slack
-        assert main([*argv, "--slack", "1e308", "--out", str(tmp_path / "out")]) == EXIT_OK
+        expected = EXIT_CONFIG if level == ["--level", "distribution"] else EXIT_OK  # no slack there
+        assert main([*argv, "--slack", "1e308", "--out", str(tmp_path / "out")]) == expected
 
 
 @pytest.mark.parametrize("trials", [2.5, True, "5", None, 0])
@@ -339,6 +341,17 @@ def test_numpy_integer_trials_give_the_same_curve_bytes(tmp_path):
         write_curve_csv(tmp_path / name, result)
     assert (tmp_path / "int.csv").read_bytes() == (tmp_path / "numpy.csv").read_bytes()
     assert type(ViolationStudy(generator, 10, np.int64(5), 1).trials) is int
+
+
+def test_numpy_integer_sample_size_gives_the_same_study():
+    # the exact tie test multiplies threshold's numerator (~2**52 for 2.1) by n:
+    # with an int64 n that product overflows and every trial counted as a violation
+    generator = generator_from_lhv(boundary_mixture_model())
+    study = ViolationStudy(generator, np.int64(10_000), 200, 1, threshold=2.1)
+    assert type(study.n_per_context) is int
+    result = violation_frequency(study)
+    assert result.violation_frequency == 0.0
+    assert result == violation_frequency(ViolationStudy(generator, 10_000, 200, 1, threshold=2.1))
 
 
 def test_non_numeric_slack_and_target_are_bellsim_errors():

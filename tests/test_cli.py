@@ -141,6 +141,16 @@ class TestFeasibility:
         code = main(["feasibility", "--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
 
+    def test_slack_at_distribution_level_is_config_error(self, tmp_path, capsys):
+        box_file = tmp_path / "box.txt"
+        write_behavior(box_file, pr_box())
+        out = tmp_path / "out"
+        code = main(["feasibility", "--behavior", str(box_file), "--level", "distribution",
+                     "--slack", "3", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "--slack" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_distribution_level_on_bundle(self, tmp_path):
         rng = np.random.default_rng(2)
         table = CounterfactualTable(rng.choice([-1, 1], size=(30, 4)))

@@ -15,13 +15,17 @@ from bellsim.core import (
     ExperimentBundle,
     b_statistic,
     correlation,
+    plus_count,
     project_bundle,
     project_context,
     row_c_value,
     row_c_values,
     s_statistic,
+    sample_context_counts,
+    sample_contexts,
 )
 from bellsim.errors import DomainError
+from bellsim.rng import categorical, spawn_rng
 
 
 def tables(max_rows=200):
@@ -197,3 +201,34 @@ class TestValidation:
         table = CounterfactualTable.from_rows([(1, 1, 1, 1)])
         with pytest.raises(ValueError):
             table.outcomes[0, 0] = -1
+
+
+def random_laws(rng):
+    """Four laws over 1-9 indices, each recording arbitrary (a, b) pairs."""
+    laws = []
+    for _ in CANONICAL_CONTEXTS:
+        m = int(rng.integers(1, 10))
+        probs = rng.dirichlet(np.ones(m))
+        laws.append((probs, rng.choice(np.array([-1, 1], dtype=np.int8), size=(m, 2))))
+    return laws
+
+
+class TestPerContextSampler:
+    def test_each_context_draws_its_law_on_its_own_stream(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            laws, n, seed = random_laws(rng), int(rng.integers(1, 300)), int(rng.integers(2**63))
+            bundle = sample_contexts(laws, n, seed, "test-context", {"seed": seed})
+            for context, (probs, pairs), dataset in zip(CANONICAL_CONTEXTS, laws, bundle.datasets):
+                draws = categorical(spawn_rng(seed, "test-context", context.index), probs, n)
+                assert dataset.context == context
+                assert np.array_equal(dataset.pairs, pairs[draws])
+                assert dataset.metadata == {"seed": seed}
+
+    def test_counts_are_the_bundle_plus_counts(self):
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            laws, n, seed = random_laws(rng), int(rng.integers(1, 300)), int(rng.integers(2**63))
+            bundle = sample_contexts(laws, n, seed, "test-context", {})
+            expected = tuple(plus_count(dataset) for dataset in bundle.datasets)
+            assert sample_context_counts(laws, n, seed, "test-context") == expected

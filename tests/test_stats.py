@@ -8,9 +8,9 @@ from scipy.stats import binomtest
 from bellsim.behaviors import (
     Behavior,
     behavior_from_quantum,
+    behavior_laws,
     pr_box,
     sample_bundle_from_behavior,
-    sample_plus_counts_from_behavior,
 )
 from bellsim.core import (
     CANONICAL_CONTEXTS,
@@ -20,14 +20,15 @@ from bellsim.core import (
     plus_count,
     s_from_counts,
     s_statistic,
+    sample_context_counts,
 )
 from bellsim.errors import ConfigError, DomainError
 from bellsim.lhv import (
     boundary_mixture_model,
     deterministic_model,
     mixture_model,
+    model_laws,
     sample_bundle,
-    sample_plus_counts,
     sign_cosine_model,
 )
 from bellsim.quantum import TSIRELSON_ANGLES, AngleQuadruple, random_density_matrix, singlet
@@ -229,7 +230,7 @@ class TestCountPath:
         for model in models:
             n, seed = int(rng.integers(1, 400)), int(rng.integers(2**63))
             bundle = sample_bundle(model, n, seed)
-            assert sample_plus_counts(model, n, seed) == bundle_plus_counts(bundle)
+            assert sample_context_counts(model_laws(model), n, seed, "lhv-context") == bundle_plus_counts(bundle)
             assert generator_from_lhv(model).plus_counts(n, seed) == bundle_plus_counts(bundle)
 
     def test_behavior_and_born_counts_match_the_sampled_bundle(self):
@@ -242,7 +243,7 @@ class TestCountPath:
             n, seed = int(rng.integers(1, 400)), int(rng.integers(2**63))
             for label in ("behavior-context", "quantum-context"):
                 bundle = sample_bundle_from_behavior(behavior, n, seed, label)
-                assert sample_plus_counts_from_behavior(behavior, n, seed, label) == bundle_plus_counts(bundle)
+                assert sample_context_counts(behavior_laws(behavior), n, seed, label) == bundle_plus_counts(bundle)
             assert generator_from_behavior(behavior).plus_counts(n, seed) == bundle_plus_counts(
                 sample_bundle_from_behavior(behavior, n, seed)
             )
@@ -253,7 +254,8 @@ class TestCountPath:
             for n in (1, 7, 100, 999):
                 seed = int(rng.integers(2**63))
                 bundle = sample_bundle(model, n, seed)
-                assert s_from_counts(zip(sample_plus_counts(model, n, seed), (n,) * 4)) == s_statistic(bundle)
+                plus = generator_from_lhv(model).plus_counts(n, seed)
+                assert s_from_counts(zip(plus, (n,) * 4)) == s_statistic(bundle)
 
     def test_study_matches_the_bundle_loop(self):
         # reference: the per-trial bundle loop the count path replaces
