@@ -16,14 +16,12 @@ from .core import (
     CHSH_SIGNS,
     Context,
     ContextDataset,
-    CounterfactualRow,
     CounterfactualTable,
     ExperimentBundle,
     b_statistic,
     correlation,
     project_bundle,
     project_context,
-    row_c_value,
     row_c_values,
     s_statistic,
 )

@@ -38,7 +38,6 @@ __all__ = [
     "Context",
     "ContextDataset",
     "ContextLaw",
-    "CounterfactualRow",
     "CounterfactualTable",
     "ExperimentBundle",
     "b_statistic",
@@ -47,7 +46,6 @@ __all__ = [
     "plus_count",
     "project_bundle",
     "project_context",
-    "row_c_value",
     "row_c_values",
     "s_from_counts",
     "s_statistic",
@@ -142,21 +140,6 @@ def _outcome_array(values: object, *, columns: int) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class CounterfactualRow:
-    """One quadruple of jointly existing outcomes (a1, a2, b1, b2)."""
-
-    a1: int
-    a2: int
-    b1: int
-    b2: int
-
-    def __post_init__(self) -> None:
-        for name in ("a1", "a2", "b1", "b2"):
-            if getattr(self, name) not in (-1, 1):
-                raise DomainError(f"{name} must be +1 or -1, got {getattr(self, name)}")
-
-
 @dataclass(frozen=True, eq=False)
 class CounterfactualTable(ArrayValue):
     """N rows of four jointly existing +/-1 outcomes, columns (a1, a2, b1, b2)."""
@@ -170,12 +153,9 @@ class CounterfactualTable(ArrayValue):
 
     @classmethod
     def from_rows(
-        cls, rows: Iterable[tuple[int, int, int, int] | CounterfactualRow], **metadata: Any
+        cls, rows: Iterable[tuple[int, int, int, int]], **metadata: Any
     ) -> CounterfactualTable:
-        data = [
-            (r.a1, r.a2, r.b1, r.b2) if isinstance(r, CounterfactualRow) else tuple(r)
-            for r in rows
-        ]
+        data = list(rows)
         return cls(data or np.empty((0, 4), dtype=np.int8), metadata)
 
     @property
@@ -224,11 +204,6 @@ class ExperimentBundle:
 
     def dataset(self, context: Context) -> ContextDataset:
         return self.datasets[context.index]
-
-
-def row_c_value(row: CounterfactualRow) -> int:
-    """C = a1*b1 + a1*b2 + a2*b1 - a2*b2 for one row; always +/-2."""
-    return row.a1 * row.b1 + row.a1 * row.b2 + row.a2 * row.b1 - row.a2 * row.b2
 
 
 def row_c_values(table: CounterfactualTable) -> np.ndarray:

@@ -4,10 +4,7 @@ Observables are parameterized by an angle in the z-x plane,
 A(theta) = cos(theta) sigma_z + sin(theta) sigma_x, with eigenvalues +/-1
 ("spin" convention; pass convention="photon" to double angles for
 polarization settings).  Per-context expectations are trace values
-Tr(rho A_i x B_j); S composes four of them with the canonical signs.  The
-sum-of-operators object behind |<C>| = |S| is never used as a measurable
-quantity in the pipelines; ``chsh_operator_diagnostic`` exists only to
-cross-check that arithmetic identity.
+Tr(rho A_i x B_j); S composes four of them with the canonical signs.
 """
 
 from __future__ import annotations
@@ -27,7 +24,6 @@ __all__ = [
     "TSIRELSON_ANGLES",
     "TSIRELSON_BOUND",
     "born_probabilities",
-    "chsh_operator_diagnostic",
     "correlation_block",
     "expectation",
     "observable",
@@ -189,19 +185,6 @@ def s_quantum(
     return total
 
 
-def chsh_operator_diagnostic(
-    rho: DensityMatrix, angles: AngleQuadruple, convention: Convention = "spin"
-) -> float:
-    """Tr(rho C) for the operator sum behind |<C>| = |S|; diagnostic only."""
-    op = np.zeros((4, 4), dtype=np.complex128)
-    for sign, context in zip(CHSH_SIGNS, CANONICAL_CONTEXTS):
-        op += sign * np.kron(
-            observable(angles.alice(context.alice), convention),
-            observable(angles.bob(context.bob), convention),
-        )
-    return float(np.real(np.trace(rho.matrix @ op)))
-
-
 def sample_bundle_quantum(
     rho: DensityMatrix,
     angles: AngleQuadruple,
@@ -219,8 +202,8 @@ def sample_bundle_quantum(
 def correlation_block(rho: DensityMatrix) -> np.ndarray:
     """2x2 block T[p,q] = Tr(rho sigma_p x sigma_q) for p, q in (z, x).
 
-    E(a, b) = [cos a, sin a] T [cos b, sin b]^T, which makes grid evaluation
-    and exact per-coordinate maximization cheap.
+    E(a, b) = [cos a, sin a] T [cos b, sin b]^T, so S over the four angles is a
+    bilinear form in unit vectors, maximized in closed form from T's SVD.
     """
     block = np.empty((2, 2))
     for p, sp in enumerate((SIGMA_Z, SIGMA_X)):
@@ -229,76 +212,34 @@ def correlation_block(rho: DensityMatrix) -> np.ndarray:
     return block
 
 
-def _unit(angle: np.ndarray | float) -> np.ndarray:
-    return np.stack([np.cos(angle), np.sin(angle)], axis=-1)
-
-
-def _s_from_block(block: np.ndarray, a1: float, a2: float, b1: float, b2: float) -> float:
-    na1, na2, nb1, nb2 = _unit(a1), _unit(a2), _unit(b1), _unit(b2)
-    return float(na1 @ block @ (nb1 + nb2) + na2 @ block @ (nb1 - nb2))
-
-
-def _coordinate_ascent(
-    block: np.ndarray, start: tuple[float, float, float, float], iters: int
-) -> tuple[tuple[float, float, float, float], float]:
-    """Maximize S by exact single-angle updates; S is sinusoidal per coordinate."""
-    a1, a2, b1, b2 = start
-    best = _s_from_block(block, a1, a2, b1, b2)
-    for _ in range(max(iters, 1)):
-        v = block @ (_unit(b1) + _unit(b2))
-        a1 = math.atan2(v[1], v[0])
-        v = block @ (_unit(b1) - _unit(b2))
-        a2 = math.atan2(v[1], v[0])
-        v = (_unit(a1) + _unit(a2)) @ block
-        b1 = math.atan2(v[1], v[0])
-        v = (_unit(a1) - _unit(a2)) @ block
-        b2 = math.atan2(v[1], v[0])
-        value = _s_from_block(block, a1, a2, b1, b2)
-        if value - best <= 1e-15:
-            best = value
-            break
-        best = value
-    return (a1, a2, b1, b2), best
-
-
 def optimize_angles(
     rho: DensityMatrix, grid_points: int = 24, refine_iters: int = 64
 ) -> tuple[AngleQuadruple, float]:
-    """Search setting angles maximizing |S|: coarse grid, then coordinate ascent.
+    """Setting angles maximizing S, and the maximum 2*hypot(s1, s2), in closed form.
 
-    Each refinement step maximizes one angle exactly (S is a single sinusoid
-    per coordinate), so convergence is fast and the result never exceeds
-    2*sqrt(2) + 1e-9.
+    With T = U diag(s1, s2) V^T the SVD of ``correlation_block(rho)`` and v1, v2
+    the rows of V^T, S = a1.T(b1 + b2) + a2.T(b1 - b2) over unit vectors peaks
+    at b1, b2 = cos(theta) v1 +/- sin(theta) v2 with theta = atan2(s2, s1),
+    a1 along T(b1 + b2) and a2 along T(b1 - b2) (Horodecki, Horodecki &
+    Horodecki, Phys. Lett. A 200, 340 (1995)).  S at the returned angles equals
+    the value.  A zero or rank-1 block needs no branch: atan2(0, 0) is 0, so
+    the maximally mixed state gets finite angles and value 0, a product state
+    value 2.
+
+    ``grid_points`` and ``refine_iters`` are accepted and ignored: the closed
+    form has no grid and no iterations.  ``grid_points`` below 8 still raises
+    ``ConfigError``.
     """
     if grid_points < 8:
         raise ConfigError(f"grid_points must be >= 8, got {grid_points}")
     block = correlation_block(rho)
-    grid = np.linspace(0.0, 2.0 * math.pi, grid_points, endpoint=False)
-    units = _unit(grid)  # (g, 2)
-    pair = units @ block @ units.T  # E on the grid: pair[i, j] = E(grid_i, grid_j)
-    # S(a1, a2, b1, b2) = T1[a1, b1, b2] + T2[a2, b1, b2]; maximize each over its own axis.
-    t1 = pair[:, :, None] + pair[:, None, :]
-    t2 = pair[:, :, None] - pair[:, None, :]
-    best_over_b: dict[float, tuple[float, float, float, float]] = {}
-    for sign in (1.0, -1.0):
-        top1 = (sign * t1).max(axis=0)
-        arg1 = (sign * t1).argmax(axis=0)
-        top2 = (sign * t2).max(axis=0)
-        arg2 = (sign * t2).argmax(axis=0)
-        total = top1 + top2
-        flat = int(total.argmax())
-        i_b1, i_b2 = np.unravel_index(flat, total.shape)
-        start = (
-            float(grid[arg1[i_b1, i_b2]]),
-            float(grid[arg2[i_b1, i_b2]]),
-            float(grid[i_b1]),
-            float(grid[i_b2]),
-        )
-        # ascent on sign*block maximizes sign*S, so value is an |S| candidate
-        angles, value = _coordinate_ascent(sign * block, start, refine_iters)
-        best_over_b[value] = angles
-    best_value = max(best_over_b)
-    best_angles = AngleQuadruple(*best_over_b[best_value])
-    if best_value > TSIRELSON_BOUND + 1e-9:
-        raise DomainError(f"optimizer produced |S| = {best_value!r} beyond 2*sqrt(2)")
-    return best_angles, best_value
+    _, (s1, s2), (v1, v2) = np.linalg.svd(block)
+    theta = math.atan2(s2, s1)
+    b1 = math.cos(theta) * v1 + math.sin(theta) * v2
+    b2 = math.cos(theta) * v1 - math.sin(theta) * v2
+    vectors = (block @ (b1 + b2), block @ (b1 - b2), b1, b2)
+    angles = AngleQuadruple(*(math.atan2(v[1], v[0]) for v in vectors))
+    value = 2.0 * math.hypot(s1, s2)
+    if value > TSIRELSON_BOUND + 1e-9:
+        raise DomainError(f"optimizer produced |S| = {value!r} beyond 2*sqrt(2)")
+    return angles, value

@@ -23,9 +23,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
@@ -34,7 +32,6 @@ from .errors import ConfigError, DomainError
 from .rng import sample_size, spawn_rng
 
 __all__ = [
-    "PerPairRecord",
     "PointerConfig",
     "PointerRun",
     "exceedance_fraction",
@@ -58,20 +55,9 @@ class PointerConfig:
             raise ConfigError(f"noise_sd must be >= 0, got {sigma!r}")
 
 
-@dataclass(frozen=True)
-class PerPairRecord:
-    """Four pointer readings and the b-value they imply."""
-
-    r_a1: float
-    r_a2: float
-    r_b1: float
-    r_b2: float
-    b_value: float
-
-
 @dataclass(frozen=True, eq=False)
-class PointerRun(ArrayValue, Sequence):
-    """A batch of per-pair records, stored columnar; indexes as PerPairRecord.
+class PointerRun(ArrayValue):
+    """A batch of per-pair pointer readings and the b-value of each pair.
 
     ``b_values`` is derived from ``readings`` when the run is built.
     """
@@ -92,12 +78,6 @@ class PointerRun(ArrayValue, Sequence):
 
     def __len__(self) -> int:
         return self.readings.shape[0]
-
-    def __getitem__(self, k: Any) -> PerPairRecord:
-        if isinstance(k, slice):
-            raise TypeError("PointerRun does not support slicing; index single records")
-        row = self.readings[k]
-        return PerPairRecord(*(float(v) for v in row), float(self.b_values[k]))
 
 
 def per_pair_b_values_lhv(

@@ -10,7 +10,6 @@ from bellsim.core import (
     CANONICAL_CONTEXTS,
     Context,
     ContextDataset,
-    CounterfactualRow,
     CounterfactualTable,
     ExperimentBundle,
     b_statistic,
@@ -18,7 +17,6 @@ from bellsim.core import (
     plus_count,
     project_bundle,
     project_context,
-    row_c_value,
     row_c_values,
     s_statistic,
     sample_context_counts,
@@ -49,19 +47,20 @@ def bundles(max_pairs=64):
 
 class TestRowC:
     def test_exhaustive_sixteen_rows(self):
-        for a1, a2, b1, b2 in itertools.product((1, -1), repeat=4):
-            assert row_c_value(CounterfactualRow(a1, a2, b1, b2)) in (-2, 2)
+        table = CounterfactualTable.from_rows(itertools.product((1, -1), repeat=4))
+        values = row_c_values(table)
+        assert values.shape == (16,)
+        assert set(values.tolist()) <= {-2, 2}
 
     def test_examples(self):
-        assert row_c_value(CounterfactualRow(1, 1, 1, 1)) == 2
-        assert row_c_value(CounterfactualRow(1, -1, 1, -1)) == -2
-        # global sign flip leaves all products unchanged
-        assert row_c_value(CounterfactualRow(-1, -1, -1, -1)) == 2
+        table = CounterfactualTable.from_rows([(1, 1, 1, 1), (1, -1, 1, -1), (-1, -1, -1, -1)])
+        # the third row is the global sign flip of the first: all products unchanged
+        assert row_c_values(table).tolist() == [2, -2, 2]
 
     def test_vectorized_matches_scalar(self):
         rows = list(itertools.product((1, -1), repeat=4))
         table = CounterfactualTable.from_rows(rows)
-        expected = [row_c_value(CounterfactualRow(*r)) for r in rows]
+        expected = [a1 * b1 + a1 * b2 + a2 * b1 - a2 * b2 for a1, a2, b1, b2 in rows]
         assert row_c_values(table).tolist() == expected
 
 
@@ -171,8 +170,6 @@ class TestValidation:
     def test_bad_outcome_values(self):
         with pytest.raises(DomainError, match="must be \\+1 or -1"):
             CounterfactualTable([[1, 1, 0, 1]])
-        with pytest.raises(DomainError):
-            CounterfactualRow(1, 1, 2, 1)
         with pytest.raises(DomainError):
             ContextDataset(Context(1, 1), [[1, 3]])
 

@@ -13,7 +13,6 @@ from bellsim.quantum import (
     AngleQuadruple,
     DensityMatrix,
     born_probabilities,
-    chsh_operator_diagnostic,
     correlation_block,
     expectation,
     maximally_mixed,
@@ -133,16 +132,6 @@ class TestSQuantum:
     def test_maximally_mixed_zero(self):
         assert s_quantum(maximally_mixed(), TSIRELSON_ANGLES) == pytest.approx(0.0, abs=1e-12)
 
-    def test_diagnostic_identity(self):
-        # |<C>| computed from the operator sum equals |S| from four expectations
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            rho = random_density_matrix(rng)
-            angles = AngleQuadruple(*rng.uniform(0, 2 * math.pi, 4))
-            assert chsh_operator_diagnostic(rho, angles) == pytest.approx(
-                s_quantum(rho, angles), abs=1e-12
-            )
-
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32 - 1), ANGLE, ANGLE, ANGLE, ANGLE)
     def test_tsirelson_ceiling(self, seed, a1, a2, b1, b2):
@@ -158,21 +147,30 @@ class TestOptimizeAngles:
         assert abs(s_quantum(singlet(), angles)) == pytest.approx(value, abs=1e-12)
 
     def test_maximally_mixed_zero(self):
-        _, value = optimize_angles(maximally_mixed())
+        # zero correlation block: a1 and a2 both come from atan2(0, 0)
+        rho = maximally_mixed()
+        angles, value = optimize_angles(rho)
         assert abs(value) <= 1e-9
+        assert all(math.isfinite(a) for a in angles.as_tuple())
+        assert abs(s_quantum(rho, angles)) == pytest.approx(value, abs=1e-12)
 
     def test_product_state_classical_max(self):
-        _, value = optimize_angles(product_state())
+        # rank-1 correlation block
+        rho = product_state()
+        angles, value = optimize_angles(rho)
         assert value == pytest.approx(2.0, abs=1e-6)
+        assert all(math.isfinite(a) for a in angles.as_tuple())
+        assert abs(s_quantum(rho, angles)) == pytest.approx(value, abs=1e-12)
 
     def test_matches_grid_oracle_and_singular_value_bound(self):
         rng = np.random.default_rng(21)
         for _ in range(10):
             rho = random_density_matrix(rng)
-            _, value = optimize_angles(rho)
+            angles, value = optimize_angles(rho)
             # within-plane analogue of the singular-value criterion
             s = np.linalg.svd(correlation_block(rho), compute_uv=False)
-            assert value == pytest.approx(2.0 * math.sqrt(s[0] ** 2 + s[1] ** 2), abs=1e-8)
+            assert value == pytest.approx(2.0 * math.hypot(s[0], s[1]), abs=1e-12)
+            assert abs(s_quantum(rho, angles)) == pytest.approx(value, abs=1e-12)
             assert value >= grid_max_abs_s(rho) - 1e-9
 
     def test_grid_points_validated(self):

@@ -8,7 +8,6 @@ from bellsim.core import CounterfactualTable, b_statistic, row_c_values
 from bellsim.errors import ConfigError, DomainError
 from bellsim.lhv import boundary_mixture_model, sample_counterfactual_table
 from bellsim.weak import (
-    PerPairRecord,
     PointerConfig,
     PointerRun,
     exceedance_fraction,
@@ -116,19 +115,12 @@ class TestRecordsAndConfig:
     def test_record_access(self):
         run = per_pair_b_values_calibrated(1.0, PointerConfig(1.0, 0.5), 5, seed=2)
         assert len(run) == 5
-        record = run[0]
-        assert isinstance(record, PerPairRecord)
+        assert run.readings.shape == (5, 4)
+        assert run.b_values.shape == (5,)
         g = run.config.coupling
-        reconstructed = (
-            record.r_a1 * record.r_b1
-            + record.r_a1 * record.r_b2
-            + record.r_a2 * record.r_b1
-            - record.r_a2 * record.r_b2
-        ) / g**2
-        assert record.b_value == pytest.approx(reconstructed, abs=1e-12)
-        assert len(list(run)) == 5
-        with pytest.raises(TypeError):
-            run[0:2]
+        for (r_a1, r_a2, r_b1, r_b2), b_value in zip(run.readings, run.b_values):
+            reconstructed = (r_a1 * r_b1 + r_a1 * r_b2 + r_a2 * r_b1 - r_a2 * r_b2) / g**2
+            assert b_value == pytest.approx(reconstructed, abs=1e-12)
 
 
 class TestExceedance:
