@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellsim.core import s_statistic
+from bellsim.core import CANONICAL_CONTEXTS, CHSH_SIGNS, s_statistic
 from bellsim.errors import ConfigError, DomainError
 from bellsim.quantum import (
     TSIRELSON_ANGLES,
@@ -131,6 +131,20 @@ class TestSQuantum:
 
     def test_maximally_mixed_zero(self):
         assert s_quantum(maximally_mixed(), TSIRELSON_ANGLES) == pytest.approx(0.0, abs=1e-12)
+
+    def test_matches_chsh_operator_trace(self):
+        # by linearity Tr(rho C), with C the signed sum of the four A (x) B, is S
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            rho = random_density_matrix(rng)
+            angles = AngleQuadruple(*rng.uniform(0, 2 * math.pi, 4))
+            op = sum(
+                sign
+                * np.kron(observable(angles.alice(ctx.alice)), observable(angles.bob(ctx.bob)))
+                for sign, ctx in zip(CHSH_SIGNS, CANONICAL_CONTEXTS)
+            )
+            trace = float(np.real(np.trace(rho.matrix @ op)))
+            assert s_quantum(rho, angles) == pytest.approx(trace, abs=1e-12)
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32 - 1), ANGLE, ANGLE, ANGLE, ANGLE)
