@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CANONICAL_CONTEXTS, CHSH_SIGNS, Context, ContextLaw, ExperimentBundle
-from .core import ArrayValue, frozen_array, sample_contexts
+from .core import CANONICAL_CONTEXTS, OUTCOME_PAIRS, PAIR_PRODUCTS, Context, ContextLaw, ExperimentBundle
+from .core import ArrayValue, chsh_sum, frozen_array, outcome_codes, sample_contexts
 from .errors import DomainError
-from .quantum import OUTCOME_PAIRS, AngleQuadruple, Convention, DensityMatrix, born_probabilities
+from .quantum import AngleQuadruple, Convention, DensityMatrix, born_probabilities
 
 __all__ = [
     "Behavior",
@@ -34,9 +34,6 @@ __all__ = [
 ]
 
 PROB_TOL = 1e-12
-
-# a*b weights for the outcome pairs (+,+), (+,-), (-,+), (-,-)
-_CORRELATION_WEIGHTS = np.array([1.0, -1.0, -1.0, 1.0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,15 +60,12 @@ class Behavior(ArrayValue):
 
 def behavior_correlation(behavior: Behavior, context: Context) -> float:
     """<A_ij B_ij> = p(++) + p(--) - p(+-) - p(-+) for the labeled context."""
-    return float(behavior.probs[context.index] @ _CORRELATION_WEIGHTS)
+    return float(behavior.probs[context.index] @ PAIR_PRODUCTS)
 
 
 def behavior_s(behavior: Behavior) -> float:
     """Signed sum of the four context correlations; a priori within [-4, 4]."""
-    return sum(
-        sign * behavior_correlation(behavior, context)
-        for sign, context in zip(CHSH_SIGNS, CANONICAL_CONTEXTS)
-    )
+    return chsh_sum([behavior_correlation(behavior, context) for context in CANONICAL_CONTEXTS]) + 0.0
 
 
 def pr_box() -> Behavior:
@@ -120,20 +114,13 @@ def behavior_from_quantum(
     return Behavior(np.clip(np.vstack(rows), 0.0, None))
 
 
-def _pair_index(pairs: np.ndarray) -> np.ndarray:
-    # (+,+)->0, (+,-)->1, (-,+)->2, (-,-)->3
-    return ((1 - pairs[:, 0]) + (1 - pairs[:, 1]) // 2).astype(np.int64)
-
-
 def behavior_from_bundle(bundle: ExperimentBundle) -> Behavior:
     """Per-context relative frequencies, with the raw counts attached."""
     counts = np.zeros((4, 4), dtype=np.int64)
     for dataset in bundle.datasets:
         if dataset.n_pairs == 0:
             raise DomainError(f"empty dataset in context {dataset.context}")
-        counts[dataset.context.index] = np.bincount(
-            _pair_index(dataset.pairs), minlength=4
-        )
+        counts[dataset.context.index] = np.bincount(outcome_codes(dataset.pairs), minlength=4)
     probs = counts / counts.sum(axis=1, keepdims=True)
     return Behavior(probs, counts)
 

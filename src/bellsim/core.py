@@ -17,12 +17,15 @@ All types are immutable after construction and all operations are pure,
 so everything here is safe to evaluate concurrently.
 
 Context ordering is canonical everywhere: (1,1), (1,2), (2,1), (2,2).
-The minus sign in S sits on the fixed (2,2) slot.
+The minus sign in S sits on the fixed (2,2) slot.  This module owns the
+layout for all others: ``Context.columns``, ``context_products`` and ``chsh_sum``
+(C per row, and S), and ``outcome_rows`` / ``outcome_codes`` (the +/-1 order).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+import itertools
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field, fields
 from typing import Any
 
@@ -40,9 +43,15 @@ __all__ = [
     "ContextLaw",
     "CounterfactualTable",
     "ExperimentBundle",
+    "OUTCOME_PAIRS",
+    "PAIR_PRODUCTS",
     "b_statistic",
+    "chsh_sum",
+    "context_products",
     "correlation",
     "frozen_array",
+    "outcome_codes",
+    "outcome_rows",
     "plus_count",
     "project_bundle",
     "project_context",
@@ -55,7 +64,7 @@ __all__ = [
 
 SETTINGS = (1, 2)
 
-# Signs of (E11, E12, E21, E22) in S, canonical context order.
+# Signs of (E11, E12, E21, E22) in S, canonical context order; chsh_sum applies them.
 CHSH_SIGNS = (1.0, 1.0, 1.0, -1.0)
 
 
@@ -75,11 +84,51 @@ class Context:
         """Position in the canonical ordering (1,1), (1,2), (2,1), (2,2)."""
         return (self.alice - 1) * 2 + (self.bob - 1)
 
+    @property
+    def columns(self) -> tuple[int, int]:
+        """The columns (a_i, b_j) this context reads of a row (a1, a2, b1, b2)."""
+        return (self.alice - 1, 2 + self.bob - 1)
+
     def __str__(self) -> str:
         return f"({self.alice},{self.bob})"
 
 
 CANONICAL_CONTEXTS = (Context(1, 1), Context(1, 2), Context(2, 1), Context(2, 2))
+
+
+def chsh_sum(values: Iterable[Any]) -> Any:
+    """v11 + v12 + v21 - v22 of four numbers or arrays in canonical context order, added left to right.
+
+    Taking each value as it is added frees the arrays of ``context_products`` one by one.  The
+    scalar S functions add 0.0 to the result, as a sum started from 0 does: exact-zero S is +0.0.
+    """
+    values = iter(values)
+    total = next(values) + next(values)  # a new object, so the in-place steps below touch no input
+    total += next(values)
+    total -= next(values)
+    return total
+
+
+def context_products(rows: np.ndarray) -> Iterator[np.ndarray]:
+    """Lazily, the products a_i * b_j of (n, 4) rows (a1, a2, b1, b2), one per context in canonical order."""
+    return (rows[:, a] * rows[:, b] for a, b in (c.columns for c in CANONICAL_CONTEXTS))
+
+
+def outcome_rows(columns: int) -> np.ndarray:
+    """All 2**columns rows of +/-1 outcomes as int8, +1 before -1 and the first column slowest."""
+    return np.array(list(itertools.product((1, -1), repeat=columns)), dtype=np.int8)
+
+
+def outcome_codes(outcomes: np.ndarray) -> np.ndarray:
+    """Each +/-1 row's index in ``outcome_rows``, as uint8 (up to 8 columns).
+
+    The code has one bit per column, set where the outcome is -1, first column highest.
+    """
+    minus = (outcomes < 0).view(np.uint8)
+    codes = minus[:, 0]
+    for k in range(1, outcomes.shape[1]):
+        codes = codes << 1 | minus[:, k]
+    return codes
 
 
 def frozen_array(values: object, dtype: type, shape: tuple[int | None, ...], name: str) -> np.ndarray:
@@ -129,6 +178,11 @@ class ArrayValue:
         arrays = (getattr(self, f.name) for f in fields(self))
         # + 0 turns -0.0 into 0.0, which == does not tell apart
         return hash((type(self), *((a + 0).tobytes() for a in arrays if isinstance(a, np.ndarray))))
+
+
+# Outcome pairs (a, b) in canonical order (+,+), (+,-), (-,+), (-,-), and their products a*b.
+OUTCOME_PAIRS = frozen_array(outcome_rows(2), np.int8, (4, 2), "outcome pairs")
+PAIR_PRODUCTS = frozen_array(OUTCOME_PAIRS.prod(axis=1), np.float64, (4,), "pair products")
 
 
 def _outcome_array(values: object, *, columns: int) -> np.ndarray:
@@ -208,8 +262,7 @@ class ExperimentBundle:
 
 def row_c_values(table: CounterfactualTable) -> np.ndarray:
     """Per-row C values as an int16 array (each entry is -2 or +2)."""
-    a1, a2, b1, b2 = (table.outcomes[:, k].astype(np.int16) for k in range(4))
-    return a1 * b1 + a1 * b2 + a2 * b1 - a2 * b2
+    return chsh_sum(context_products(table.outcomes.astype(np.int16)))
 
 
 def b_statistic(table: CounterfactualTable) -> float:
@@ -227,9 +280,8 @@ def project_context(table: CounterfactualTable, context: Context) -> ContextData
     """Select columns (a_i, b_j) of the table as if context (i, j) had been measured."""
     if table.n_rows == 0:
         raise DomainError("cannot project an empty table")
-    cols = table.outcomes[:, [context.alice - 1, 2 + context.bob - 1]]
     meta = {**table.metadata, "projected_from": "counterfactual-table"}
-    return ContextDataset(context, cols, meta)
+    return ContextDataset(context, table.outcomes[:, context.columns], meta)
 
 
 def project_bundle(table: CounterfactualTable) -> ExperimentBundle:
@@ -255,16 +307,16 @@ def correlation(dataset: ContextDataset) -> float:
 
 
 def s_from_counts(counts: Iterable[tuple[int, int]]) -> float:
-    """S-hat from per-context (plus count K, pairs n) in canonical order: sum of sign * (2K - n) / n.
+    """S-hat from per-context (plus count K, pairs n) in canonical order: ``chsh_sum`` of the (2K - n) / n.
 
     Only the four counts matter, so sources that know them need not build the pairs.
     """
-    total = 0.0
-    for sign, context, (plus, n) in zip(CHSH_SIGNS, CANONICAL_CONTEXTS, counts, strict=True):
+    correlations = []
+    for context, (plus, n) in zip(CANONICAL_CONTEXTS, counts, strict=True):
         if n == 0:
             raise DomainError(f"correlation undefined for empty dataset in context {context}")
-        total += sign * _count_correlation(plus, n)
-    return total
+        correlations.append(_count_correlation(plus, n))
+    return chsh_sum(correlations) + 0.0
 
 
 def s_statistic(bundle: ExperimentBundle) -> float:

@@ -27,7 +27,6 @@ decides that question exactly:
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -36,8 +35,8 @@ import numpy as np
 
 from ._simplex import phase1_solve
 from .behaviors import Behavior, behavior_from_bundle
-from .core import CANONICAL_CONTEXTS, Context, CounterfactualTable, ExperimentBundle, project_bundle
-from .core import ArrayValue, frozen_array
+from .core import CANONICAL_CONTEXTS, PAIR_PRODUCTS, Context, CounterfactualTable, ExperimentBundle
+from .core import ArrayValue, frozen_array, outcome_codes, outcome_rows, project_bundle
 from .errors import DomainError, NumericError
 
 __all__ = [
@@ -58,33 +57,21 @@ __all__ = [
 LP_TOL = 1e-9
 WITNESS_TOL = 1e-8
 
-# All deterministic assignments (a1, a2, b1, b2), lexicographic with +1 first.
-ASSIGNMENTS: tuple[tuple[int, int, int, int], ...] = tuple(
-    itertools.product((1, -1), repeat=4)
-)
+# All deterministic assignments (a1, a2, b1, b2), lexicographic with +1 first: assignment k has code k.
+ASSIGNMENTS: tuple[tuple[int, int, int, int], ...] = tuple(map(tuple, outcome_rows(4).tolist()))
 
 # The 8 CHSH sign patterns: epsilon in {+1,-1}^4 with product -1 (one or three minus signs).
 CHSH_SIGN_PATTERNS: tuple[tuple[int, int, int, int], ...] = tuple(
-    eps for eps in itertools.product((1, -1), repeat=4) if eps[0] * eps[1] * eps[2] * eps[3] == -1
+    eps for eps in ASSIGNMENTS if math.prod(eps) == -1
 )
 
-
-def _pair_to_outcome_index(a: int, b: int) -> int:
-    return (1 - a) + (1 - b) // 2  # (+,+)->0, (+,-)->1, (-,+)->2, (-,-)->3
-
-
-def _projection_tensor() -> np.ndarray:
-    """0/1 tensor P[context, outcome, assignment]: assignment lands in that outcome cell."""
-    tensor = np.zeros((4, 4, 16))
-    for c, context in enumerate(CANONICAL_CONTEXTS):
-        for k, (a1, a2, b1, b2) in enumerate(ASSIGNMENTS):
-            a = (a1, a2)[context.alice - 1]
-            b = (b1, b2)[context.bob - 1]
-            tensor[c, _pair_to_outcome_index(a, b), k] = 1.0
-    return tensor
-
-
-PROJECTION = frozen_array(_projection_tensor(), np.float64, (4, 4, 16), "projection")
+# 0/1 tensor P[context, outcome, assignment]: the assignment's (a_i, b_j) land in that outcome cell.
+PROJECTION = frozen_array(
+    [np.eye(4)[outcome_codes(outcome_rows(4)[:, c.columns])].T for c in CANONICAL_CONTEXTS],
+    np.float64,
+    (4, 4, 16),
+    "projection",
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,11 +96,7 @@ class JointDistribution(ArrayValue):
 
 def joint_from_table(table: CounterfactualTable) -> JointDistribution:
     """Empirical assignment frequencies of a counterfactual table (a constructive witness)."""
-    index = {assignment: k for k, assignment in enumerate(ASSIGNMENTS)}
-    weights = np.zeros(16)
-    rows, counts = np.unique(table.outcomes, axis=0, return_counts=True)
-    for row, count in zip(rows, counts):
-        weights[index[tuple(int(v) for v in row)]] = count
+    weights = np.bincount(outcome_codes(table.outcomes), minlength=16)
     return JointDistribution(weights / table.n_rows)
 
 
@@ -164,7 +147,7 @@ class FeasibilityResult(ArrayValue):
 
 def chsh_certificate_detail(behavior: Behavior) -> tuple[float, tuple[int, int, int, int]]:
     """Max over the 8 signed CHSH forms, with the achieving sign pattern."""
-    correlations = behavior.probs @ np.array([1.0, -1.0, -1.0, 1.0])
+    correlations = behavior.probs @ PAIR_PRODUCTS
     best_value = -np.inf
     best_signs = CHSH_SIGN_PATTERNS[0]
     for signs in CHSH_SIGN_PATTERNS:

@@ -8,9 +8,8 @@ The CSV writers stream: rows are formatted and written ``CHUNK_ROWS`` at a
 time, so a file of millions of rows never exists as one string in memory.
 Writing, not sampling, is what a large bundle costs, so the integer writers
 do as little per row as they can: outcomes are validated +/-1, so each row's
-columns map to a small code (one bit per column) that indexes a precomputed
-suffix such as ``",1,2,-1,1\n"``, and a row is just ``str(k)`` plus that
-suffix.
+``core.outcome_codes`` code (one bit per column) indexes a precomputed suffix
+such as ``",1,2,-1,1\n"``, and a row is just ``str(k)`` plus that suffix.
 
   counterfactual table   trial,a1,a2,b1,b2
   context dataset        trial,a,b
@@ -42,6 +41,8 @@ from .core import (
     ContextDataset,
     CounterfactualTable,
     ExperimentBundle,
+    outcome_codes,
+    outcome_rows,
 )
 from .errors import ConfigError
 from .lhv import LhvModel, model_from_mapping
@@ -131,11 +132,8 @@ def _write_csv(
 
 
 def _suffixes(prefix: str, columns: int) -> list[str]:
-    """Row text after the trial index, indexed by the row's code (see _outcome_blocks)."""
-    return [
-        prefix + "".join(f",{v}" for v in values) + "\n"
-        for values in itertools.product((1, -1), repeat=columns)
-    ]
+    """Row text after the trial index, indexed by the row's ``outcome_codes`` code."""
+    return [prefix + "".join(f",{v}" for v in values) + "\n" for values in outcome_rows(columns).tolist()]
 
 
 _TABLE_SUFFIXES = _suffixes("", 4)
@@ -144,13 +142,8 @@ _BUNDLE_SUFFIXES = {c: _suffixes(f",{c.alice},{c.bob}", 2) for c in CANONICAL_CO
 
 
 def _outcome_blocks(outcomes: np.ndarray, suffixes: list[str]) -> Iterator[str]:
-    """Text of rows ``k,<outcomes[k]>``, CHUNK_ROWS rows per block.
-
-    A row's code has one bit per column, set where the outcome is -1, first
-    column highest: the order in which ``_suffixes`` enumerates them.
-    """
-    weights = 1 << np.arange(outcomes.shape[1] - 1, -1, -1)
-    codes = (outcomes < 0) @ weights
+    """Text of rows ``k,<outcomes[k]>``, CHUNK_ROWS rows per block."""
+    codes = outcome_codes(outcomes)
     for start in range(0, codes.shape[0], CHUNK_ROWS):
         chunk = codes[start:start + CHUNK_ROWS].tolist()
         yield "".join([f"{k}{suffixes[c]}" for k, c in zip(range(start, start + len(chunk)), chunk)])

@@ -32,8 +32,8 @@ from typing import Any
 
 import numpy as np
 
-from .core import CANONICAL_CONTEXTS, CHSH_SIGNS, Context, ContextLaw, CounterfactualTable, ExperimentBundle
-from .core import sample_contexts
+from .core import CANONICAL_CONTEXTS, Context, ContextLaw, CounterfactualTable, ExperimentBundle
+from .core import chsh_sum, context_products, sample_contexts
 from .errors import ConfigError
 from .rng import categorical, sample_size, spawn_rng
 
@@ -92,11 +92,6 @@ def validate_model(model: LhvModel) -> tuple[np.ndarray, np.ndarray]:
     return table, weights
 
 
-def _columns(context: Context) -> list[int]:
-    """The strategy columns (a_i, b_j) of ``context``."""
-    return [context.alice - 1, 2 + context.bob - 1]
-
-
 def sample_counterfactual_table(model: LhvModel, n: int, seed: int) -> CounterfactualTable:
     """Draw n lambdas from one stream; row k holds (A1, A2, B1, B2) at lambda_k."""
     n = sample_size(n, "n")
@@ -109,7 +104,7 @@ def model_laws(model: LhvModel) -> tuple[ContextLaw, ...]:
     """Per context: lambda drawn with the model's weights, recording the strategy columns (a_i, b_j)."""
     weights = np.asarray(model.weights, dtype=np.float64)
     table = np.asarray(model.strategies, dtype=np.int8)
-    return tuple((weights, table[:, _columns(context)]) for context in CANONICAL_CONTEXTS)
+    return tuple((weights, table[:, context.columns]) for context in CANONICAL_CONTEXTS)
 
 
 def sample_bundle(model: LhvModel, n_per_context: int, seed: int) -> ExperimentBundle:
@@ -120,17 +115,14 @@ def sample_bundle(model: LhvModel, n_per_context: int, seed: int) -> ExperimentB
 
 def exact_lhv_correlation(model: LhvModel, context: Context) -> float:
     """The coupling integral E_ij in closed form: the weighted sum of a_i * b_j."""
-    i, j = _columns(context)
+    i, j = context.columns
     table = np.asarray(model.strategies, dtype=np.float64)
     return float(np.dot(table[:, i] * table[:, j], model.weights))
 
 
 def exact_lhv_s(model: LhvModel) -> float:
     """Exact S of the coupling; lies in [-2, 2]."""
-    return sum(
-        sign * exact_lhv_correlation(model, context)
-        for sign, context in zip(CHSH_SIGNS, CANONICAL_CONTEXTS)
-    )
+    return chsh_sum([exact_lhv_correlation(model, context) for context in CANONICAL_CONTEXTS]) + 0.0
 
 
 def _numbers(key: str, value: object, shape: tuple[int, ...] | None = ()) -> np.ndarray:
@@ -180,12 +172,7 @@ def boundary_mixture_model(
     makes the 50% exceedance of S-hat > 2 observable.
     """
     table = _strategy_table(strategies)
-    c_values = (
-        table[:, 0] * table[:, 2]
-        + table[:, 0] * table[:, 3]
-        + table[:, 1] * table[:, 2]
-        - table[:, 1] * table[:, 3]
-    )
+    c_values = chsh_sum(context_products(table))
     if not (c_values == 2).all():
         raise ConfigError(
             f"boundary mixture requires strategies with C = +2, got C = {c_values.tolist()}"

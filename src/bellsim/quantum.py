@@ -15,7 +15,7 @@ from typing import Literal
 
 import numpy as np
 
-from .core import CANONICAL_CONTEXTS, CHSH_SIGNS, ArrayValue, ExperimentBundle, frozen_array
+from .core import CANONICAL_CONTEXTS, OUTCOME_PAIRS, ArrayValue, ExperimentBundle, chsh_sum, frozen_array
 from .errors import ConfigError, DomainError
 
 __all__ = [
@@ -45,9 +45,6 @@ Convention = Literal["spin", "photon"]
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 IDENTITY_2 = np.eye(2)
-
-# Outcome pairs in canonical order (+,+), (+,-), (-,+), (-,-).
-OUTCOME_PAIRS = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=np.int8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,11 +172,9 @@ def s_quantum(
     rho: DensityMatrix, angles: AngleQuadruple, convention: Convention = "spin"
 ) -> float:
     """S = E(a1,b1) + E(a1,b2) + E(a2,b1) - E(a2,b2) for the quantum coupling."""
-    total = 0.0
-    for sign, context in zip(CHSH_SIGNS, CANONICAL_CONTEXTS):
-        total += sign * expectation(
-            rho, angles.alice(context.alice), angles.bob(context.bob), convention
-        )
+    total = chsh_sum(
+        [expectation(rho, angles.alice(c.alice), angles.bob(c.bob), convention) for c in CANONICAL_CONTEXTS]
+    ) + 0.0
     if abs(total) > TSIRELSON_BOUND + 1e-9:
         raise DomainError(f"|S| = {abs(total)!r} exceeds 2*sqrt(2); state is invalid")
     return total

@@ -37,7 +37,7 @@ from functools import partial
 import numpy as np
 
 from .behaviors import Behavior, behavior_from_quantum, behavior_laws, behavior_s
-from .core import ExperimentBundle, correlation, s_from_counts, sample_context_counts
+from .core import ExperimentBundle, chsh_sum, correlation, s_from_counts, sample_context_counts
 from .errors import ConfigError, DomainError
 from .lhv import LhvModel, exact_lhv_s, model_laws
 from .quantum import AngleQuadruple, DensityMatrix, s_quantum
@@ -214,8 +214,7 @@ def _run_row(
     for t in range(trials):
         plus = generator.plus_counts(n_per_context, derive_seed(seed, "trial", t))
         s_values[t] = s_from_counts(zip(plus, sizes))
-        k11, k12, k21, k22 = plus
-        margins[t] = 2 * (k11 + k12 + k21 - k22) - 2 * n_per_context
+        margins[t] = 2 * chsh_sum(plus) - 2 * n_per_context
     # n * S-hat > n * threshold, decided in integers so that a tie never counts,
     # however the float S-hat rounds: with threshold = num / den exactly, the
     # limit is floor(num * n / den); |n * S-hat| <= 4n bounds it

@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ArrayValue, CounterfactualTable, frozen_array
+from .core import ArrayValue, CounterfactualTable, chsh_sum, context_products, frozen_array
 from .errors import ConfigError, DomainError
 from .rng import sample_size, spawn_rng
 
@@ -69,10 +70,9 @@ class PointerRun(ArrayValue):
 
     def __post_init__(self) -> None:
         readings = frozen_array(self.readings, np.float64, (None, 4), "readings")
-        ra1, ra2, rb1, rb2 = readings.T
         g = self.config.coupling
         with np.errstate(all="ignore"):  # overflow or a gain whose square is 0 ends as inf or NaN, rejected below
-            b_values = (ra1 * rb1 + ra1 * rb2 + ra2 * rb1 - ra2 * rb2) / (g * g)
+            b_values = chsh_sum(context_products(readings)) / (g * g)
         object.__setattr__(self, "readings", readings)
         object.__setattr__(self, "b_values", frozen_array(b_values, np.float64, (None,), "b-values"))
 
