@@ -15,14 +15,11 @@ from .errors import NumericError
 
 __all__ = ["phase1_solve"]
 
+# Pivots before the solver gives up with a NumericError.
+MAX_ITER = 20000
 
-def phase1_solve(
-    a_eq: np.ndarray,
-    b_eq: np.ndarray,
-    *,
-    tol: float = 1e-9,
-    max_iter: int = 20000,
-) -> tuple[float, np.ndarray]:
+
+def phase1_solve(a_eq: np.ndarray, b_eq: np.ndarray, *, tol: float = 1e-9) -> tuple[float, np.ndarray]:
     """Return (infeasibility mass, x) for the phase-1 LP of Ax = b, x >= 0.
 
     The first element is the minimized total artificial mass: ~0 means x is a
@@ -49,7 +46,7 @@ def phase1_solve(
     reduced[n:] = 1.0
     reduced -= tableau[:, :-1].sum(axis=0)
 
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         entering_candidates = np.nonzero(reduced < -tol)[0]
         if entering_candidates.size == 0:
             break
@@ -68,7 +65,7 @@ def phase1_solve(
         reduced -= reduced[j] * pivot_row[:-1]
         basis[i] = j
     else:
-        raise NumericError(f"phase-1 simplex exceeded {max_iter} iterations")
+        raise NumericError(f"phase-1 simplex exceeded {MAX_ITER} iterations")
 
     x = np.zeros(n + m)
     for row, variable in enumerate(basis):

@@ -136,8 +136,7 @@ def sample_bundle_from_behavior(
     behavior: Behavior, n_per_context: int, seed: int, label: str = "behavior-context"
 ) -> ExperimentBundle:
     """Multinomial draws from each context's distribution on the streams (seed, label, context index)."""
-    metadata = {"seed": seed, "generator": label}
-    return sample_contexts(behavior_laws(behavior), n_per_context, seed, label, metadata)
+    return sample_contexts(behavior_laws(behavior), n_per_context, seed, label)
 
 
 def random_no_signaling_behavior(rng: np.random.Generator) -> Behavior:

@@ -25,8 +25,8 @@ layout for all others: ``Context.columns``, ``context_products`` and ``chsh_sum`
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass, field, fields
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, fields
 from typing import Any
 
 import numpy as np
@@ -164,8 +164,9 @@ def frozen_array(values: object, dtype: type, shape: tuple[int | None, ...], nam
 class ArrayValue:
     """Value ``==`` and hash for frozen dataclasses that hold arrays (declared ``eq=False``).
 
-    Array fields compare with ``np.array_equal``, the others with ``==``.  The hash
-    reads the array fields only: a metadata dict is not hashable.
+    Array fields compare with ``np.array_equal``, the others with ``==``, so two
+    values compare by their data alone, wherever they came from.  The hash reads
+    the array fields only.
     """
 
     def __eq__(self, other: object) -> bool:
@@ -199,18 +200,14 @@ class CounterfactualTable(ArrayValue):
     """N rows of four jointly existing +/-1 outcomes, columns (a1, a2, b1, b2)."""
 
     outcomes: np.ndarray
-    metadata: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "outcomes", _outcome_array(self.outcomes, columns=4))
-        object.__setattr__(self, "metadata", dict(self.metadata))
 
     @classmethod
-    def from_rows(
-        cls, rows: Iterable[tuple[int, int, int, int]], **metadata: Any
-    ) -> CounterfactualTable:
+    def from_rows(cls, rows: Iterable[tuple[int, int, int, int]]) -> CounterfactualTable:
         data = list(rows)
-        return cls(data or np.empty((0, 4), dtype=np.int8), metadata)
+        return cls(data or np.empty((0, 4), dtype=np.int8))
 
     @property
     def n_rows(self) -> int:
@@ -226,11 +223,9 @@ class ContextDataset(ArrayValue):
 
     context: Context
     pairs: np.ndarray
-    metadata: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pairs", _outcome_array(self.pairs, columns=2))
-        object.__setattr__(self, "metadata", dict(self.metadata))
 
     @property
     def n_pairs(self) -> int:
@@ -256,9 +251,6 @@ class ExperimentBundle:
         ordered = tuple(sorted(datasets, key=lambda d: d.context.index))
         object.__setattr__(self, "datasets", ordered)
 
-    def dataset(self, context: Context) -> ContextDataset:
-        return self.datasets[context.index]
-
 
 def row_c_values(table: CounterfactualTable) -> np.ndarray:
     """Per-row C values as an int16 array (each entry is -2 or +2)."""
@@ -280,8 +272,7 @@ def project_context(table: CounterfactualTable, context: Context) -> ContextData
     """Select columns (a_i, b_j) of the table as if context (i, j) had been measured."""
     if table.n_rows == 0:
         raise DomainError("cannot project an empty table")
-    meta = {**table.metadata, "projected_from": "counterfactual-table"}
-    return ContextDataset(context, table.outcomes[:, context.columns], meta)
+    return ContextDataset(context, table.outcomes[:, context.columns])
 
 
 def project_bundle(table: CounterfactualTable) -> ExperimentBundle:
@@ -328,27 +319,26 @@ def s_statistic(bundle: ExperimentBundle) -> float:
 ContextLaw = tuple[np.ndarray, np.ndarray]
 
 
-def sample_contexts(
-    laws: Iterable[ContextLaw], n: int, seed: int, label: str, metadata: Mapping[str, Any]
-) -> ExperimentBundle:
+def sample_contexts(laws: Iterable[ContextLaw], n: int, seed: int, label: str) -> ExperimentBundle:
     """Four independent experiments: context c draws n pairs from its law on the stream (seed, label, c.index).
 
     ``laws`` follow the canonical context order.  Each stream depends only on
     its own path, so any evaluation order produces identical bytes, and sources
     that share this sampler keep their own streams by passing their own label.
+    ``sample_context_counts`` takes the same arguments and draws the same streams.
     """
     n = sample_size(n)
     datasets = []
     for context, (probs, pairs) in zip(CANONICAL_CONTEXTS, laws, strict=True):
         draws = categorical(spawn_rng(seed, label, context.index), probs, n)
-        datasets.append(ContextDataset(context, pairs[draws], metadata))
+        datasets.append(ContextDataset(context, pairs[draws]))
     return ExperimentBundle(tuple(datasets))
 
 
 def sample_context_counts(laws: Iterable[ContextLaw], n: int, seed: int, label: str) -> tuple[int, int, int, int]:
-    """Per-context plus counts (pairs with a == b) of ``sample_contexts(laws, n, seed, label, ...)``.
+    """Per-context plus counts (pairs with a == b) of ``sample_contexts(laws, n, seed, label)``.
 
-    Draws the same streams as that sampler but builds no datasets.
+    Takes the same arguments and draws the same streams as that sampler, but builds no datasets.
     """
     n = sample_size(n)
     plus = []

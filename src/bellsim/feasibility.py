@@ -35,7 +35,7 @@ import numpy as np
 
 from ._simplex import phase1_solve
 from .behaviors import Behavior, behavior_from_bundle
-from .core import CANONICAL_CONTEXTS, PAIR_PRODUCTS, Context, CounterfactualTable, ExperimentBundle
+from .core import CANONICAL_CONTEXTS, PAIR_PRODUCTS, Context, CounterfactualTable
 from .core import ArrayValue, frozen_array, outcome_codes, outcome_rows, project_bundle
 from .errors import DomainError, NumericError
 
@@ -48,9 +48,7 @@ __all__ = [
     "chsh_certificate",
     "chsh_certificate_detail",
     "fine_feasible_lp",
-    "joint_from_table",
     "reshuffle_feasible",
-    "reshuffle_problem_from_bundle",
     "reshuffle_problem_from_table",
 ]
 
@@ -92,12 +90,6 @@ class JointDistribution(ArrayValue):
     def context_marginal(self, context: Context) -> np.ndarray:
         """Outcome-pair distribution this joint induces in the given context."""
         return PROJECTION[context.index] @ self.weights
-
-
-def joint_from_table(table: CounterfactualTable) -> JointDistribution:
-    """Empirical assignment frequencies of a counterfactual table (a constructive witness)."""
-    weights = np.bincount(outcome_codes(table.outcomes), minlength=16)
-    return JointDistribution(weights / table.n_rows)
 
 
 @dataclass(frozen=True)
@@ -226,11 +218,6 @@ class ReshuffleProblem(ArrayValue):
 def reshuffle_problem_from_table(table: CounterfactualTable, slack: float = 0.0) -> ReshuffleProblem:
     """Count tables obtained by projecting one counterfactual table into all contexts."""
     behavior = behavior_from_bundle(project_bundle(table))
-    return ReshuffleProblem(behavior.counts, slack)
-
-
-def reshuffle_problem_from_bundle(bundle: ExperimentBundle, slack: float = 0.0) -> ReshuffleProblem:
-    behavior = behavior_from_bundle(bundle)
     return ReshuffleProblem(behavior.counts, slack)
 
 

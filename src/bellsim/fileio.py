@@ -1,32 +1,28 @@
-"""Text formats for tables, bundles, behaviors, models, states, and angles.
+"""Text formats for bundles, pointer records, curves, behaviors, models, studies and states.
 
-CSV files may start with ``# key: value`` comment lines (run metadata); all
+CSV files may start with ``# key: value`` comment lines (the run's provenance); all
 readers skip them.  Floats are written with repr, which round-trips float64
 exactly, so save/load cycles are lossless and byte-stable.
 
 The CSV writers stream: rows are formatted and written ``CHUNK_ROWS`` at a
 time, so a file of millions of rows never exists as one string in memory.
-Writing, not sampling, is what a large bundle costs, so the integer writers
-do as little per row as they can: outcomes are validated +/-1, so each row's
+Writing, not sampling, is what a large bundle costs, so the bundle writer
+does as little per row as it can: outcomes are validated +/-1, so each pair's
 ``core.outcome_codes`` code (one bit per column) indexes a precomputed suffix
 such as ``",1,2,-1,1\n"``, and a row is just ``str(k)`` plus that suffix.
 
-  counterfactual table   trial,a1,a2,b1,b2
-  context dataset        trial,a,b
   bundle                 trial,context_i,context_j,a,b   (canonical context order)
   pointer records        trial,rA1,rA2,rB1,rB2,bvalue    (repr floats)
   significance curve     n,trials,frequency,ci_lo,ci_hi,mean_s,sd_s,z   (repr floats)
   behavior               "context i j = p p p p" lines, optional "counts i j = ..."
   model specification    "key = value" lines with a "variant" key (keys: MODEL_KEYS)
   study specification    "key = value" lines (keys: STUDY_KEYS)
-  density matrix         16 "re im" lines, row-major
-  angle quadruple        one line: a1 a2 b1 b2 (radians)
+  density matrix         16 "re im" lines, row-major (read only)
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import astuple
 from pathlib import Path
@@ -35,44 +31,27 @@ from typing import Any
 import numpy as np
 
 from .behaviors import Behavior
-from .core import (
-    CANONICAL_CONTEXTS,
-    Context,
-    ContextDataset,
-    CounterfactualTable,
-    ExperimentBundle,
-    outcome_codes,
-    outcome_rows,
-)
+from .core import CANONICAL_CONTEXTS, OUTCOME_PAIRS, Context, ContextDataset, ExperimentBundle, outcome_codes
 from .errors import ConfigError
 from .lhv import LhvModel, model_from_mapping
-from .quantum import AngleQuadruple, DensityMatrix
+from .quantum import DensityMatrix
 from .stats import StudyResult
 from .weak import PointerRun
 
 __all__ = [
     "MODEL_KEYS",
     "STUDY_KEYS",
-    "read_angles",
     "read_behavior",
     "read_bundle_csv",
-    "read_dataset_csv",
     "read_density",
     "read_keyvalue",
     "read_model",
-    "read_table_csv",
-    "write_angles",
     "write_behavior",
     "write_bundle_csv",
     "write_curve_csv",
-    "write_dataset_csv",
-    "write_density",
     "write_records_csv",
-    "write_table_csv",
 ]
 
-TABLE_HEADER = "trial,a1,a2,b1,b2"
-DATASET_HEADER = "trial,a,b"
 BUNDLE_HEADER = "trial,context_i,context_j,a,b"
 RECORDS_HEADER = "trial,rA1,rA2,rB1,rB2,bvalue"
 CURVE_HEADER = "n,trials,frequency,ci_lo,ci_hi,mean_s,sd_s,z"  # StudyRow's fields, in order
@@ -131,44 +110,18 @@ def _write_csv(
         handle.writelines(blocks)
 
 
-def _suffixes(prefix: str, columns: int) -> list[str]:
-    """Row text after the trial index, indexed by the row's ``outcome_codes`` code."""
-    return [prefix + "".join(f",{v}" for v in values) + "\n" for values in outcome_rows(columns).tolist()]
-
-
-_TABLE_SUFFIXES = _suffixes("", 4)
-_DATASET_SUFFIXES = _suffixes("", 2)
-_BUNDLE_SUFFIXES = {c: _suffixes(f",{c.alice},{c.bob}", 2) for c in CANONICAL_CONTEXTS}
+# Per context, the row text after the trial index, indexed by the pair's ``outcome_codes`` code.
+_BUNDLE_SUFFIXES = {
+    c: [f",{c.alice},{c.bob},{a},{b}\n" for a, b in OUTCOME_PAIRS.tolist()] for c in CANONICAL_CONTEXTS
+}
 
 
 def _outcome_blocks(outcomes: np.ndarray, suffixes: list[str]) -> Iterator[str]:
-    """Text of rows ``k,<outcomes[k]>``, CHUNK_ROWS rows per block."""
+    """Text of rows ``k<suffix of outcomes[k]>``, CHUNK_ROWS rows per block."""
     codes = outcome_codes(outcomes)
     for start in range(0, codes.shape[0], CHUNK_ROWS):
         chunk = codes[start:start + CHUNK_ROWS].tolist()
         yield "".join([f"{k}{suffixes[c]}" for k, c in zip(range(start, start + len(chunk)), chunk)])
-
-
-def write_table_csv(
-    path: Path, table: CounterfactualTable, preamble: Mapping[str, Any] | None = None
-) -> None:
-    _write_csv(path, TABLE_HEADER, preamble, _outcome_blocks(table.outcomes, _TABLE_SUFFIXES))
-
-
-def read_table_csv(path: Path) -> CounterfactualTable:
-    data = _read_int_csv(Path(path), TABLE_HEADER)
-    return CounterfactualTable(data[:, 1:5], {"source": str(path)})
-
-
-def write_dataset_csv(
-    path: Path, dataset: ContextDataset, preamble: Mapping[str, Any] | None = None
-) -> None:
-    _write_csv(path, DATASET_HEADER, preamble, _outcome_blocks(dataset.pairs, _DATASET_SUFFIXES))
-
-
-def read_dataset_csv(path: Path, context: Context) -> ContextDataset:
-    data = _read_int_csv(Path(path), DATASET_HEADER)
-    return ContextDataset(context, data[:, 1:3], {"source": str(path)})
 
 
 def write_bundle_csv(
@@ -188,7 +141,7 @@ def read_bundle_csv(path: Path) -> ExperimentBundle:
         pairs = data[mask][:, 3:5]
         if pairs.shape[0] == 0:
             raise ConfigError(f"{path}: no rows for context {context}")
-        datasets.append(ContextDataset(context, pairs, {"source": str(path)}))
+        datasets.append(ContextDataset(context, pairs))
     if int(data.shape[0]) != sum(d.n_pairs for d in datasets):
         raise ConfigError(f"{path}: rows outside the four canonical contexts")
     return ExperimentBundle(tuple(datasets))
@@ -330,15 +283,6 @@ def read_model(path: Path) -> LhvModel:
     return model_from_mapping(read_keyvalue(Path(path), MODEL_KEYS))
 
 
-def write_density(
-    path: Path, rho: DensityMatrix, preamble: Mapping[str, Any] | None = None
-) -> None:
-    lines = _preamble_lines(preamble)
-    for value in rho.matrix.reshape(-1):
-        lines.append(f"{float(value.real)!r} {float(value.imag)!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def read_density(path: Path) -> DensityMatrix:
     entries = []
     for line in _data_lines(Path(path)):
@@ -352,26 +296,3 @@ def read_density(path: Path) -> DensityMatrix:
     if len(entries) != 16:
         raise ConfigError(f"{path}: need 16 entries, got {len(entries)}")
     return DensityMatrix(np.array(entries, dtype=np.complex128).reshape(4, 4))
-
-
-def write_angles(
-    path: Path, angles: AngleQuadruple, preamble: Mapping[str, Any] | None = None
-) -> None:
-    lines = _preamble_lines(preamble)
-    lines.append(" ".join(repr(a) for a in angles.as_tuple()))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_angles(path: Path) -> AngleQuadruple:
-    lines = _data_lines(Path(path))
-    if len(lines) != 1:
-        raise ConfigError(f"{path}: expected a single line of four angles")
-    try:
-        values = [float(v) for v in lines[0].split()]
-    except ValueError as exc:
-        raise ConfigError(f"{path}: malformed angles: {exc}") from exc
-    if len(values) != 4:
-        raise ConfigError(f"{path}: need exactly 4 angles, got {len(values)}")
-    if not all(math.isfinite(v) for v in values):
-        raise ConfigError(f"{path}: angles must be finite")
-    return AngleQuadruple(*values)

@@ -97,7 +97,7 @@ def sample_counterfactual_table(model: LhvModel, n: int, seed: int) -> Counterfa
     n = sample_size(n, "n")
     lam = categorical(spawn_rng(seed, "lhv-table"), model.weights, n)
     outcomes = np.asarray(model.strategies, dtype=np.int8)[lam]
-    return CounterfactualTable(outcomes, {"seed": seed, "generator": f"lhv:{model.name}"})
+    return CounterfactualTable(outcomes)
 
 
 def model_laws(model: LhvModel) -> tuple[ContextLaw, ...]:
@@ -109,8 +109,7 @@ def model_laws(model: LhvModel) -> tuple[ContextLaw, ...]:
 
 def sample_bundle(model: LhvModel, n_per_context: int, seed: int) -> ExperimentBundle:
     """Four datasets from four independent lambda streams (fresh lambda per trial per context)."""
-    metadata = {"seed": seed, "generator": f"lhv:{model.name}"}
-    return sample_contexts(model_laws(model), n_per_context, seed, "lhv-context", metadata)
+    return sample_contexts(model_laws(model), n_per_context, seed, "lhv-context")
 
 
 def exact_lhv_correlation(model: LhvModel, context: Context) -> float:

@@ -88,10 +88,10 @@ def generator_from_quantum(rho: DensityMatrix, angles: AngleQuadruple) -> Bundle
     return BundleGenerator("quantum", s_quantum(rho, angles), plus_counts)
 
 
-def generator_from_behavior(behavior: Behavior, label: str = "behavior") -> BundleGenerator:
+def generator_from_behavior(behavior: Behavior) -> BundleGenerator:
     """Trials on the streams of ``sample_bundle_from_behavior(behavior, ...)``."""
     plus_counts = partial(sample_context_counts, behavior_laws(behavior), label="behavior-context")
-    return BundleGenerator(label, behavior_s(behavior), plus_counts)
+    return BundleGenerator("behavior", behavior_s(behavior), plus_counts)
 
 
 @dataclass(frozen=True)

@@ -17,13 +17,11 @@ from bellsim.errors import ConfigError, DomainError
 from bellsim.feasibility import ReshuffleProblem
 from bellsim.fileio import (
     STUDY_KEYS,
-    read_angles,
     read_behavior,
     read_bundle_csv,
     read_density,
     read_keyvalue,
     read_model,
-    read_table_csv,
     write_bundle_csv,
     write_curve_csv,
 )
@@ -121,9 +119,7 @@ READERS = {
     "behavior": (read_behavior, "context 1 1 = 1 0 0 0\n"),
     "model": (read_model, "variant = boundary_mixture\n"),
     "density": (read_density, "1 0\n"),
-    "angles": (read_angles, "0 1 2 3\n"),
     "spec": (lambda path: read_keyvalue(path, STUDY_KEYS), "trials = 3\n"),
-    "table": (read_table_csv, "trial,a1,a2,b1,b2\n0,1,1,1,1\n"),
     "bundle": (read_bundle_csv, "trial,context_i,context_j,a,b\n0,1,1,1,1\n"),
 }
 

@@ -145,19 +145,3 @@ class TestValidation:
         datasets.append(ContextDataset(Context(2, 2), np.empty((0, 2), dtype=np.int8)))
         with pytest.raises(DomainError, match="empty"):
             behavior_from_bundle(ExperimentBundle(tuple(datasets)))
-
-
-def test_each_source_writes_its_dataset_metadata():
-    """Every dataset records the seed and its source: ``lhv:<model name>`` or the stream label."""
-    from bellsim.lhv import boundary_mixture_model, sample_bundle
-    from bellsim.quantum import sample_bundle_quantum
-
-    seed = 17
-    cases = [
-        (sample_bundle(boundary_mixture_model(), 5, seed), "lhv:boundary_mixture"),
-        (sample_bundle_from_behavior(pr_box(), 5, seed), "behavior-context"),
-        (sample_bundle_from_behavior(pr_box(), 5, seed, "box-context"), "box-context"),
-        (sample_bundle_quantum(singlet(), TSIRELSON_ANGLES, 5, seed), "quantum-context"),
-    ]
-    for bundle, generator in cases:
-        assert [d.metadata for d in bundle.datasets] == [{"seed": seed, "generator": generator}] * 4

@@ -8,7 +8,7 @@ import pytest
 from bellsim.behaviors import pr_box
 from bellsim.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
 from bellsim.core import CounterfactualTable, project_bundle
-from bellsim.fileio import read_bundle_csv, write_behavior, write_bundle_csv, write_density
+from bellsim.fileio import read_bundle_csv, write_behavior, write_bundle_csv
 from bellsim.quantum import TSIRELSON_BOUND, singlet
 
 
@@ -95,7 +95,8 @@ class TestSimulateQuantum:
 
     def test_rho_file_input(self, tmp_path):
         rho_file = tmp_path / "rho.txt"
-        write_density(rho_file, singlet())
+        lines = [f"{v.real!r} {v.imag!r}\n" for v in singlet().matrix.reshape(-1).tolist()]
+        rho_file.write_text("".join(lines))
         out = tmp_path / "out"
         code = main(["simulate-quantum", "--rho", str(rho_file), "--n", "50", "--seed", "1",
                      "--out", str(out)])

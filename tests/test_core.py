@@ -215,17 +215,16 @@ class TestPerContextSampler:
         rng = np.random.default_rng(11)
         for _ in range(20):
             laws, n, seed = random_laws(rng), int(rng.integers(1, 300)), int(rng.integers(2**63))
-            bundle = sample_contexts(laws, n, seed, "test-context", {"seed": seed})
+            bundle = sample_contexts(laws, n, seed, "test-context")
             for context, (probs, pairs), dataset in zip(CANONICAL_CONTEXTS, laws, bundle.datasets):
                 draws = categorical(spawn_rng(seed, "test-context", context.index), probs, n)
                 assert dataset.context == context
                 assert np.array_equal(dataset.pairs, pairs[draws])
-                assert dataset.metadata == {"seed": seed}
 
     def test_counts_are_the_bundle_plus_counts(self):
         rng = np.random.default_rng(12)
         for _ in range(40):
             laws, n, seed = random_laws(rng), int(rng.integers(1, 300)), int(rng.integers(2**63))
-            bundle = sample_contexts(laws, n, seed, "test-context", {})
+            bundle = sample_contexts(laws, n, seed, "test-context")
             expected = tuple(plus_count(dataset) for dataset in bundle.datasets)
             assert sample_context_counts(laws, n, seed, "test-context") == expected

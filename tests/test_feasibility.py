@@ -13,7 +13,7 @@ from bellsim.behaviors import (
     pr_box,
     random_no_signaling_behavior,
 )
-from bellsim.core import CANONICAL_CONTEXTS, CounterfactualTable, project_bundle
+from bellsim.core import CANONICAL_CONTEXTS, CounterfactualTable, outcome_codes, project_bundle
 from bellsim.errors import DomainError, NumericError
 from bellsim.feasibility import (
     ASSIGNMENTS,
@@ -25,9 +25,7 @@ from bellsim.feasibility import (
     chsh_certificate,
     chsh_certificate_detail,
     fine_feasible_lp,
-    joint_from_table,
     reshuffle_feasible,
-    reshuffle_problem_from_bundle,
     reshuffle_problem_from_table,
 )
 from bellsim.quantum import TSIRELSON_ANGLES, TSIRELSON_BOUND, singlet
@@ -129,7 +127,7 @@ class TestJointDistribution:
 
     def test_joint_from_table_reproduces_projections(self):
         table = random_table(17)
-        joint = joint_from_table(table)
+        joint = JointDistribution(np.bincount(outcome_codes(table.outcomes), minlength=16) / table.n_rows)
         projected = project_bundle(table)
         for context, dataset in zip(CANONICAL_CONTEXTS, projected.datasets):
             idx = (1 - dataset.pairs[:, 0]) + (1 - dataset.pairs[:, 1]) // 2
@@ -198,11 +196,6 @@ class TestReshuffle:
                 checked_infeasible += 1
                 assert result.certificate.kind == "marginal-inconsistency"
         assert checked_infeasible > 0
-
-    def test_bundle_constructor(self):
-        table = random_table(5)
-        problem = reshuffle_problem_from_bundle(project_bundle(table))
-        assert problem.totals.tolist() == [table.n_rows] * 4
 
     def test_count_validation(self):
         with pytest.raises(DomainError, match="integers"):

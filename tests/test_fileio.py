@@ -1,54 +1,24 @@
-import math
-
 import numpy as np
 import pytest
 
 from bellsim.behaviors import behavior_from_bundle, pr_box
-from bellsim.core import CANONICAL_CONTEXTS, CounterfactualTable, project_bundle
-from bellsim.errors import ConfigError
-from bellsim.fileio import (
-    read_angles,
-    read_behavior,
-    read_bundle_csv,
-    read_density,
-    read_model,
-    read_table_csv,
-    write_angles,
-    write_behavior,
-    write_bundle_csv,
-    write_density,
-    write_table_csv,
+from bellsim.core import (
+    CANONICAL_CONTEXTS,
+    ContextDataset,
+    CounterfactualTable,
+    ExperimentBundle,
+    project_bundle,
 )
+from bellsim.errors import ConfigError
+from bellsim.fileio import read_behavior, read_bundle_csv, read_density, read_model, write_behavior, write_bundle_csv
 from bellsim.lhv import exact_lhv_s
-from bellsim.quantum import TSIRELSON_ANGLES, maximally_mixed, singlet
+from bellsim.quantum import maximally_mixed, singlet
 
 
 @pytest.fixture
 def table():
     rng = np.random.default_rng(3)
     return CounterfactualTable(rng.choice([-1, 1], size=(37, 4)))
-
-
-def test_table_roundtrip(tmp_path, table):
-    path = tmp_path / "table.csv"
-    write_table_csv(path, table, {"seed": 3, "note": "test"})
-    text = path.read_text()
-    assert text.startswith("# seed: 3\n")
-    assert "trial,a1,a2,b1,b2" in text
-    loaded = read_table_csv(path)
-    assert np.array_equal(loaded.outcomes, table.outcomes)
-
-
-def test_dataset_roundtrip(tmp_path, table):
-    from bellsim.core import Context, project_context
-    from bellsim.fileio import read_dataset_csv, write_dataset_csv
-
-    dataset = project_context(table, Context(2, 1))
-    path = tmp_path / "dataset.csv"
-    write_dataset_csv(path, dataset, {"context": "2 1"})
-    loaded = read_dataset_csv(path, Context(2, 1))
-    assert loaded.context == dataset.context
-    assert np.array_equal(loaded.pairs, dataset.pairs)
 
 
 def test_bundle_roundtrip_preserves_canonical_order(tmp_path, table):
@@ -61,6 +31,15 @@ def test_bundle_roundtrip_preserves_canonical_order(tmp_path, table):
         assert np.array_equal(original.pairs, read.pairs)
 
 
+def test_bundle_compares_by_its_pairs_alone(tmp_path, table):
+    """A bundle read back from its CSV, and a projected table, equal a bundle built from the same arrays."""
+    bundle = ExperimentBundle(tuple(ContextDataset(c, table.outcomes[:, c.columns]) for c in CANONICAL_CONTEXTS))
+    path = tmp_path / "bundle.csv"
+    write_bundle_csv(path, bundle, {"seed": 3})
+    assert read_bundle_csv(path) == bundle
+    assert project_bundle(table) == bundle
+
+
 def test_bundle_rejects_missing_context(tmp_path):
     path = tmp_path / "bundle.csv"
     path.write_text("trial,context_i,context_j,a,b\n0,1,1,1,1\n")
@@ -69,17 +48,17 @@ def test_bundle_rejects_missing_context(tmp_path):
 
 
 def test_csv_header_required(tmp_path):
-    path = tmp_path / "table.csv"
+    path = tmp_path / "bundle.csv"
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ConfigError, match="expected header"):
-        read_table_csv(path)
+        read_bundle_csv(path)
 
 
 def test_csv_malformed_body(tmp_path):
-    path = tmp_path / "table.csv"
-    path.write_text("trial,a1,a2,b1,b2\n0,1,1,x,1\n")
+    path = tmp_path / "bundle.csv"
+    path.write_text("trial,context_i,context_j,a,b\n0,1,1,x,1\n")
     with pytest.raises(ConfigError, match="malformed"):
-        read_table_csv(path)
+        read_bundle_csv(path)
 
 
 def test_behavior_roundtrip_with_counts(tmp_path, table):
@@ -158,7 +137,8 @@ def test_model_file_rejects_unknown_keys(tmp_path):
 def test_density_roundtrip(tmp_path):
     for rho in (singlet(), maximally_mixed()):
         path = tmp_path / "rho.txt"
-        write_density(path, rho, {"state": "test"})
+        lines = [f"{v.real!r} {v.imag!r}\n" for v in rho.matrix.reshape(-1).tolist()]
+        path.write_text("# state: test\n" + "".join(lines))
         loaded = read_density(path)
         assert np.array_equal(loaded.matrix, rho.matrix)
 
@@ -171,16 +151,3 @@ def test_density_rejects_bad_files(tmp_path):
     path.write_text("oops\n" * 16)
     with pytest.raises(ConfigError):
         read_density(path)
-
-
-def test_angles_roundtrip(tmp_path):
-    path = tmp_path / "angles.txt"
-    write_angles(path, TSIRELSON_ANGLES)
-    loaded = read_angles(path)
-    assert loaded == TSIRELSON_ANGLES
-    path.write_text("0.0 1.0 2.0\n")
-    with pytest.raises(ConfigError, match="4 angles"):
-        read_angles(path)
-    path.write_text(f"0.0 1.0 2.0 {math.inf}\n")
-    with pytest.raises(ConfigError):
-        read_angles(path)

@@ -12,22 +12,9 @@ import numpy as np
 import pytest
 
 from bellsim.cli import EXIT_OK, main
-from bellsim.core import (
-    CANONICAL_CONTEXTS,
-    ContextDataset,
-    CounterfactualTable,
-    ExperimentBundle,
-)
+from bellsim.core import CANONICAL_CONTEXTS, ContextDataset, ExperimentBundle
 from bellsim.errors import ConfigError, DomainError
-from bellsim.fileio import (
-    CHUNK_ROWS,
-    read_bundle_csv,
-    read_dataset_csv,
-    read_table_csv,
-    write_bundle_csv,
-    write_dataset_csv,
-    write_table_csv,
-)
+from bellsim.fileio import CHUNK_ROWS, read_bundle_csv, write_bundle_csv
 
 SIZES = (1, 7, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 3 * CHUNK_ROWS + 5)
 PREAMBLE = {"bellsim-version": "0.1.0", "spec-hash": "0123456789abcdef", "seed": 7}
@@ -50,11 +37,7 @@ def bundle_of(sizes: tuple[int, int, int, int], salt: str) -> ExperimentBundle:
 
 def write_case(kind: str, n: int, path, preamble) -> None:
     salt = f"{kind}-{n}"
-    if kind == "table":
-        write_table_csv(path, CounterfactualTable(outcomes(n, 4, salt)), preamble)
-    elif kind == "dataset":
-        write_dataset_csv(path, ContextDataset(CANONICAL_CONTEXTS[2], outcomes(n, 2, salt)), preamble)
-    elif kind == "bundle":
+    if kind == "bundle":
         write_bundle_csv(path, bundle_of((n, n, n, n), salt), preamble)
     else:  # unequal context sizes, one context empty
         write_bundle_csv(path, bundle_of((n, 0, 7, n + 3), salt), preamble)
@@ -65,30 +48,6 @@ def sha256(path) -> str:
 
 
 WRITER_DIGESTS = {
-    "table/1/bare": "20372fe8eee43323ed0d0e13d41d522b6fd1cb82b35421ff4d2b3b79090fa225",
-    "table/1/preamble": "d85ff9e3e23716bd6021628dab831618864f05e3ff3c8aec87822a98ef741e5a",
-    "table/7/bare": "f1fdf07d94ab8fff5d056c6ca7baa2d856997970632bfeb4ed40a97c2bf81b8e",
-    "table/7/preamble": "54c39a2d71e3fc9807c2c1baca3a5ed0c09773ce8ba36168e7aac932969cafd0",
-    "table/8191/bare": "665e3791a4b2c068aa16320569703c52bd00868a49f5b76bc47f8d339feff404",
-    "table/8191/preamble": "6ee4d45d454e83fb076765a6b7ef3de3996d64465e04f13639bcebf1fc470bfd",
-    "table/8192/bare": "3f96de7f6a91baa2914b0f11758e53352e802704f707fc431600ab683503339a",
-    "table/8192/preamble": "c75a66436f1bde67c6064c257b2c03693b2d4f041f93dc5e93755e08567f5a36",
-    "table/8193/bare": "63ed689b1448e65365eadb1b855b085618830ee51accccd46f3efef861fe707c",
-    "table/8193/preamble": "b6d95c55d65cd52e9bece8b95707d936aa023d63bd60b8c2f2ce5074d7186ff6",
-    "table/24581/bare": "ba47cfe1e0648ab66bf1e922a443bf348a5f57105c6698d3711dd1a6e6ed0c97",
-    "table/24581/preamble": "4487df260a5ee227e35c0137865623e9ad862334a623fcaeb183dbbabb5e0e50",
-    "dataset/1/bare": "af056efe45afd7624f84f44073f8b384c5bffdb4ffabe7fd60723eb262d71a5a",
-    "dataset/1/preamble": "73a2be0d2e16f0a5304beeff2deb32d85fc5467a1f487d0f4cc1c6045c5b2f89",
-    "dataset/7/bare": "fdf326c79970f74964df65c1cdf75469631faea0869e7ec5721ca855800a0e6c",
-    "dataset/7/preamble": "b08f760aab8443c276dcb557264e8d0b40b27ebdc9b2f4c929eafcb4261245b7",
-    "dataset/8191/bare": "02baf71237c1c62e9b43bd2f95897202b69572c87759e13f4bff1a6531335bc5",
-    "dataset/8191/preamble": "5a62ec1175bdc13065d6468468ffeca0cef9c1ec66cd5d08d45ec87adffab37a",
-    "dataset/8192/bare": "ac54ee4e6c04482e44ba3e289e4a4863d72ae5a57076e3596322824daca53e4f",
-    "dataset/8192/preamble": "4ada218b33dbabff181dec225c53137815e336d729ba6eacbea76184b4743fc2",
-    "dataset/8193/bare": "1145843099c50e7ee23fabf45c733c67a88bde08b5ddec1e6a6f33b46e48ed4c",
-    "dataset/8193/preamble": "adf0d45d542094ba62a9ebb16f4bc8d40be551e889971d89d28afcecb8260fad",
-    "dataset/24581/bare": "4c4d1234b456d762fdc10702dcef13cae9dff96d0258608081e19b722c391a00",
-    "dataset/24581/preamble": "db8388f24e00790b7c6d07128b364a580b93ce8a5373594b77192ae077337572",
     "bundle/1/bare": "5daa569d9fccd73462faeaa10f666a6b99cfc15b655a3eb7c62435f562df3f8d",
     "bundle/1/preamble": "f369d9d774b9470b4ff6b5bed6e6d3b6b0cbe9c37f831a5de25b6640215c0505",
     "bundle/7/bare": "2aac8fef05ec397e77aa52a91ccb85d772a4799065d3f56ec4e54d65bc2ca2d5",
@@ -139,7 +98,7 @@ CLI_CASES = {
 
 @pytest.mark.parametrize("with_preamble", [False, True], ids=["bare", "preamble"])
 @pytest.mark.parametrize("n", SIZES)
-@pytest.mark.parametrize("kind", ["table", "dataset", "bundle", "ragged-bundle"])
+@pytest.mark.parametrize("kind", ["bundle", "ragged-bundle"])
 def test_writer_bytes_match_recorded_digests(tmp_path, kind, n, with_preamble):
     path = tmp_path / "out.csv"
     write_case(kind, n, path, PREAMBLE if with_preamble else None)
@@ -153,19 +112,13 @@ def test_cli_output_bytes_match_recorded_digests(tmp_path, case):
     assert sha256(tmp_path / name) == CLI_DIGESTS[case]
 
 
-@pytest.mark.parametrize("kind", ["table", "dataset", "bundle", "ragged-bundle"])
+@pytest.mark.parametrize("kind", ["bundle", "ragged-bundle"])
 def test_written_files_read_back(tmp_path, kind):
     path = tmp_path / "out.csv"
     n = CHUNK_ROWS + 1
     write_case(kind, n, path, PREAMBLE)
-    salt = f"{kind}-{n}"
-    if kind == "table":
-        assert np.array_equal(read_table_csv(path).outcomes, outcomes(n, 4, salt))
-    elif kind == "dataset":
-        dataset = read_dataset_csv(path, CANONICAL_CONTEXTS[2])
-        assert np.array_equal(dataset.pairs, outcomes(n, 2, salt))
-    elif kind == "bundle":
-        for original, read in zip(bundle_of((n, n, n, n), salt).datasets, read_bundle_csv(path).datasets):
+    if kind == "bundle":
+        for original, read in zip(bundle_of((n, n, n, n), f"{kind}-{n}").datasets, read_bundle_csv(path).datasets):
             assert np.array_equal(original.pairs, read.pairs)
     else:
         with pytest.raises(ConfigError, match=r"no rows for context \(1,2\)"):
@@ -174,69 +127,74 @@ def test_written_files_read_back(tmp_path, kind):
 
 # --- integer CSV reader: what it accepts and rejects -------------------------------
 
-TABLE_ROWS = np.array([[1, -1, 1, 1], [-1, -1, 1, -1], [1, 1, -1, -1]])
+HEADER = "trial,context_i,context_j,a,b"
+BUNDLE = ExperimentBundle(tuple(
+    ContextDataset(c, pairs)
+    for c, pairs in zip(CANONICAL_CONTEXTS, ([[1, -1], [-1, -1]], [[1, 1]], [[-1, 1]], [[-1, -1]]))
+))
 
 
 @pytest.mark.parametrize(
     "text",
     [
-        "trial,a1,a2,b1,b2\n0,1,-1,1,1\n1,-1,-1,1,-1\n2,1,1,-1,-1\n",
-        "trial,a1,a2,b1,b2\n0,1,-1,1,1\n1,-1,-1,1,-1\n2,1,1,-1,-1",
-        "# seed: 3\n\n# note: x\ntrial,a1,a2,b1,b2\n# mid\n0,1,-1,1,1\n\n   \n"
-        "  # indented comment\n1,-1,-1,1,-1\n\t\n2,1,1,-1,-1\n# tail\n\n",
-        "# seed: 3\r\ntrial,a1,a2,b1,b2\r\n0,1,-1,1,1\r\n1,-1,-1,1,-1\r\n2,1,1,-1,-1\r\n",
-        "  trial,a1,a2,b1,b2  \n 0,1,-1,1,1\n\t1,-1,-1,1,-1 \n2,1,1,-1,-1   \n",
-        "trial,a1,a2,b1,b2\n0, 1,-1 ,1,1\n1,-1,-1,1,-1\n2,1,1,-1,-1 # trailing comment\n",
+        f"{HEADER}\n0,1,1,1,-1\n1,1,1,-1,-1\n0,1,2,1,1\n0,2,1,-1,1\n0,2,2,-1,-1\n",
+        f"{HEADER}\n0,1,1,1,-1\n1,1,1,-1,-1\n0,1,2,1,1\n0,2,1,-1,1\n0,2,2,-1,-1",
+        f"# seed: 3\n\n# note: x\n{HEADER}\n# mid\n0,1,1,1,-1\n\n   \n"
+        "  # indented comment\n1,1,1,-1,-1\n\t\n0,1,2,1,1\n0,2,1,-1,1\n0,2,2,-1,-1\n# tail\n\n",
+        f"# seed: 3\r\n{HEADER}\r\n0,1,1,1,-1\r\n1,1,1,-1,-1\r\n0,1,2,1,1\r\n0,2,1,-1,1\r\n0,2,2,-1,-1\r\n",
+        f"  {HEADER}  \n 0,1,1,1,-1\n\t1,1,1,-1,-1 \n0,1,2,1,1\n0,2,1,-1,1\n0,2,2,-1,-1   \n",
+        f"{HEADER}\n0, 1,1 ,1,-1\n1,1,1,-1,-1\n0,1,2,1,1\n0,2,1,-1,1\n0,2,2,-1,-1 # trailing comment\n",
     ],
     ids=["plain", "no-final-newline", "comments-and-blanks", "crlf", "surrounding-spaces",
          "inner-spaces-and-trailing-comment"],
 )
 def test_reader_accepts(tmp_path, text):
-    path = tmp_path / "table.csv"
+    path = tmp_path / "bundle.csv"
     path.write_bytes(text.encode())
-    assert np.array_equal(read_table_csv(path).outcomes, TABLE_ROWS)
+    assert read_bundle_csv(path) == BUNDLE
 
 
-@pytest.mark.parametrize("text", ["trial,a1,a2,b1,b2\n", "# c\ntrial,a1,a2,b1,b2\n\n# only comments\n  \n"],
+@pytest.mark.parametrize("text", [f"{HEADER}\n", f"# c\n{HEADER}\n\n# only comments\n  \n"],
                          ids=["header-only", "header-and-comments"])
-def test_reader_accepts_empty_body(tmp_path, text):
-    path = tmp_path / "table.csv"
+def test_reader_rejects_empty_body(tmp_path, text):
+    path = tmp_path / "bundle.csv"
     path.write_bytes(text.encode())
-    assert read_table_csv(path).n_rows == 0
+    with pytest.raises(ConfigError, match=r"no rows for context \(1,1\)"):
+        read_bundle_csv(path)
 
 
 @pytest.mark.parametrize(
     ("text", "match"),
     [
-        ("", "expected header 'trial,a1,a2,b1,b2', found '<empty>'"),
+        ("", "expected header 'trial,context_i,context_j,a,b', found '<empty>'"),
         ("# only a comment\n\n", "found '<empty>'"),
-        ("trial,a,b\n0,1,1\n", "expected header 'trial,a1,a2,b1,b2', found 'trial,a,b'"),
-        ("0,1,1,1,1\ntrial,a1,a2,b1,b2\n", "found '0,1,1,1,1'"),
-        ("trial,a1,a2,b1,b2 # c\n0,1,1,1,1\n", "expected header"),
-        ("trial;a1;a2;b1;b2\n0;1;1;1;1\n", "expected header"),
-        ("trial,a1,a2,b1,b2\n0,1,1,x,1\n", "malformed"),
-        ("trial,a1,a2,b1,b2\n0,1,1,1.0,1\n", "malformed"),
-        ("trial,a1,a2,b1,b2\n0,1,1,,1\n", "malformed"),
-        ("trial,a1,a2,b1,b2\n0,1,1,1,1\n1,1,1,1\n", "malformed"),
-        ("trial,a1,a2,b1,b2\n0,1,1,1\n1,1,1,1\n", "expected 5 columns, got 4"),
-        ("trial,a1,a2,b1,b2\n0,1,1,1,1,1\n", "expected 5 columns, got 6"),
+        ("trial,a,b\n0,1,1\n", "expected header 'trial,context_i,context_j,a,b', found 'trial,a,b'"),
+        (f"0,1,1,1,1\n{HEADER}\n", "found '0,1,1,1,1'"),
+        (f"{HEADER} # c\n0,1,1,1,1\n", "expected header"),
+        ("trial;context_i;context_j;a;b\n0;1;1;1;1\n", "expected header"),
+        (f"{HEADER}\n0,1,1,x,1\n", "malformed"),
+        (f"{HEADER}\n0,1,1,1.0,1\n", "malformed"),
+        (f"{HEADER}\n0,1,1,,1\n", "malformed"),
+        (f"{HEADER}\n0,1,1,1,1\n1,1,1,1\n", "malformed"),
+        (f"{HEADER}\n0,1,1,1\n1,1,1,1\n", "expected 5 columns, got 4"),
+        (f"{HEADER}\n0,1,1,1,1,1\n", "expected 5 columns, got 6"),
     ],
     ids=["empty", "comments-only", "wrong-header", "data-before-header", "header-with-comment",
          "wrong-delimiter", "non-integer-cell", "float-cell", "empty-cell", "ragged-rows",
          "too-few-columns", "too-many-columns"],
 )
 def test_reader_rejects(tmp_path, text, match):
-    path = tmp_path / "table.csv"
+    path = tmp_path / "bundle.csv"
     path.write_bytes(text.encode())
     with pytest.raises(ConfigError, match=match):
-        read_table_csv(path)
+        read_bundle_csv(path)
 
 
 def test_reader_leaves_outcome_values_to_the_table(tmp_path):
-    path = tmp_path / "table.csv"
-    path.write_bytes(b"trial,a1,a2,b1,b2\n0,1,1,2,1\n")
+    path = tmp_path / "bundle.csv"
+    path.write_bytes(f"{HEADER}\n0,1,1,2,1\n0,1,2,1,1\n0,2,1,1,1\n0,2,2,1,1\n".encode())
     with pytest.raises(DomainError, match="outcomes must be"):
-        read_table_csv(path)
+        read_bundle_csv(path)
 
 
 def test_bundle_reader_rejects_foreign_context(tmp_path):
