@@ -15,7 +15,8 @@ from .errors import NumericError
 
 __all__ = ["phase1_solve"]
 
-# Pivots before the solver gives up with a NumericError.
+# Passes of the pivot loop (each pivot, and the last pass that finds no entering
+# column) before the solver gives up with a NumericError.
 MAX_ITER = 20000
 
 

@@ -19,7 +19,16 @@ from bellsim.behaviors import (
 )
 from bellsim.core import CANONICAL_CONTEXTS, Context, ContextDataset, ExperimentBundle, s_statistic
 from bellsim.errors import DomainError
-from bellsim.quantum import TSIRELSON_ANGLES, TSIRELSON_BOUND, AngleQuadruple, random_density_matrix, singlet
+from bellsim.fileio import read_bundle_csv, write_bundle_csv
+from bellsim.lhv import boundary_mixture_model, sample_bundle
+from bellsim.quantum import (
+    TSIRELSON_ANGLES,
+    TSIRELSON_BOUND,
+    AngleQuadruple,
+    random_density_matrix,
+    sample_bundle_quantum,
+    singlet,
+)
 
 ANGLE = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi, allow_nan=False)
 
@@ -145,3 +154,25 @@ class TestValidation:
         datasets.append(ContextDataset(Context(2, 2), np.empty((0, 2), dtype=np.int8)))
         with pytest.raises(DomainError, match="empty"):
             behavior_from_bundle(ExperimentBundle(tuple(datasets)))
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        lambda seed: sample_bundle(boundary_mixture_model(), 5, seed),
+        lambda seed: sample_bundle_from_behavior(pr_box(), 5, seed),
+        lambda seed: sample_bundle_from_behavior(pr_box(), 5, seed, "box-context"),
+        lambda seed: sample_bundle_quantum(singlet(), TSIRELSON_ANGLES, 5, seed),
+    ],
+    ids=["lhv", "behavior", "behavior-labelled", "quantum"],
+)
+def test_each_source_compares_by_its_pairs_alone(tmp_path, source):
+    """A sampled bundle equals, with an equal hash, itself resampled, rebuilt from its pairs and read back."""
+    bundle = source(17)
+    rebuilt = ExperimentBundle(tuple(ContextDataset(d.context, np.array(d.pairs)) for d in bundle.datasets))
+    path = tmp_path / "bundle.csv"
+    write_bundle_csv(path, bundle, {"seed": 17})
+    for other in (source(17), rebuilt, read_bundle_csv(path)):
+        assert other == bundle
+        assert hash(other) == hash(bundle)
+    assert source(18) != bundle

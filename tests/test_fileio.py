@@ -9,7 +9,7 @@ from bellsim.core import (
     ExperimentBundle,
     project_bundle,
 )
-from bellsim.errors import ConfigError
+from bellsim.errors import ConfigError, DomainError
 from bellsim.fileio import read_behavior, read_bundle_csv, read_density, read_model, write_behavior, write_bundle_csv
 from bellsim.lhv import exact_lhv_s
 from bellsim.quantum import maximally_mixed, singlet
@@ -150,4 +150,61 @@ def test_density_rejects_bad_files(tmp_path):
         read_density(path)
     path.write_text("oops\n" * 16)
     with pytest.raises(ConfigError):
+        read_density(path)
+
+
+def rho_text(matrix) -> str:
+    """A density file: one 're im' line per entry of the 4x4 matrix, row by row."""
+    return "".join(f"{v.real!r} {v.imag!r}\n" for v in np.asarray(matrix).reshape(-1).tolist())
+
+
+SINGLET_TEXT = rho_text(singlet().matrix)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        SINGLET_TEXT,
+        SINGLET_TEXT.rstrip("\n"),
+        "# state: singlet\n\n" + SINGLET_TEXT.replace("\n", "\n  # between\n\t\n", 5),
+        SINGLET_TEXT.replace("\n", "\r\n"),
+        "".join(f"  {line}\t\n" for line in SINGLET_TEXT.splitlines()),
+    ],
+    ids=["plain", "no-final-newline", "comments-and-blanks", "crlf", "surrounding-spaces"],
+)
+def test_density_reader_accepts(tmp_path, text):
+    path = tmp_path / "rho.txt"
+    path.write_bytes(text.encode())
+    assert read_density(path) == singlet()
+
+
+def _with_entry(row, col, value):
+    matrix = np.diag([0.25] * 4).astype(np.complex128)
+    matrix[row, col] = value
+    return matrix
+
+
+@pytest.mark.parametrize(
+    ("text", "error", "match"),
+    [
+        ("", ConfigError, "need 16 entries, got 0"),
+        ("# only a comment\n\n", ConfigError, "need 16 entries, got 0"),
+        (SINGLET_TEXT.split("\n", 1)[1], ConfigError, "need 16 entries, got 15"),
+        (SINGLET_TEXT + "0.0 0.0\n", ConfigError, "need 16 entries, got 17"),
+        ("0.25\n" * 16, ConfigError, "each line must hold 're im'"),
+        ("0.25 0.0 0.0\n" * 16, ConfigError, "each line must hold 're im'"),
+        (SINGLET_TEXT.replace("0.0 0.0", "0.0 x", 1), ConfigError, "malformed entry"),
+        (rho_text(_with_entry(0, 0, float("nan"))), DomainError, "finite"),
+        (rho_text(_with_entry(0, 1, 0.125)), DomainError, "not Hermitian"),
+        (rho_text(np.zeros((4, 4))), DomainError, "trace must be 1"),
+        (rho_text(np.diag([1.5, -0.5, 0.0, 0.0])), DomainError, "not positive semidefinite"),
+    ],
+    ids=["empty", "comments-only", "too-few-entries", "too-many-entries", "one-column",
+         "three-columns", "non-numeric", "non-finite", "not-hermitian", "zero-trace",
+         "negative-eigenvalue"],
+)
+def test_density_reader_rejects(tmp_path, text, error, match):
+    path = tmp_path / "rho.txt"
+    path.write_bytes(text.encode())
+    with pytest.raises(error, match=match):
         read_density(path)

@@ -33,3 +33,23 @@ def test_every_import_is_used(path):
 def test_finds_an_unused_import():
     tree = ast.parse("import math\nfrom typing import Any, Mapping\nx: Any = math.pi\n")
     assert unused_imports(tree) == ["Mapping"]
+
+
+@pytest.mark.parametrize(
+    ("source", "unused"),
+    [
+        ("import math\n", ["math"]),
+        ("import os.path\n", ["os"]),
+        ("import numpy as np\nimport numpy\nnumpy.pi\n", ["np"]),
+        ("from typing import Any as A, Mapping as M\nx: A = 1\n", ["M"]),
+        ("from . import core\n", ["core"]),
+        ("import os.path\nos.path.join('a')\n", []),
+        ("from typing import Any\ndef f(x: Any) -> None: ...\n", []),
+        ("from functools import cache\n@cache\ndef f(): ...\n", []),
+        ("from __future__ import annotations\n", []),
+    ],
+    ids=["plain", "dotted", "alias", "from-alias", "relative", "used-dotted", "used-in-annotation",
+         "used-as-decorator", "future"],
+)
+def test_unused_imports_cases(source, unused):
+    assert unused_imports(ast.parse(source)) == unused

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from bellsim import _simplex
 from bellsim._simplex import phase1_solve
+from bellsim.errors import NumericError
 
 
 def test_feasible_known_system():
@@ -40,10 +42,22 @@ def test_degenerate_zero_rows():
 
 
 def test_shape_mismatch_rejected():
-    from bellsim.errors import NumericError
-
     with pytest.raises(NumericError):
         phase1_solve(np.ones((2, 3)), np.ones(3))
+
+
+def test_gives_up_after_max_iter_pivots(monkeypatch):
+    # x1 + x2 = 1, x1 - x2 = 0 takes two pivots, then one pass that finds no entering column
+    a = np.array([[1.0, 1.0], [1.0, -1.0]])
+    b = np.array([1.0, 0.0])
+    assert _simplex.MAX_ITER == 20000
+    monkeypatch.setattr(_simplex, "MAX_ITER", 2)
+    with pytest.raises(NumericError, match="exceeded 2 iterations"):
+        phase1_solve(a, b)
+    monkeypatch.setattr(_simplex, "MAX_ITER", 3)
+    infeasibility, x = phase1_solve(a, b)
+    assert infeasibility <= 1e-9
+    assert np.allclose(x, [0.5, 0.5])
 
 
 def test_agrees_with_scipy_on_random_systems():
