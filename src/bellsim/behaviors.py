@@ -17,7 +17,7 @@ import numpy as np
 from .core import CANONICAL_CONTEXTS, OUTCOME_PAIRS, PAIR_PRODUCTS, Context, ContextLaw, ExperimentBundle
 from .core import ArrayValue, chsh_sum, frozen_array, outcome_codes, sample_contexts
 from .errors import DomainError
-from .quantum import AngleQuadruple, Convention, DensityMatrix, born_probabilities
+from .quantum import AngleQuadruple, DensityMatrix, born_probabilities
 
 __all__ = [
     "Behavior",
@@ -94,21 +94,16 @@ class SignalingReport:
 def no_signaling(behavior: Behavior) -> SignalingReport:
     """Compare P(a=+1 | i) across Bob's settings and P(b=+1 | j) across Alice's."""
     p = behavior.probs.reshape(2, 2, 4)  # [alice setting - 1, bob setting - 1, outcome pair]
-    alice_plus = p[:, :, 0] + p[:, :, 1]  # P(a = +1)
-    bob_plus = p[:, :, 0] + p[:, :, 2]  # P(b = +1)
-    alice_deficit = float(np.abs(alice_plus[:, 0] - alice_plus[:, 1]).max())
-    bob_deficit = float(np.abs(bob_plus[0, :] - bob_plus[1, :]).max())
+    plus = p @ (OUTCOME_PAIRS == 1)  # [..., 0] is P(a = +1), [..., 1] is P(b = +1)
+    alice_deficit = float(np.abs(plus[:, 0, 0] - plus[:, 1, 0]).max())
+    bob_deficit = float(np.abs(plus[0, :, 1] - plus[1, :, 1]).max())
     return SignalingReport(alice_deficit, bob_deficit)
 
 
-def behavior_from_quantum(
-    rho: DensityMatrix, angles: AngleQuadruple, convention: Convention = "spin"
-) -> Behavior:
+def behavior_from_quantum(rho: DensityMatrix, angles: AngleQuadruple) -> Behavior:
     """Born distributions of the four contexts at the given setting angles."""
     rows = [
-        born_probabilities(
-            rho, angles.alice(context.alice), angles.bob(context.bob), convention
-        )
+        born_probabilities(rho, angles.alice(context.alice), angles.bob(context.bob))
         for context in CANONICAL_CONTEXTS
     ]
     return Behavior(np.clip(np.vstack(rows), 0.0, None))
@@ -154,7 +149,8 @@ def random_no_signaling_behavior(rng: np.random.Generator) -> Behavior:
         lo = max(0.0, pa + pb - 1.0)
         hi = min(pa, pb)
         p_pp = lo + (hi - lo) * rng.uniform()
-        row = np.array([p_pp, pa - p_pp, pb - p_pp, 1.0 - pa - pb + p_pp])
+        cells = {(1, 1): p_pp, (1, -1): pa - p_pp, (-1, 1): pb - p_pp, (-1, -1): 1.0 - pa - pb + p_pp}
+        row = np.array([cells[a, b] for a, b in OUTCOME_PAIRS.tolist()])
         rows[context.index] = np.clip(row, 0.0, None)
         rows[context.index] /= rows[context.index].sum()
     return Behavior(rows)

@@ -184,8 +184,10 @@ def cmd_simulate_quantum(args: argparse.Namespace) -> int:
         "n_per_context": args.n,
         "seed": args.seed,
     }
-    bundle = sample_bundle_quantum(rho, angles, args.n, args.seed, args.convention)
-    exact = s_quantum(rho, angles, args.convention)
+    if args.convention == "photon":  # polarizer angles are half their Bloch angles
+        angles = AngleQuadruple(*(2.0 * a for a in angles.as_tuple()))
+    bundle = sample_bundle_quantum(rho, angles, args.n, args.seed)
+    exact = s_quantum(rho, angles)
     return _write_simulation(args, spec, bundle, exact, tsirelson_margin=TSIRELSON_BOUND - abs(exact))
 
 
@@ -354,8 +356,8 @@ def _add_model_flags(parser: argparse.ArgumentParser, model_help: str) -> None:
     parser.add_argument("--bob-sign", type=float, default=-1.0, choices=[-1.0, 1.0])
 
 
-def _add_seed_out(parser: argparse.ArgumentParser, seed_required: bool = True) -> None:
-    parser.add_argument("--seed", type=int, required=seed_required, help="master seed (required; no wall-clock default)")
+def _add_seed_out(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--seed", type=int, required=True, help="master seed (required; no wall-clock default)")
     parser.add_argument("--out", required=True, help="output directory")
 
 
@@ -375,7 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", help="density matrix file (16 're im' lines)")
     p.add_argument("--angles", type=float, nargs=4, metavar=("A1", "A2", "B1", "B2"),
                    help="setting angles in radians (default: Tsirelson-optimal)")
-    p.add_argument("--convention", choices=["spin", "photon"], default="spin")
+    p.add_argument("--convention", choices=["spin", "photon"], default="spin",
+                   help="spin: --angles are Bloch-sphere angles; photon: polarizer angles, doubled "
+                        "to Bloch angles (run.json records them as given)")
     p.add_argument("--n", type=int, required=True)
     _add_seed_out(p)
     p.set_defaults(func=cmd_simulate_quantum)

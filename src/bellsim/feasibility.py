@@ -215,10 +215,10 @@ class ReshuffleProblem(ArrayValue):
         return self.counts.sum(axis=1)
 
 
-def reshuffle_problem_from_table(table: CounterfactualTable, slack: float = 0.0) -> ReshuffleProblem:
-    """Count tables obtained by projecting one counterfactual table into all contexts."""
+def reshuffle_problem_from_table(table: CounterfactualTable) -> ReshuffleProblem:
+    """Count tables obtained by projecting one counterfactual table into all contexts (no slack)."""
     behavior = behavior_from_bundle(project_bundle(table))
-    return ReshuffleProblem(behavior.counts, slack)
+    return ReshuffleProblem(behavior.counts)
 
 
 def _slack_system(

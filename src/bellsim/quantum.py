@@ -1,17 +1,17 @@
 """Two-qubit quantum coupling: states, dichotomic observables, Born sampling.
 
-Observables are parameterized by an angle in the z-x plane,
-A(theta) = cos(theta) sigma_z + sin(theta) sigma_x, with eigenvalues +/-1
-("spin" convention; pass convention="photon" to double angles for
-polarization settings).  Per-context expectations are trace values
-Tr(rho A_i x B_j); S composes four of them with the canonical signs.
+Every angle here is a Bloch-sphere (spin) angle in the z-x plane:
+A(theta) = cos(theta) sigma_z + sin(theta) sigma_x, with eigenvalues +/-1.
+A photon polarizer angle is half its Bloch angle, so the CLI doubles photon
+(polarizer) angles before they reach this module.  Per-context expectations
+are trace values Tr(rho A_i x B_j); S composes four of them with the
+canonical signs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -39,8 +39,6 @@ HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = -1e-10
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
-
-Convention = Literal["spin", "photon"]
 
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -117,43 +115,26 @@ class AngleQuadruple:
 TSIRELSON_ANGLES = AngleQuadruple(0.0, math.pi / 2.0, math.pi / 4.0, -math.pi / 4.0)
 
 
-def _effective_angle(angle: float, convention: Convention) -> float:
-    if convention == "spin":
-        return angle
-    if convention == "photon":
-        return 2.0 * angle
-    raise ConfigError(f"unknown convention {convention!r}; use 'spin' or 'photon'")
+def observable(angle: float) -> np.ndarray:
+    """cos(angle) sigma_z + sin(angle) sigma_x for a finite Bloch angle."""
+    if not math.isfinite(angle):
+        raise DomainError(f"angle must be finite, got {angle!r}")
+    return math.cos(angle) * SIGMA_Z + math.sin(angle) * SIGMA_X
 
 
-def observable(angle: float, convention: Convention = "spin") -> np.ndarray:
-    """cos(theta) sigma_z + sin(theta) sigma_x; photon convention doubles theta."""
-    theta = _effective_angle(angle, convention)
-    return math.cos(theta) * SIGMA_Z + math.sin(theta) * SIGMA_X
-
-
-def expectation(
-    rho: DensityMatrix,
-    alice_angle: float,
-    bob_angle: float,
-    convention: Convention = "spin",
-) -> float:
+def expectation(rho: DensityMatrix, alice_angle: float, bob_angle: float) -> float:
     """Tr(rho A(alice_angle) x B(bob_angle)); real, in [-1, 1]."""
-    op = np.kron(observable(alice_angle, convention), observable(bob_angle, convention))
+    op = np.kron(observable(alice_angle), observable(bob_angle))
     value = complex(np.trace(rho.matrix @ op))
     if abs(value.imag) > 1e-12:
         raise DomainError(f"expectation has imaginary residue {value.imag:.3e}")
     return value.real
 
 
-def born_probabilities(
-    rho: DensityMatrix,
-    alice_angle: float,
-    bob_angle: float,
-    convention: Convention = "spin",
-) -> np.ndarray:
+def born_probabilities(rho: DensityMatrix, alice_angle: float, bob_angle: float) -> np.ndarray:
     """Outcome-pair probabilities over (+,+), (+,-), (-,+), (-,-)."""
-    a = observable(alice_angle, convention)
-    b = observable(bob_angle, convention)
+    a = observable(alice_angle)
+    b = observable(bob_angle)
     probs = np.empty(4)
     for k, (sa, sb) in enumerate(OUTCOME_PAIRS):
         projector = np.kron((IDENTITY_2 + sa * a) / 2.0, (IDENTITY_2 + sb * b) / 2.0)
@@ -168,12 +149,10 @@ def born_probabilities(
     return probs
 
 
-def s_quantum(
-    rho: DensityMatrix, angles: AngleQuadruple, convention: Convention = "spin"
-) -> float:
+def s_quantum(rho: DensityMatrix, angles: AngleQuadruple) -> float:
     """S = E(a1,b1) + E(a1,b2) + E(a2,b1) - E(a2,b2) for the quantum coupling."""
     total = chsh_sum(
-        [expectation(rho, angles.alice(c.alice), angles.bob(c.bob), convention) for c in CANONICAL_CONTEXTS]
+        [expectation(rho, angles.alice(c.alice), angles.bob(c.bob)) for c in CANONICAL_CONTEXTS]
     ) + 0.0
     if abs(total) > TSIRELSON_BOUND + 1e-9:
         raise DomainError(f"|S| = {abs(total)!r} exceeds 2*sqrt(2); state is invalid")
@@ -181,16 +160,12 @@ def s_quantum(
 
 
 def sample_bundle_quantum(
-    rho: DensityMatrix,
-    angles: AngleQuadruple,
-    n_per_context: int,
-    seed: int,
-    convention: Convention = "spin",
+    rho: DensityMatrix, angles: AngleQuadruple, n_per_context: int, seed: int
 ) -> ExperimentBundle:
     """Per-context i.i.d. draws from the Born distribution; deterministic given seed."""
     from .behaviors import behavior_from_quantum, sample_bundle_from_behavior  # imports this module
 
-    behavior = behavior_from_quantum(rho, angles, convention)
+    behavior = behavior_from_quantum(rho, angles)
     return sample_bundle_from_behavior(behavior, n_per_context, seed, "quantum-context")
 
 

@@ -57,8 +57,6 @@ __all__ = [
     "wilson_interval",
 ]
 
-_WILSON_Z95 = 1.959963984540054  # two-sided 95% normal quantile
-
 
 @dataclass(frozen=True)
 class BundleGenerator:
@@ -162,13 +160,14 @@ class StudyResult:
         return self.rows[-1].sd_s
 
 
-def wilson_interval(successes: int, trials: int, z: float = _WILSON_Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion (default 95%)."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval (95%) for a binomial proportion."""
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     if not 0 <= successes <= trials:
         raise DomainError(f"successes {successes} outside [0, {trials}]")
     p = successes / trials
+    z = 1.959963984540054  # two-sided 95% normal quantile
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
     half = (z / denom) * math.sqrt(p * (1.0 - p) / trials + z * z / (4 * trials * trials))

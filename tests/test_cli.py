@@ -9,7 +9,7 @@ from bellsim.behaviors import pr_box
 from bellsim.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
 from bellsim.core import CounterfactualTable, project_bundle
 from bellsim.fileio import read_bundle_csv, write_behavior, write_bundle_csv
-from bellsim.quantum import TSIRELSON_BOUND, singlet
+from bellsim.quantum import TSIRELSON_BOUND, random_density_matrix, singlet
 
 
 def digest_tree(root):
@@ -105,6 +105,39 @@ class TestSimulateQuantum:
     def test_byte_identical_rerun(self, tmp_path):
         argv = ["simulate-quantum", "--state", "singlet", "--n", "200", "--seed", "9"]
         assert run_twice_identical(argv, tmp_path)
+
+    @pytest.mark.parametrize("seed", [3, 8, 21])
+    @pytest.mark.parametrize("state", ["singlet", "rho"])
+    def test_photon_is_spin_at_doubled_angles(self, tmp_path, state, seed):
+        """--convention photon --angles X samples and reports what --convention spin --angles 2X does."""
+        state_args = ["--state", "singlet"]
+        if state == "rho":
+            rho_file = tmp_path / "rho.txt"
+            matrix = random_density_matrix(np.random.default_rng(5)).matrix
+            rho_file.write_text("".join(f"{v.real!r} {v.imag!r}\n" for v in matrix.reshape(-1).tolist()))
+            state_args = ["--rho", str(rho_file)]
+        angles = np.random.default_rng(seed).uniform(-math.pi, math.pi, size=4).tolist()
+        runs = {}
+        for convention, given in (("photon", angles), ("spin", [2.0 * a for a in angles])):
+            out = tmp_path / convention
+            argv = ["simulate-quantum", *state_args, "--convention", convention,
+                    "--angles", *map(repr, given), "--n", "60", "--seed", str(seed), "--out", str(out)]
+            assert main(argv) == EXIT_OK
+            # the spec, and with it the spec hash, records the convention and the angles as given
+            lines = (out / "bundle.csv").read_text().splitlines()
+            runs[convention] = ([line for line in lines if not line.startswith("# spec-hash")],
+                                json.loads((out / "summary.json").read_text()))
+            assert runs[convention][1]["spec"]["angles"] == given
+        (photon_rows, photon), (spin_rows, spin) = runs["photon"], runs["spin"]
+        assert photon_rows == spin_rows
+        for key in ("s_hat", "standard_error", "exact_s", "tsirelson_margin"):
+            assert photon[key] == spin[key]
+
+    def test_photon_angle_overflow_is_config_error(self, tmp_path, capsys):
+        code = main(["simulate-quantum", "--convention", "photon", "--angles", "1e308", "0", "0", "0",
+                     "--n", "10", "--seed", "1", "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert "configuration error: angles a1, a2, b1, b2 must be finite" in capsys.readouterr().err
 
 
 class TestFeasibility:

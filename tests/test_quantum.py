@@ -86,13 +86,15 @@ class TestExpectation:
     def test_maximally_mixed_vanishes(self):
         assert expectation(maximally_mixed(), 1.0, 2.0) == pytest.approx(0.0, abs=1e-12)
 
-    def test_photon_convention_doubles_angles(self):
-        rho = singlet()
-        assert expectation(rho, 0.3, 0.1, convention="photon") == pytest.approx(
-            expectation(rho, 0.6, 0.2), abs=1e-12
-        )
-        with pytest.raises(ConfigError):
-            observable(0.3, convention="circular")
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_angle_is_domain_error(self, angle):
+        with pytest.raises(DomainError, match="finite"):
+            observable(angle)
+        for alice, bob in ((angle, 0.0), (0.0, angle)):
+            with pytest.raises(DomainError, match="finite"):
+                expectation(singlet(), alice, bob)
+            with pytest.raises(DomainError, match="finite"):
+                born_probabilities(singlet(), alice, bob)
 
     def test_observable_eigenvalues(self):
         for theta in (0.0, 0.7, 2.9):
@@ -255,7 +257,7 @@ def test_angle_quadruple_validation():
 def test_born_sampling_matches_the_per_context_reference():
     """Born bundles are drawn as the per-context loop below draws them: same streams, same bytes.
 
-    Covers ``sample_bundle_quantum`` (both conventions) and the quantum violation
+    Covers ``sample_bundle_quantum`` and the quantum violation
     generator, which samples a Behavior built once instead of recomputing Born
     probabilities per trial.
     """
@@ -268,18 +270,14 @@ def test_born_sampling_matches_the_per_context_reference():
     for case in range(48):
         rho = singlet() if case % 6 == 0 else random_density_matrix(rng)
         angles = AngleQuadruple(*rng.uniform(-math.pi, math.pi, size=4))
-        convention = ("spin", "photon")[case % 2]
         n, seed = int(rng.integers(1, 300)), int(rng.integers(2**62))
-        bundle = sample_bundle_quantum(rho, angles, n, seed, convention)
+        bundle = sample_bundle_quantum(rho, angles, n, seed)
         for dataset in bundle.datasets:
             context = dataset.context
-            probs = born_probabilities(
-                rho, angles.alice(context.alice), angles.bob(context.bob), convention
-            )
+            probs = born_probabilities(rho, angles.alice(context.alice), angles.bob(context.bob))
             probs = np.clip(probs, 0.0, None)
             probs /= probs.sum()
             draws = categorical(spawn_rng(seed, "quantum-context", context.index), probs, n)
             assert np.array_equal(dataset.pairs, OUTCOME_PAIRS[draws])
-        if convention == "spin":
-            from_generator = generator_from_quantum(rho, angles).plus_counts(n, seed)
-            assert from_generator == tuple(plus_count(d) for d in bundle.datasets)
+        from_generator = generator_from_quantum(rho, angles).plus_counts(n, seed)
+        assert from_generator == tuple(plus_count(d) for d in bundle.datasets)
