@@ -11,7 +11,7 @@ per-context datasets of (a, b) pairs; the signed sum of their four empirical
 correlations, S = E11 + E12 + E21 - E22, is only bounded by 4 a priori and can
 exceed 2 in finite samples even when each context is generated by the same
 predetermined-outcome model.  Every LHV, behavior and Born source samples
-through ``sample_contexts`` (or its counts, ``sample_context_counts``).
+through ``sample_contexts`` (or its counts, ``context_plus_counts``).
 
 All types are immutable after construction and all operations are pure,
 so everything here is safe to evaluate concurrently.
@@ -25,14 +25,14 @@ layout for all others: ``Context.columns``, ``context_products`` and ``chsh_sum`
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, fields
 from typing import Any
 
 import numpy as np
 
 from .errors import DomainError
-from .rng import categorical, category_counts, sample_size, spawn_rng
+from .rng import categorical, category_runs, default_rngs, derive_seeds, sample_size, spawn_rng
 
 __all__ = [
     "ArrayValue",
@@ -45,8 +45,10 @@ __all__ = [
     "ExperimentBundle",
     "OUTCOME_PAIRS",
     "PAIR_PRODUCTS",
+    "PlusCounts",
     "b_statistic",
     "chsh_sum",
+    "context_plus_counts",
     "context_products",
     "correlation",
     "frozen_array",
@@ -58,7 +60,6 @@ __all__ = [
     "row_c_values",
     "s_from_counts",
     "s_statistic",
-    "sample_context_counts",
     "sample_contexts",
 ]
 
@@ -285,7 +286,7 @@ def plus_count(dataset: ContextDataset) -> int:
     return int(np.count_nonzero(dataset.pairs[:, 0] == dataset.pairs[:, 1]))
 
 
-def _count_correlation(plus: int, n: int) -> float:
+def _count_correlation(plus: Any, n: int) -> Any:
     # sum of a*b is K - (n - K); an exact integer, so one rounding in the division
     return (2 * plus - n) / n
 
@@ -297,10 +298,12 @@ def correlation(dataset: ContextDataset) -> float:
     return _count_correlation(plus_count(dataset), dataset.n_pairs)
 
 
-def s_from_counts(counts: Iterable[tuple[int, int]]) -> float:
+def s_from_counts(counts: Iterable[tuple[Any, int]]) -> Any:
     """S-hat from per-context (plus count K, pairs n) in canonical order: ``chsh_sum`` of the (2K - n) / n.
 
-    Only the four counts matter, so sources that know them need not build the pairs.
+    Only the four counts matter, so sources that know them need not build the
+    pairs.  K may be an integer array, one count per trial; each element of the
+    result is then bitwise the S-hat of its trial's counts.
     """
     correlations = []
     for context, (plus, n) in zip(CANONICAL_CONTEXTS, counts, strict=True):
@@ -325,7 +328,7 @@ def sample_contexts(laws: Iterable[ContextLaw], n: int, seed: int, label: str) -
     ``laws`` follow the canonical context order.  Each stream depends only on
     its own path, so any evaluation order produces identical bytes, and sources
     that share this sampler keep their own streams by passing their own label.
-    ``sample_context_counts`` takes the same arguments and draws the same streams.
+    ``context_plus_counts`` counts what it draws.
     """
     n = sample_size(n)
     datasets = []
@@ -335,14 +338,33 @@ def sample_contexts(laws: Iterable[ContextLaw], n: int, seed: int, label: str) -
     return ExperimentBundle(tuple(datasets))
 
 
-def sample_context_counts(laws: Iterable[ContextLaw], n: int, seed: int, label: str) -> tuple[int, int, int, int]:
-    """Per-context plus counts (pairs with a == b) of ``sample_contexts(laws, n, seed, label)``.
+# (n, seeds) -> per seed, the four plus counts in canonical context order
+PlusCounts = Callable[[int, Sequence[int]], list[tuple[int, int, int, int]]]
 
-    Takes the same arguments and draws the same streams as that sampler, but builds no datasets.
+
+def context_plus_counts(laws: Iterable[ContextLaw], label: str) -> PlusCounts:
+    """The per-context plus counts (pairs with a == b) of ``sample_contexts(laws, n, seed, label)``, many seeds at once.
+
+    The returned ``plus_counts(n, seeds)`` gives one 4-tuple per seed, each
+    equal to the plus counts of that seed's bundle: the same streams, the same
+    uniforms and the same edges, but no datasets.  The plus categories' run
+    edges (``category_runs``) are found here, once; a call derives all its
+    context seeds and generator states in bulk (``derive_seeds``,
+    ``default_rngs``), so its memory grows with ``len(seeds)``, and reuses one
+    buffer of n uniforms.
     """
-    n = sample_size(n)
-    plus = []
-    for context, (probs, pairs) in zip(CANONICAL_CONTEXTS, laws, strict=True):
-        counts = category_counts(spawn_rng(seed, label, context.index), probs, n)
-        plus.append(sum(k for k, (a, b) in zip(counts.tolist(), pairs.tolist()) if a == b))
-    return tuple(plus)
+    runs = [
+        category_runs(probs, pairs[:, 0] == pairs[:, 1])
+        for _, (probs, pairs) in zip(CANONICAL_CONTEXTS, laws, strict=True)
+    ]
+    # a law whose plus pairs have no edge inside (0, 1) has the count full * n
+    # whatever its uniforms are, so its stream is neither seeded nor drawn
+    drawn = [index for index, r in enumerate(runs) if r.edges]  # context indices
+
+    def plus_counts(n: int, seeds: Sequence[int]) -> list[tuple[int, int, int, int]]:
+        n = sample_size(n)
+        rngs = default_rngs(derive_seeds(seeds, (label,), drawn))
+        u = np.empty(n)
+        return [tuple(r.count(next(rngs).random(out=u)) if r.edges else r.full * n for r in runs) for _ in seeds]
+
+    return plus_counts

@@ -117,7 +117,11 @@ TSIRELSON_ANGLES = AngleQuadruple(0.0, math.pi / 2.0, math.pi / 4.0, -math.pi / 
 
 def observable(angle: float) -> np.ndarray:
     """cos(angle) sigma_z + sin(angle) sigma_x for a finite Bloch angle."""
-    if not math.isfinite(angle):
+    try:
+        finite = math.isfinite(angle)
+    except TypeError:  # a string, None, a complex number
+        raise DomainError(f"angle must be a real number, got {angle!r}") from None
+    if not finite:
         raise DomainError(f"angle must be finite, got {angle!r}")
     return math.cos(angle) * SIGMA_Z + math.sin(angle) * SIGMA_X
 

@@ -4,18 +4,54 @@ Every stochastic routine takes a master seed and derives child seeds by hashing
 (master, label, index) paths. Parallel or reordered evaluation of trials and
 contexts therefore cannot change any output: each stream's bits depend only on
 its path, never on draw order elsewhere.
+
+``spawn_rng`` is the reference stream of a path: ``np.random.default_rng`` of
+its ``derive_seed``.  Violation trials need thousands of streams per study row,
+so they take the same streams in bulk: ``derive_seeds`` hashes a shared path
+prefix once, and ``default_rngs`` runs numpy's seeding (``SeedSequence`` pool
+mixing and ``generate_state``, then PCG64's seeding step) for a whole block of
+seeds at once and loads each result into one reused generator.  Its streams
+are bitwise those of ``default_rng``; the tests compare the two, so a change in
+how numpy seeds cannot move a stream unnoticed.  ``CategoryRuns`` counts the
+draws of ``categorical`` that land in chosen categories from the same uniforms
+and edges, without drawing the categories.
 """
 
 from __future__ import annotations
 
 import hashlib
 import numbers
+from collections import Counter
+from collections.abc import Iterable, Iterator, Sequence
+from typing import Any, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError
 
-__all__ = ["categorical", "category_counts", "derive_seed", "sample_size", "spawn_rng"]
+__all__ = [
+    "CategoryRuns",
+    "categorical",
+    "category_runs",
+    "default_rngs",
+    "derive_seed",
+    "derive_seeds",
+    "sample_size",
+    "spawn_rng",
+]
+
+
+def _token(part: object) -> bytes:
+    """One path element, length-prefixed; integers of any type as Python ints, ``bool`` as itself."""
+    if type(part) not in (int, str, bool) and isinstance(part, numbers.Integral):
+        part = int(part)
+    token = f"{type(part).__name__}:{part}".encode()
+    return len(token).to_bytes(4, "little") + token
+
+
+def _seed_of(h: Any) -> int:
+    """The seed a sha256 object's digest gives."""
+    return int.from_bytes(h.digest()[:8], "little")
 
 
 def derive_seed(master: int, *path: object) -> int:
@@ -26,20 +62,105 @@ def derive_seed(master: int, *path: object) -> int:
     (``7``, ``np.int64(7)``) are hashed as Python ints, so equal values give
     equal streams; ``bool`` keeps its own encoding.
     """
-    h = hashlib.sha256()
-    h.update(b"bellsim-seed")
-    for part in (master, *path):
-        if type(part) not in (int, str, bool) and isinstance(part, numbers.Integral):
-            part = int(part)
-        token = f"{type(part).__name__}:{part}".encode()
-        h.update(len(token).to_bytes(4, "little"))
-        h.update(token)
-    return int.from_bytes(h.digest()[:8], "little")
+    return _seed_of(hashlib.sha256(b"".join([b"bellsim-seed", *map(_token, (master, *path))])))
+
+
+def derive_seeds(masters: Iterable[int], path: tuple[object, ...], last: Iterable[object]) -> list[int]:
+    """``derive_seed(master, *path, x)`` for each master and, within it, each x in ``last``, in one list.
+
+    Each path element is encoded once and each master's prefix hashed once.
+    """
+    head = b"".join(map(_token, path))
+    tails = [_token(part) for part in last]
+    seeds = []
+    for master in masters:
+        prefix = hashlib.sha256(b"".join([b"bellsim-seed", _token(master), head]))
+        for tail in tails:
+            h = prefix.copy()
+            h.update(tail)
+            seeds.append(_seed_of(h))
+    return seeds
 
 
 def spawn_rng(master: int, *path: object) -> np.random.Generator:
     """Generator seeded by the derived (master, *path) seed."""
     return np.random.default_rng(derive_seed(master, *path))
+
+
+# numpy's SeedSequence (NEP 19) on 32-bit words: a 4-word pool, hashed with
+# multiplier chains started at INIT_A (mixing) and INIT_B (generate_state)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's default 128-bit LCG multiplier
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_chain(init: int, mult: int, count: int) -> list[tuple[int, int]]:
+    """(constant, next constant) of ``count`` successive hashes; the chain depends on no data."""
+    chain = [init]
+    for _ in range(count):
+        chain.append(chain[-1] * mult & _MASK32)
+    return list(zip(chain, chain[1:]))
+
+
+def _hash(value: np.ndarray, constants: tuple[int, int]) -> np.ndarray:
+    # xor with the chain's constant, multiply by the next, xor the high 16 bits into the low
+    value = (value ^ np.uint64(constants[0])) * np.uint64(constants[1]) & np.uint64(_MASK32)
+    return value ^ value >> np.uint64(16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    value = (np.uint64(_MIX_MULT_L) * x - np.uint64(_MIX_MULT_R) * y) & np.uint64(_MASK32)
+    return value ^ value >> np.uint64(16)
+
+
+# a 64-bit seed is at most two entropy words, two below the pool size, so the
+# pool is filled by 4 hashes and mixed by 12; generate_state(4, uint64) is 8 words
+_MIX_CHAIN = _hash_chain(_INIT_A, _MULT_A, 16)
+_STATE_CHAIN = _hash_chain(_INIT_B, _MULT_B, 8)
+
+
+def _pcg64_states(seeds: Sequence[int]) -> list[tuple[int, int]]:
+    """(state, inc) of ``PCG64(s)`` for each 64-bit seed s, seeded in one pass of array arithmetic.
+
+    A seed below 2**32 is one entropy word, the rest two; the missing words are
+    hashed as 0, so every seed mixes as (low word, high word).  Products of two
+    32-bit words fit in uint64, and each step is reduced to 32 bits.
+    """
+    words = np.array(seeds, dtype=np.uint64)
+    zero = np.zeros_like(words)
+    mixes = iter(_MIX_CHAIN)
+    pool = [_hash(w, next(mixes)) for w in (words & np.uint64(_MASK32), words >> np.uint64(32), zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], next(mixes)))
+    # generate_state cycles through the pool; word pairs are the halves of uint64 values
+    w = [_hash(pool[k % 4], constants).tolist() for k, constants in enumerate(_STATE_CHAIN)]
+    states = []
+    for w0, w1, w2, w3, w4, w5, w6, w7 in zip(*w):
+        initstate = w1 << 96 | w0 << 64 | w3 << 32 | w2
+        inc = (w5 << 96 | w4 << 64 | w7 << 32 | w6) << 1 & _MASK128 | 1
+        # PCG64's seeding: state 0, step, add initstate, step
+        states.append((((inc + initstate) * _PCG64_MULT + inc) & _MASK128, inc))
+    return states
+
+
+def default_rngs(seeds: Sequence[int]) -> Iterator[np.random.Generator]:
+    """``np.random.default_rng(s)`` for each 64-bit seed s, as one generator reset to each stream in turn.
+
+    Every stream's bits equal ``default_rng(s)``'s.  The same generator object is
+    yielded each time, so draw from one stream before asking for the next.
+    """
+    bit_generator = np.random.PCG64(0)  # any fixed seed: every stream sets the whole state
+    rng = np.random.Generator(bit_generator)
+    words: dict[str, int] = {}
+    spec = {"bit_generator": "PCG64", "state": words, "has_uint32": 0, "uinteger": 0}
+    for words["state"], words["inc"] in _pcg64_states(seeds):
+        bit_generator.state = spec
+        yield rng
 
 
 def sample_size(n: object, name: str = "n_per_context") -> int:
@@ -49,34 +170,49 @@ def sample_size(n: object, name: str = "n_per_context") -> int:
     return int(n)
 
 
+def _edges(probs: np.ndarray) -> np.ndarray:
+    edges = np.cumsum(probs)
+    edges[-1] = 1.0  # guard the top edge against cumulative rounding
+    return edges
+
+
 def categorical(rng: np.random.Generator, probs: np.ndarray, size: int) -> np.ndarray:
     """Draw ``size`` category indices from a probability vector.
 
     Inverse-CDF via searchsorted; noticeably faster than Generator.choice for
     the small vectors sampled millions of times here.
     """
-    edges = np.cumsum(probs)
-    edges[-1] = 1.0  # guard the top edge against cumulative rounding
-    return np.searchsorted(edges, rng.random(size), side="right")
+    return np.searchsorted(_edges(probs), rng.random(size), side="right")
 
 
-def category_counts(rng: np.random.Generator, probs: np.ndarray, size: int) -> np.ndarray:
-    """Per-category counts of ``categorical(rng, probs, size)``, drawn from the same stream.
+class CategoryRuns(NamedTuple):
+    """How many draws of ``categorical(rng, probs, size)`` land in a chosen set of categories.
 
-    Equal to ``np.bincount(categorical(rng, probs, size), minlength=len(probs))``
-    on an equal stream: the same single ``rng.random(size)`` call and the same
-    edges.  Since the last edge is 1.0 and every uniform lies below it, the
-    number of draws in categories 0..k is the number of uniforms below edge k,
-    so one comparison pass per edge replaces the search.  That costs O(m * n)
-    for m categories, against O(n log m) for searchsorted.  m is at most 9 in
-    every built-in source (behaviors have 4 outcome pairs, the deterministic
-    and default boundary mixtures 1 or 2 strategies, a sign-cosine model at
-    most 9 arcs).  At m = 9 the passes take about half the time of
-    searchsorted plus bincount at n = 10^4 and cost ~25 us more at n = 100,
-    so there is no searchsorted branch for large m.
+    ``count(rng.random(size))`` reads it off the uniforms that ``categorical``
+    draws: ``full * size`` plus the signed numbers of uniforms below ``edges``.
     """
-    edges = np.cumsum(probs)
-    edges[-1] = 1.0
-    u = rng.random(size)
-    below = [np.count_nonzero(u < edge) for edge in edges[:-1]]
-    return np.diff(np.array([0, *below, size], dtype=np.int64))
+
+    full: int
+    edges: tuple[tuple[float, int], ...]  # (edge, sign)
+
+    def count(self, u: np.ndarray) -> int:
+        return self.full * u.size + sum(sign * int(np.count_nonzero(u < edge)) for edge, sign in self.edges)
+
+
+def category_runs(probs: np.ndarray, chosen: Sequence[bool]) -> CategoryRuns:
+    """The ``CategoryRuns`` of the chosen categories of ``probs``.
+
+    ``categorical`` puts u in category k when edge[k-1] <= u < edge[k], so the
+    chosen draws number sum_k chosen[k] * (#(u < edge[k]) - #(u < edge[k-1])),
+    which is sum_k (chosen[k] - chosen[k+1]) * #(u < edge[k]): only the ends of
+    runs of chosen categories count.  Every u lies in [0, 1), so an edge at or
+    above 1 (the top edge is 1.0) counts all ``size`` draws and one at or below
+    0 none; equal edges count alike and are merged.  A law of m categories with
+    r runs costs at most 2r comparisons per uniform, however large m is.
+    """
+    chosen = [bool(c) for c in chosen]
+    signs: Counter[float] = Counter()
+    for edge, here, after in zip(_edges(probs).tolist(), chosen, [*chosen[1:], False], strict=True):
+        signs[edge] += here - after
+    full = sum(sign for edge, sign in signs.items() if edge >= 1.0)
+    return CategoryRuns(full, tuple((e, s) for e, s in signs.items() if s and 0.0 < e < 1.0))

@@ -15,8 +15,12 @@ draws those counts from the same per-context streams its source's bundle
 sampler draws, without building the pairs, and the S-hat is bitwise the
 ``s_statistic`` of that bundle.
 
-Per-trial seeds derive from (master seed, trial index) and per-context seeds
-from the trial seed, so results are identical under any parallel schedule.
+Per-trial seeds derive from (master seed, "trial", trial index) and
+per-context seeds from the trial seed, so results are identical under any
+parallel schedule.  A row runs its trials in blocks of ``TRIAL_BLOCK``: one
+``plus_counts`` call seeds and counts a whole block (see ``bellsim.rng`` for
+the bulk seeding, bitwise that of ``derive_seed`` and ``default_rng``), and
+the row's S-hats and exact margins are computed from all its counts at once.
 Violation counting is sign-resolved by default: the estimate is compared on
 the side of the generator's exact S (S-hat > 2 for positive exact S,
 -S-hat > 2 for negative); "absolute" mode uses |S-hat| instead.  The
@@ -30,18 +34,16 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .behaviors import Behavior, behavior_from_quantum, behavior_laws, behavior_s
-from .core import ExperimentBundle, chsh_sum, correlation, s_from_counts, sample_context_counts
+from .core import ExperimentBundle, PlusCounts, chsh_sum, context_plus_counts, correlation, s_from_counts
 from .errors import ConfigError, DomainError
 from .lhv import LhvModel, exact_lhv_s, model_laws
 from .quantum import AngleQuadruple, DensityMatrix, s_quantum
-from .rng import derive_seed, sample_size
+from .rng import derive_seed, derive_seeds, sample_size
 
 __all__ = [
     "BundleGenerator",
@@ -62,33 +64,34 @@ __all__ = [
 class BundleGenerator:
     """A named source of four-context experiments with a known exact S.
 
-    A trial needs only ``plus_counts(n_per_context, seed)``: the counts of
-    pairs with a*b = +1 per context, in canonical order, of the bundle the
-    source's sampler would draw from that seed.  Its S-hat and its exact
-    violation verdict (ties never count) both follow from those four counts.
+    A trial needs only its four counts of pairs with a*b = +1 per context, in
+    canonical order, of the bundle the source's sampler would draw from the
+    trial's seed.  Its S-hat and its exact violation verdict (ties never
+    count) both follow from them.  ``plus_counts(n_per_context, seeds)`` draws
+    them for a block of trials at once, one 4-tuple per seed.
     """
 
     label: str
     exact_s: float
-    plus_counts: Callable[[int, int], tuple[int, int, int, int]]  # (n_per_context, seed) -> K_c
+    plus_counts: PlusCounts
 
 
 def generator_from_lhv(model: LhvModel) -> BundleGenerator:
     """Trials on the streams of ``sample_bundle(model, ...)``; the laws are built once per generator."""
-    plus_counts = partial(sample_context_counts, model_laws(model), label="lhv-context")
+    plus_counts = context_plus_counts(model_laws(model), "lhv-context")
     return BundleGenerator(f"lhv:{model.name}", exact_lhv_s(model), plus_counts)
 
 
 def generator_from_quantum(rho: DensityMatrix, angles: AngleQuadruple) -> BundleGenerator:
     """Born sampling at the given angles, on the streams of ``sample_bundle_quantum``."""
     laws = behavior_laws(behavior_from_quantum(rho, angles))
-    plus_counts = partial(sample_context_counts, laws, label="quantum-context")
+    plus_counts = context_plus_counts(laws, "quantum-context")
     return BundleGenerator("quantum", s_quantum(rho, angles), plus_counts)
 
 
 def generator_from_behavior(behavior: Behavior) -> BundleGenerator:
     """Trials on the streams of ``sample_bundle_from_behavior(behavior, ...)``."""
-    plus_counts = partial(sample_context_counts, behavior_laws(behavior), label="behavior-context")
+    plus_counts = context_plus_counts(behavior_laws(behavior), "behavior-context")
     return BundleGenerator("behavior", behavior_s(behavior), plus_counts)
 
 
@@ -193,6 +196,10 @@ def standard_error_s(bundle: ExperimentBundle) -> float:
     return math.sqrt(total)
 
 
+# trials seeded and counted per plus_counts call; bounds a row's seed and state lists
+TRIAL_BLOCK = 256
+
+
 def _signed_values(s_values: np.ndarray, exact_s: float, mode: str) -> np.ndarray:
     if mode == "absolute":
         return np.abs(s_values)
@@ -207,13 +214,12 @@ def _run_row(
     seed: int,
     mode: str,
 ) -> StudyRow:
-    s_values = np.empty(trials)
-    margins = np.empty(trials, dtype=np.int64)  # n * S-hat, an exact integer
-    sizes = (n_per_context,) * 4
-    for t in range(trials):
-        plus = generator.plus_counts(n_per_context, derive_seed(seed, "trial", t))
-        s_values[t] = s_from_counts(zip(plus, sizes))
-        margins[t] = 2 * chsh_sum(plus) - 2 * n_per_context
+    plus = np.empty((trials, 4), dtype=np.int64)
+    for start in range(0, trials, TRIAL_BLOCK):
+        seeds = derive_seeds([seed], ("trial",), range(start, min(start + TRIAL_BLOCK, trials)))
+        plus[start : start + len(seeds)] = generator.plus_counts(n_per_context, seeds)
+    s_values = s_from_counts(zip(plus.T, (n_per_context,) * 4))
+    margins = 2 * chsh_sum(plus.T) - 2 * n_per_context  # n * S-hat, an exact integer
     # n * S-hat > n * threshold, decided in integers so that a tie never counts,
     # however the float S-hat rounds: with threshold = num / den exactly, the
     # limit is floor(num * n / den); |n * S-hat| <= 4n bounds it

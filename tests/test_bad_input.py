@@ -170,7 +170,7 @@ MODEL = boundary_mixture_model()
         lambda n: per_pair_b_values_calibrated(2.0, PointerConfig(), n, 1),
         lambda n: ViolationStudy(generator_from_lhv(MODEL), n, 5, 1),
         lambda n: significance_curve(generator_from_lhv(MODEL), [n], 5, 1),
-        lambda n: generator_from_lhv(MODEL).plus_counts(n, 1),
+        lambda n: generator_from_lhv(MODEL).plus_counts(n, [1]),
     ],
     ids=["lhv-bundle", "lhv-table", "behavior", "quantum", "weak", "study", "curve", "counts"],
 )

@@ -13,13 +13,13 @@ from bellsim.core import (
     CounterfactualTable,
     ExperimentBundle,
     b_statistic,
+    context_plus_counts,
     correlation,
     plus_count,
     project_bundle,
     project_context,
     row_c_values,
     s_statistic,
-    sample_context_counts,
     sample_contexts,
 )
 from bellsim.errors import DomainError
@@ -227,4 +227,4 @@ class TestPerContextSampler:
             laws, n, seed = random_laws(rng), int(rng.integers(1, 300)), int(rng.integers(2**63))
             bundle = sample_contexts(laws, n, seed, "test-context")
             expected = tuple(plus_count(dataset) for dataset in bundle.datasets)
-            assert sample_context_counts(laws, n, seed, "test-context") == expected
+            assert context_plus_counts(laws, "test-context")(n, [seed]) == [expected]

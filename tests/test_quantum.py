@@ -96,6 +96,16 @@ class TestExpectation:
             with pytest.raises(DomainError, match="finite"):
                 born_probabilities(singlet(), alice, bob)
 
+    @pytest.mark.parametrize("angle", ["0.3", None, 1 + 2j], ids=["str", "none", "complex"])
+    def test_non_real_angle_is_domain_error(self, angle):
+        with pytest.raises(DomainError, match="real number"):
+            observable(angle)
+        for alice, bob in ((angle, 0.0), (0.0, angle)):
+            with pytest.raises(DomainError, match="real number"):
+                expectation(singlet(), alice, bob)
+            with pytest.raises(DomainError, match="real number"):
+                born_probabilities(singlet(), alice, bob)
+
     def test_observable_eigenvalues(self):
         for theta in (0.0, 0.7, 2.9):
             eig = np.linalg.eigvalsh(observable(theta))
@@ -279,5 +289,5 @@ def test_born_sampling_matches_the_per_context_reference():
             probs /= probs.sum()
             draws = categorical(spawn_rng(seed, "quantum-context", context.index), probs, n)
             assert np.array_equal(dataset.pairs, OUTCOME_PAIRS[draws])
-        from_generator = generator_from_quantum(rho, angles).plus_counts(n, seed)
-        assert from_generator == tuple(plus_count(d) for d in bundle.datasets)
+        from_generator = generator_from_quantum(rho, angles).plus_counts(n, [seed])
+        assert from_generator == [tuple(plus_count(d) for d in bundle.datasets)]

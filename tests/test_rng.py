@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellsim.rng import categorical, category_counts, derive_seed, spawn_rng
+from bellsim.rng import categorical, category_runs, default_rngs, derive_seed, derive_seeds, spawn_rng
 
 
 def test_derivation_is_deterministic():
@@ -45,12 +45,64 @@ def test_categorical_degenerate_vector():
     .filter(lambda m: sum(m) > 0),
     size=st.one_of(st.just(1), st.integers(1, 3000)),
     seed=st.integers(0, 2**64 - 1),
+    data=st.data(),
 )
-def test_category_counts_equal_bincount_of_categorical(masses, size, seed):
+def test_category_runs_count_bincount_of_categorical(masses, size, seed, data):
     probs = np.array(masses) / sum(masses)  # zero-mass categories included
-    counts = category_counts(np.random.default_rng(seed), probs, size)
-    draws = categorical(np.random.default_rng(seed), probs, size)
-    assert np.array_equal(counts, np.bincount(draws, minlength=len(probs)))
+    counts = np.bincount(categorical(np.random.default_rng(seed), probs, size), minlength=len(probs))
+    u = np.random.default_rng(seed).random(size)
+    # every category alone, so each per-category count is checked, and a random plus pattern
+    patterns = [np.arange(len(probs)) == k for k in range(len(probs))]
+    patterns.append(np.array(data.draw(st.lists(st.booleans(), min_size=len(probs), max_size=len(probs)))))
+    for chosen in patterns:
+        assert category_runs(probs, chosen).count(u) == int(counts[chosen].sum())
+
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+def _default_rng_draws(seeds):
+    return [np.random.default_rng(seed).random(5).tolist() for seed in seeds]
+
+
+def test_default_rngs_are_default_rng_at_edge_seeds():
+    assert [rng.random(5).tolist() for rng in default_rngs(EDGE_SEEDS)] == _default_rng_draws(EDGE_SEEDS)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**64 - 1), max_size=40))
+def test_default_rngs_are_default_rng(seeds):
+    # the bulk seeding redoes numpy's SeedSequence and PCG64 seeding; if numpy
+    # ever seeds differently this fails, so no stream can move unnoticed
+    assert [rng.random(5).tolist() for rng in default_rngs(seeds)] == _default_rng_draws(seeds)
+
+
+def test_default_rngs_match_spawn_rng_on_derived_seeds():
+    seeds = derive_seeds(range(8), ("ctx",), range(4))
+    draws = [rng.random(7).tolist() for rng in default_rngs(seeds)]
+    assert draws == [spawn_rng(m, "ctx", c).random(7).tolist() for m in range(8) for c in range(4)]
+
+
+integer_seeds = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    masters=st.lists(integer_seeds, max_size=5),
+    path=st.lists(st.one_of(st.text(max_size=6), integer_seeds, st.booleans()), max_size=3),
+    last=st.lists(st.one_of(st.integers(0, 10**6), st.text(max_size=4), st.booleans()), max_size=6),
+)
+def test_derive_seeds_is_derive_seed(masters, path, last):
+    expected = [derive_seed(master, *path, part) for master in masters for part in last]
+    assert derive_seeds(masters, tuple(path), last) == expected
+
+
+def test_derive_seeds_of_a_row():
+    assert derive_seeds([42], ("trial",), range(300)) == [derive_seed(42, "trial", t) for t in range(300)]
 
 
 def test_numpy_and_python_int_seeds_give_equal_streams():

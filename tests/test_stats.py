@@ -17,10 +17,10 @@ from bellsim.core import (
     CHSH_SIGNS,
     ContextDataset,
     ExperimentBundle,
+    context_plus_counts,
     plus_count,
     s_from_counts,
     s_statistic,
-    sample_context_counts,
 )
 from bellsim.errors import ConfigError, DomainError
 from bellsim.lhv import (
@@ -31,10 +31,18 @@ from bellsim.lhv import (
     sample_bundle,
     sign_cosine_model,
 )
-from bellsim.quantum import TSIRELSON_ANGLES, AngleQuadruple, random_density_matrix, singlet
+from bellsim.quantum import (
+    TSIRELSON_ANGLES,
+    AngleQuadruple,
+    random_density_matrix,
+    sample_bundle_quantum,
+    singlet,
+)
 from bellsim.rng import derive_seed
 from bellsim.stats import (
+    TRIAL_BLOCK,
     BundleGenerator,
+    StudyRow,
     ViolationStudy,
     generator_from_behavior,
     generator_from_lhv,
@@ -230,8 +238,8 @@ class TestCountPath:
         for model in models:
             n, seed = int(rng.integers(1, 400)), int(rng.integers(2**63))
             bundle = sample_bundle(model, n, seed)
-            assert sample_context_counts(model_laws(model), n, seed, "lhv-context") == bundle_plus_counts(bundle)
-            assert generator_from_lhv(model).plus_counts(n, seed) == bundle_plus_counts(bundle)
+            assert context_plus_counts(model_laws(model), "lhv-context")(n, [seed]) == [bundle_plus_counts(bundle)]
+            assert generator_from_lhv(model).plus_counts(n, [seed]) == [bundle_plus_counts(bundle)]
 
     def test_behavior_and_born_counts_match_the_sampled_bundle(self):
         rng = np.random.default_rng(2025)
@@ -243,10 +251,10 @@ class TestCountPath:
             n, seed = int(rng.integers(1, 400)), int(rng.integers(2**63))
             for label in ("behavior-context", "quantum-context"):
                 bundle = sample_bundle_from_behavior(behavior, n, seed, label)
-                assert sample_context_counts(behavior_laws(behavior), n, seed, label) == bundle_plus_counts(bundle)
-            assert generator_from_behavior(behavior).plus_counts(n, seed) == bundle_plus_counts(
-                sample_bundle_from_behavior(behavior, n, seed)
-            )
+                assert context_plus_counts(behavior_laws(behavior), label)(n, [seed]) == [bundle_plus_counts(bundle)]
+            assert generator_from_behavior(behavior).plus_counts(n, [seed]) == [
+                bundle_plus_counts(sample_bundle_from_behavior(behavior, n, seed))
+            ]
 
     def test_trial_s_hat_is_bitwise_the_bundle_statistic(self):
         rng = np.random.default_rng(2026)
@@ -254,7 +262,7 @@ class TestCountPath:
             for n in (1, 7, 100, 999):
                 seed = int(rng.integers(2**63))
                 bundle = sample_bundle(model, n, seed)
-                plus = generator_from_lhv(model).plus_counts(n, seed)
+                (plus,) = generator_from_lhv(model).plus_counts(n, [seed])
                 assert s_from_counts(zip(plus, (n,) * 4)) == s_statistic(bundle)
 
     def test_study_matches_the_bundle_loop(self):
@@ -277,11 +285,11 @@ class TestCountPath:
         # the seed -> k table hands trial t the count k = t
         k_of = {derive_seed(7, "trial", k): k for k in range(n + 1)}
         cases = [
-            (2.0, "signed", lambda n, s: (n, k_of[s], n, k_of[s]), n + 1, 0.0),
-            (2.0, "signed", lambda n, s: (n, k_of[s] + 1, n, k_of[s]), n, 1.0),
-            (-2.0, "signed", lambda n, s: (0, k_of[s], 0, k_of[s]), n + 1, 0.0),
-            (-2.0, "signed", lambda n, s: (0, k_of[s], 0, k_of[s] + 1), n, 1.0),
-            (2.0, "absolute", lambda n, s: (0, k_of[s], 0, k_of[s]), n + 1, 0.0),
+            (2.0, "signed", lambda n, seeds: [(n, k_of[s], n, k_of[s]) for s in seeds], n + 1, 0.0),
+            (2.0, "signed", lambda n, seeds: [(n, k_of[s] + 1, n, k_of[s]) for s in seeds], n, 1.0),
+            (-2.0, "signed", lambda n, seeds: [(0, k_of[s], 0, k_of[s]) for s in seeds], n + 1, 0.0),
+            (-2.0, "signed", lambda n, seeds: [(0, k_of[s], 0, k_of[s] + 1) for s in seeds], n, 1.0),
+            (2.0, "absolute", lambda n, seeds: [(0, k_of[s], 0, k_of[s]) for s in seeds], n + 1, 0.0),
         ]
         for exact_s, mode, plus_counts, trials, frequency in cases:
             study = ViolationStudy(BundleGenerator("tie", exact_s, plus_counts), n, trials, 7, mode=mode)
@@ -291,6 +299,47 @@ class TestCountPath:
         # why ties are decided in integers: at n = 1000 the float S-hat of a tie can exceed 2
         n = 1000
         assert any(s_from_counts(zip((n, k, n, k), (n,) * 4)) > 2.0 for k in range(n + 1))
+
+
+NINE_ARCS = sign_cosine_model(0.1, 1.7, 0.9, -0.8, bob_sign=-1)  # 9 arcs per context, exact S = -2
+
+
+class TestTrialBlocks:
+    """A row runs its trials in blocks; the rows equal the per-trial bundle loop at and across block edges."""
+
+    @pytest.mark.parametrize(
+        "generator,sample,mode",
+        [
+            (BOUNDARY, lambda n, seed: sample_bundle(boundary_mixture_model(), n, seed), "signed"),
+            (BOUNDARY, lambda n, seed: sample_bundle(boundary_mixture_model(), n, seed), "absolute"),
+            (generator_from_lhv(NINE_ARCS), lambda n, seed: sample_bundle(NINE_ARCS, n, seed), "signed"),
+            (SINGLET, lambda n, seed: sample_bundle_quantum(singlet(), TSIRELSON_ANGLES, n, seed), "signed"),
+            (
+                generator_from_behavior(pr_box()),
+                lambda n, seed: sample_bundle_from_behavior(pr_box(), n, seed),
+                "absolute",
+            ),
+        ],
+        ids=["boundary", "boundary-absolute", "nine-arcs", "singlet", "pr-box-absolute"],
+    )
+    def test_rows_match_the_bundle_loop(self, generator, sample, mode):
+        n, seed, threshold = 8, 21, 2.0
+        row_seed = derive_seed(seed, "curve-n", n)
+        bundles = [sample(n, derive_seed(row_seed, "trial", t)) for t in range(2 * TRIAL_BLOCK + 3)]
+        flip = -1 if generator.exact_s < 0 else 1
+        resolve = abs if mode == "absolute" else (lambda v: flip * v)
+        resolved = [
+            resolve(sum(s * Fraction(2 * plus_count(d) - n, n) for s, d in zip(CHSH_SIGNS, bundle.datasets)))
+            for bundle in bundles
+        ]
+        s_values = np.array([resolve(s_statistic(bundle)) for bundle in bundles])
+        for trials in (TRIAL_BLOCK, TRIAL_BLOCK + 1, 2 * TRIAL_BLOCK + 3):
+            violations = sum(r > threshold for r in resolved[:trials])
+            mean_s, sd_s = float(s_values[:trials].mean()), float(s_values[:trials].std(ddof=1))
+            z = (mean_s - threshold) / sd_s if sd_s > 0 else math.copysign(math.inf, mean_s - threshold)
+            expected = StudyRow(n, trials, violations / trials, *wilson_interval(violations, trials), mean_s, sd_s, z)
+            result = significance_curve(generator, [n], trials, seed, threshold, mode)
+            assert result.rows == (expected,)
 
 
 class TestWilsonCoverage:
