@@ -3,13 +3,18 @@
 The digests below were recorded from the per-row f-string writers that the
 streamed lookup-table writers replaced, so any change in the bytes written
 (row order, separators, trailing newline, preamble, float formatting) fails
-here.  Sizes straddle the writers' chunk boundary.
+here.  ``SIZES`` straddle the writers' chunk boundary; ``BLOCK_EDGE_SIZES``
+straddle the 10^4-row edges at which a trial index gains a digit (their
+digests were recorded from the per-row string bundle writer).
 """
 
 import hashlib
+import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellsim.cli import EXIT_OK, main
 from bellsim.core import CANONICAL_CONTEXTS, ContextDataset, ExperimentBundle
@@ -17,6 +22,7 @@ from bellsim.errors import ConfigError, DomainError
 from bellsim.fileio import CHUNK_ROWS, read_bundle_csv, write_bundle_csv
 
 SIZES = (1, 7, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 3 * CHUNK_ROWS + 5)
+BLOCK_EDGE_SIZES = (9_999, 10_000, 10_001, 100_001)
 PREAMBLE = {"bellsim-version": "0.1.0", "spec-hash": "0123456789abcdef", "seed": 7}
 
 
@@ -72,6 +78,22 @@ WRITER_DIGESTS = {
     "ragged-bundle/8193/preamble": "4347fc661f0b67ed0659eae0e3edd9b1acd4e7cc67d2b633adf2b51fc6c68d08",
     "ragged-bundle/24581/bare": "df99cc63666488b639a3f924aaffe1198560f6fdeeb732c7744893d968006309",
     "ragged-bundle/24581/preamble": "5387458dbdc8d5c954228367e0f69514fb1f8e243d0da9ecb96e23e91305d738",
+    "bundle/9999/bare": "c8317065b2abef31cd719403a1ae3f4a257738f0028cb4e2d1ea5b6baabec983",
+    "bundle/9999/preamble": "816293396415b2ddb4087152ce8f54c51ee34e27432f28bc11202930723b99a3",
+    "bundle/10000/bare": "63644ddb2ea61bcbcdfd4f5b6dede7ac29a6615f46d5402f3ea544ce6476e8d2",
+    "bundle/10000/preamble": "0e4ef690cb6cf1d0ba123ed1825e49d011bebbee8e0392fdf4b40153760534ac",
+    "bundle/10001/bare": "9d019d9654287a1f83544fc1c73028c43b44c9267e6f858df5082863bad48039",
+    "bundle/10001/preamble": "80814863fa52d065f6694ac6577a948cffd3a55c051e5c685012cbed17494ff8",
+    "bundle/100001/bare": "0311fdd9d71492c5423defa710317f2738990ba317feb8ee2928f360e11ead47",
+    "bundle/100001/preamble": "cb21b4a1b17455f1c49c54e4945b1ea63f78a11dff92a83fd440835c6eb257fd",
+    "ragged-bundle/9999/bare": "d7fc25eda06ca3a291cc4c62f0a777fe7f81399c9d5f5d86abda554bbb0d6338",
+    "ragged-bundle/9999/preamble": "585a3b11429594be741f6d2e97ee3c8400fa230ef02f24e766e743a43178472d",
+    "ragged-bundle/10000/bare": "6d76f053ad681065a42a9054ec93567a5dbd0331702f638c0550e8b037f73ac0",
+    "ragged-bundle/10000/preamble": "31e581d2a5e12039f9bb780f33818e8e0480d152fc03c0ab4a99d81bfbf9bb97",
+    "ragged-bundle/10001/bare": "d956d382fde74188f01d1c8ec9ee81e09f2cf0ed892af8928527f2aa7e3dbf1e",
+    "ragged-bundle/10001/preamble": "3749afd00f7857f4274a9c4722b8d1de89fd5b39f87aa75165cef359c84006e5",
+    "ragged-bundle/100001/bare": "4a3c1cb03949c444fa61ccaf736fc6bd743d77d9bf9e9d47e32c37b2a8618b3e",
+    "ragged-bundle/100001/preamble": "a11ffd6f978dbd1b9530dbc6e28451bb0b81138f92a6472b0f10eb86660d8c2c",
 }
 
 CLI_DIGESTS = {
@@ -97,12 +119,37 @@ CLI_CASES = {
 
 
 @pytest.mark.parametrize("with_preamble", [False, True], ids=["bare", "preamble"])
-@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("n", SIZES + BLOCK_EDGE_SIZES)
 @pytest.mark.parametrize("kind", ["bundle", "ragged-bundle"])
 def test_writer_bytes_match_recorded_digests(tmp_path, kind, n, with_preamble):
     path = tmp_path / "out.csv"
     write_case(kind, n, path, PREAMBLE if with_preamble else None)
     assert sha256(path) == WRITER_DIGESTS[f"{kind}/{n}/{'preamble' if with_preamble else 'bare'}"]
+
+
+# Context sizes: small, empty, and next to the 10^4-row edges where trial indices gain a digit.
+CONTEXT_SIZE = st.one_of(
+    st.integers(0, 40), st.integers(9_990, 10_010), st.integers(19_995, 20_005), st.integers(0, 25_000)
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.tuples(*[CONTEXT_SIZE] * 4), st.integers(0, 2**32 - 1))
+def test_bundle_rows_are_the_per_row_rendering(tmp_path_factory, sizes, seed):
+    rng = np.random.default_rng(seed)
+    bundle = ExperimentBundle(tuple(
+        ContextDataset(c, rng.choice([-1, 1], size=(n, 2))) for c, n in zip(CANONICAL_CONTEXTS, sizes)
+    ))
+    path = tmp_path_factory.mktemp("rows") / "out.csv"
+    write_bundle_csv(path, bundle, PREAMBLE)
+    expected = io.StringIO()
+    expected.writelines(f"# {key}: {value}\n" for key, value in PREAMBLE.items())
+    expected.write("trial,context_i,context_j,a,b\n")
+    for d in bundle.datasets:
+        expected.writelines(
+            f"{k},{d.context.alice},{d.context.bob},{a},{b}\n" for k, (a, b) in enumerate(d.pairs.tolist())
+        )
+    assert path.read_bytes() == expected.getvalue().encode()
 
 
 @pytest.mark.parametrize("case", sorted(CLI_CASES))
