@@ -20,6 +20,8 @@ import sys
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from . import __version__
 from .behaviors import behavior_from_bundle, behavior_s
 from .core import ExperimentBundle, b_statistic, s_statistic
@@ -70,7 +72,12 @@ def _spec_hash(spec: dict[str, Any]) -> str:
 
 
 def _write_json(path: Path, payload: dict[str, Any]) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    """Write the payload as JSON; NaN and infinities, which JSON has no words for, are errors."""
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"{path.name}: {exc}") from exc
+    path.write_text(text + "\n")
 
 
 def _run_record(spec: dict[str, Any]) -> dict[str, Any]:
@@ -320,12 +327,16 @@ def cmd_weak_bvalues(args: argparse.Namespace) -> int:
         "sigma": args.sigma,
         "seed": args.seed,
     }
+    b = run.b_values
+    with np.errstate(all="ignore"):  # a sum past float64's range ends as inf, rejected below
+        mean_b, sd_b = float(b.mean()), float(b.std(ddof=1)) if len(b) > 1 else 0.0
+    if not (math.isfinite(mean_b) and math.isfinite(sd_b)):
+        raise DomainError(f"b-value mean {mean_b} or sd {sd_b} overflows float64")
     out = _out_dir(args)
     write_records_csv(out / "records.csv", run, {**_csv_preamble(spec), "seed": args.seed})
-    b = run.b_values
     summary = {
-        "mean_b": float(b.mean()),
-        "sd_b": float(b.std(ddof=1)) if len(b) > 1 else 0.0,
+        "mean_b": mean_b,
+        "sd_b": sd_b,
         "exceedance_2": exceedance_fraction(b, 2.0),
         "exceedance_tsirelson": exceedance_fraction(b, TSIRELSON_BOUND),
         "reference_value": reference,

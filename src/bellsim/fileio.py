@@ -4,12 +4,17 @@ CSV files may start with ``# key: value`` comment lines (the run's provenance); 
 readers skip them.  Floats are written with repr, which round-trips float64
 exactly, so save/load cycles are lossless and byte-stable.
 
-The CSV writers stream: rows are formatted and written ``CHUNK_ROWS`` at a
-time, so a file of millions of rows never exists as one string in memory.
-Writing, not sampling, is what a large bundle costs, so the bundle writer
-does as little per row as it can: outcomes are validated +/-1, so each pair's
-``core.outcome_codes`` code (one bit per column) indexes a precomputed suffix
-such as ``",1,2,-1,1\n"``, and a row is just ``str(k)`` plus that suffix.
+The CSV writers stream bytes to a binary handle, a block of rows at a time, so
+a file of millions of rows never exists whole in memory, and every line ends
+in ``\n`` on every OS.  Writing, not sampling, is what a large bundle costs,
+so the bundle writer builds no Python object per row.  It writes
+``BLOCK_ROWS`` = 10^4 rows at a time, each block one numpy record array:
+within block q > 0 every trial index is ``str(q)`` followed by the index inside
+the block, zero-padded to four digits (block 0 has no prefix and no padding),
+so a row is the block's prefix, a line of a cached digit table, and the
+context's suffix such as ``",1,2,-1,1\n"``, picked by the pair's
+``core.outcome_codes`` code.  NUL bytes pad the shorter strings to one width
+and are dropped with one mask before the block is written.
 
   bundle                 trial,context_i,context_j,a,b   (canonical context order)
   pointer records        trial,rA1,rA2,rB1,rB2,bvalue    (repr floats)
@@ -22,6 +27,7 @@ such as ``",1,2,-1,1\n"``, and a row is just ``str(k)`` plus that suffix.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import astuple
@@ -102,34 +108,66 @@ def _read_int_csv(path: Path, header: str) -> np.ndarray:
 
 
 def _write_csv(
-    path: Path, header: str, preamble: Mapping[str, Any] | None, blocks: Iterable[str]
+    path: Path, header: str, preamble: Mapping[str, Any] | None, blocks: Iterable[bytes]
 ) -> None:
-    """Write preamble comments, the header, then the row text blocks in order."""
-    with Path(path).open("w") as handle:
-        handle.write("\n".join(_preamble_lines(preamble) + [header]) + "\n")
+    """Write preamble comments, the header, then the row blocks in order."""
+    with Path(path).open("wb") as handle:
+        handle.write(("\n".join(_preamble_lines(preamble) + [header]) + "\n").encode())
         handle.writelines(blocks)
 
 
-# Per context, the row text after the trial index, indexed by the pair's ``outcome_codes`` code.
-_BUNDLE_SUFFIXES = {
-    c: [f",{c.alice},{c.bob},{a},{b}\n" for a, b in OUTCOME_PAIRS.tolist()] for c in CANONICAL_CONTEXTS
-}
+# Bundle rows per block: a power of ten, so that a block's trial indices share their leading digits.
+BLOCK_DIGITS = 4
+BLOCK_ROWS = 10**BLOCK_DIGITS
 
 
-def _outcome_blocks(outcomes: np.ndarray, suffixes: list[str]) -> Iterator[str]:
-    """Text of rows ``k<suffix of outcomes[k]>``, CHUNK_ROWS rows per block."""
-    codes = outcome_codes(outcomes)
-    for start in range(0, codes.shape[0], CHUNK_ROWS):
-        chunk = codes[start:start + CHUNK_ROWS].tolist()
-        yield "".join([f"{k}{suffixes[c]}" for k, c in zip(range(start, start + len(chunk)), chunk)])
+@functools.cache
+def _bundle_tables() -> tuple[np.ndarray, np.ndarray, dict[Context, np.ndarray]]:
+    """Byte-string tables of bundle rows, built on first use.
+
+    The indices 0 .. BLOCK_ROWS - 1 as text zero-padded to BLOCK_DIGITS (the
+    part of a trial index after its block's prefix) and unpadded (block 0),
+    and per context the row text after the trial index, indexed by the pair's
+    ``outcome_codes`` code.  numpy pads the shorter strings with NUL bytes.
+    """
+    index = np.arange(BLOCK_ROWS)
+    digits = index[:, None] // 10 ** np.arange(BLOCK_DIGITS - 1, -1, -1) % 10 + ord("0")
+    padded = digits.astype(np.uint8).view(f"S{BLOCK_DIGITS}")[:, 0]
+    unpadded = index.astype(f"S{BLOCK_DIGITS}")
+    suffixes = {
+        c: np.array([f",{c.alice},{c.bob},{a},{b}\n".encode() for a, b in OUTCOME_PAIRS.tolist()])
+        for c in CANONICAL_CONTEXTS
+    }
+    return padded, unpadded, suffixes
+
+
+def _bundle_blocks(dataset: ContextDataset) -> Iterator[bytes]:
+    """Bytes of the dataset's rows ``k,i,j,a,b``, BLOCK_ROWS rows per block.
+
+    Each row is a record of three NUL-padded byte strings: the block number
+    (block 0's is empty, one NUL), the index in the block and the suffix.
+    Dropping every NUL byte of the block's records leaves its text.
+    """
+    padded, unpadded, suffixes = _bundle_tables()
+    suffix = suffixes[dataset.context]
+    codes = outcome_codes(dataset.pairs)
+    for block, start in enumerate(range(0, codes.shape[0], BLOCK_ROWS)):
+        chunk = codes[start:start + BLOCK_ROWS]
+        prefix = str(block).encode() if block else b""
+        rows = np.empty(chunk.shape[0], [
+            ("prefix", f"S{len(prefix) or 1}"), ("index", padded.dtype), ("suffix", suffix.dtype)
+        ])
+        rows["prefix"] = prefix
+        rows["index"] = (padded if block else unpadded)[:chunk.shape[0]]
+        rows["suffix"] = suffix[chunk]
+        text = rows.view(np.uint8)
+        yield text[text != 0].tobytes()
 
 
 def write_bundle_csv(
     path: Path, bundle: ExperimentBundle, preamble: Mapping[str, Any] | None = None
 ) -> None:
-    blocks = itertools.chain.from_iterable(
-        _outcome_blocks(d.pairs, _BUNDLE_SUFFIXES[d.context]) for d in bundle.datasets
-    )
+    blocks = itertools.chain.from_iterable(_bundle_blocks(d) for d in bundle.datasets)
     _write_csv(path, BUNDLE_HEADER, preamble, blocks)
 
 
@@ -157,7 +195,7 @@ def write_records_csv(
             stop = start + CHUNK_ROWS
             readings, b_values = run.readings[start:stop].tolist(), run.b_values[start:stop].tolist()
             rows = zip(range(start, stop), readings, b_values)
-            yield "".join([f"{k},{r[0]!r},{r[1]!r},{r[2]!r},{r[3]!r},{b!r}\n" for k, r, b in rows])
+            yield "".join([f"{k},{r[0]!r},{r[1]!r},{r[2]!r},{r[3]!r},{b!r}\n" for k, r, b in rows]).encode()
 
     _write_csv(path, RECORDS_HEADER, preamble, blocks())
 
@@ -166,7 +204,7 @@ def write_curve_csv(
     path: Path, result: StudyResult, preamble: Mapping[str, Any] | None = None
 ) -> None:
     """One row per sample size of a significance curve: n and trials, then repr floats."""
-    rows = (f"{r.n},{r.trials}," + ",".join(map(repr, astuple(r)[2:])) + "\n" for r in result.rows)
+    rows = ((f"{r.n},{r.trials}," + ",".join(map(repr, astuple(r)[2:])) + "\n").encode() for r in result.rows)
     _write_csv(path, CURVE_HEADER, preamble, rows)
 
 

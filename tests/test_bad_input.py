@@ -4,16 +4,19 @@ Covers model files and study specs whose values do not parse as their key's
 type, files that are not UTF-8, non-finite behavior and state entries,
 repeated behavior-file lines, sample sizes that are not positive integers,
 study settings (trials, threshold, slack) out of range or of the wrong type,
-and non-numeric angles and pointer settings.
+non-numeric angles and pointer settings, and b-values whose mean or sd
+overflows float64.  No JSON output holds NaN or an infinity.
 """
+
+import json
 
 import numpy as np
 import pytest
 
 from bellsim.behaviors import Behavior, pr_box, sample_bundle_from_behavior
-from bellsim.cli import EXIT_CONFIG, EXIT_OK, main
+from bellsim.cli import EXIT_CONFIG, EXIT_OK, _write_json, main
 from bellsim.core import CounterfactualTable, project_bundle
-from bellsim.errors import ConfigError, DomainError
+from bellsim.errors import ConfigError, DomainError, NumericError
 from bellsim.feasibility import ReshuffleProblem
 from bellsim.fileio import (
     STUDY_KEYS,
@@ -364,3 +367,25 @@ def test_table_rows_must_be_four_numbers(rows):
     with pytest.raises(DomainError, match="outcomes"):
         CounterfactualTable.from_rows(rows)
     assert CounterfactualTable.from_rows([]).outcomes.shape == (0, 4)
+
+
+def _strict_json(path):
+    """The file's JSON; NaN and infinities, which JSON does not allow, are errors."""
+    return json.loads(path.read_text(), parse_constant=lambda name: pytest.fail(f"{path.name} holds {name}"))
+
+
+@pytest.mark.parametrize("target_s", ["1e308", "-1e308"])
+def test_weak_bvalues_whose_mean_overflows_exit_2_before_writing(tmp_path, capsys, target_s):
+    argv = ["weak-bvalues", "--source", "calibrated", "--target-s", target_s, "--seed", "1"]
+    assert main([*argv, "--n", "3", "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("bellsim: configuration error: b-value mean ")
+    assert not (tmp_path / "out").exists()
+    assert main([*argv, "--n", "1", "--out", str(tmp_path / "one")]) == EXIT_OK  # one pair: no sum
+    assert _strict_json(tmp_path / "one" / "summary.json")["mean_b"] == float(target_s)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_json_outputs_reject_nan_and_infinities(tmp_path, value):
+    with pytest.raises(NumericError, match="summary.json: Out of range float values"):
+        _write_json(tmp_path / "summary.json", {"mean_b": value})
+    assert not (tmp_path / "summary.json").exists()
