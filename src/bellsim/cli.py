@@ -72,7 +72,7 @@ def _spec_hash(spec: dict[str, Any]) -> str:
 
 
 def _write_json(path: Path, payload: dict[str, Any]) -> None:
-    """Write the payload as JSON; NaN and infinities, which JSON has no words for, are errors."""
+    """Write the payload as JSON; NaN and infinities, which JSON cannot represent, are errors."""
     try:
         text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     except ValueError as exc:
