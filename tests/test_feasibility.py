@@ -260,3 +260,82 @@ class TestIntegerReshuffle:
         problem = reshuffle_problem_from_table(CounterfactualTable(np.array(ASSIGNMENTS)))
         with pytest.raises(NumericError, match="does not reproduce"):
             reshuffle_feasible(problem)
+
+
+def reference_marginal_system(targets, mass):
+    """The loop builder of the marginal system, kept as the reference for the matrix form."""
+    rows = [PROJECTION[c, o] for c in range(4) for o in range(3)]
+    rhs = [targets[c, o] for c in range(4) for o in range(3)]
+    rows.append(np.ones(16))
+    rhs.append(mass)
+    return np.vstack(rows), np.array(rhs)
+
+
+def reference_slack_system(counts, slack, mass, scale):
+    """The loop builder of the slack system, kept as the reference for the block form."""
+    proj = PROJECTION.reshape(16, 16)
+    n_var = 16 + 16 + 36
+    rows = []
+    rhs = []
+    for r in range(16):
+        row = np.zeros(n_var)
+        row[:16] = proj[r]
+        row[16 + r] = -1.0
+        row[32 + r] = 1.0
+        rows.append(row)
+        rhs.append(counts.reshape(16)[r] / scale)
+    for r in range(16):
+        row = np.zeros(n_var)
+        row[:16] = -proj[r]
+        row[16 + r] = -1.0
+        row[48 + r] = 1.0
+        rows.append(row)
+        rhs.append(-counts.reshape(16)[r] / scale)
+    for c in range(4):
+        row = np.zeros(n_var)
+        row[16 + 4 * c : 16 + 4 * (c + 1)] = 1.0
+        row[64 + c] = 1.0
+        rows.append(row)
+        rhs.append(slack / scale)
+    mass_row = np.zeros(n_var)
+    mass_row[:16] = 1.0
+    rows.append(mass_row)
+    rhs.append(mass / scale)
+    return np.vstack(rows), np.array(rhs)
+
+
+# Count tables with zero cells and unequal context totals, not all empty.
+COUNT_TABLES = st.lists(
+    st.one_of(st.just(0), st.integers(0, 9), st.integers(0, 10**12)), min_size=16, max_size=16
+).filter(any).map(lambda cells: np.array(cells, dtype=np.int64).reshape(4, 4))
+
+
+class TestLpSystems:
+    """The LP systems are the loop builders' matrices, bit for bit (the sign of zero included)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        COUNT_TABLES,
+        st.one_of(st.just(0.0), st.floats(0.0, 1e9), st.integers(0, 10**6)),
+        st.integers(0, 4 * 10**12).map(float),
+    )
+    def test_slack_system_bytes(self, counts, slack, mass):
+        scale = float(counts.sum())
+        got = feasibility._slack_system(counts, slack, mass, scale)
+        want = reference_slack_system(counts, slack, mass, scale)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(COUNT_TABLES)
+    def test_marginal_system_bytes(self, counts):
+        scale = float(counts.sum())
+        totals = counts.sum(axis=1)
+        probs = counts / np.maximum(totals, 1)[:, None]
+        for targets, mass in ((counts / scale, totals[0] / scale), (probs, 1.0)):
+            got = feasibility._marginal_system(targets, mass)
+            want = reference_marginal_system(targets, mass)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert g.tobytes() == w.tobytes()
