@@ -16,13 +16,18 @@ decides that question exactly:
     forms; for no-signaling behaviors, feasibility holds iff it is <= 2.
   * ``reshuffle_feasible`` -- the count-level variant: can four N x 2 data
     tables be reordered into N consistent quadruples?  Solved by the same LP
-    on count tables (optional per-context L1 slack).  At slack 0 the answer
-    is an exact integer reshuffle for every N: the marginal system is
+    on count tables (optional per-context L1 slack).  At slack 0 a feasible
+    answer is an exact integer reshuffle: the marginal system is
     unimodular (every basis of its 9 independent rows has determinant +-1),
     so each vertex of {w >= 0 : P w = counts} is integral (Veinott & Dantzig,
     SIAM Rev. 10, 371 (1968)).  The phase-1 simplex stops at a vertex, so
     rounding its witness removes only float noise, and the rounded witness
-    is checked exactly against the counts.
+    is checked exactly against the counts.  That holds while float64
+    resolves the counts, up to N ~ 10^15.  Past it the rounding can miss,
+    and the check then raises ``NumericError``: most feasible tables do so
+    at N = 10^16, and all tested ones at N >= 10^17.  It never returns a
+    wrong witness or a wrong verdict.  ROADMAP item 2 plans an exact integer
+    construction for any N.
 """
 
 from __future__ import annotations
@@ -140,14 +145,9 @@ class FeasibilityResult(ArrayValue):
 def chsh_certificate_detail(behavior: Behavior) -> tuple[float, tuple[int, int, int, int]]:
     """Max over the 8 signed CHSH forms, with the achieving sign pattern."""
     correlations = behavior.probs @ PAIR_PRODUCTS
-    best_value = -np.inf
-    best_signs = CHSH_SIGN_PATTERNS[0]
-    for signs in CHSH_SIGN_PATTERNS:
-        value = float(np.dot(signs, correlations))
-        if value > best_value:
-            best_value = value
-            best_signs = signs
-    return best_value, best_signs
+    values = [float(np.dot(signs, correlations)) for signs in CHSH_SIGN_PATTERNS]
+    best = values.index(max(values))
+    return values[best], CHSH_SIGN_PATTERNS[best]
 
 
 def chsh_certificate(behavior: Behavior) -> float:
@@ -157,11 +157,8 @@ def chsh_certificate(behavior: Behavior) -> float:
 
 def _marginal_system(targets: np.ndarray, mass: float) -> tuple[np.ndarray, np.ndarray]:
     """Equality system: 3 outcomes per context (4th implied) plus total mass."""
-    rows = [PROJECTION[c, o] for c in range(4) for o in range(3)]
-    rhs = [targets[c, o] for c in range(4) for o in range(3)]
-    rows.append(np.ones(16))
-    rhs.append(mass)
-    return np.vstack(rows), np.array(rhs)
+    a_eq = np.vstack([PROJECTION[:, :3].reshape(12, 16), np.ones(16)])
+    return a_eq, np.append(targets[:, :3], mass)
 
 
 def _max_marginal_violation(weights: np.ndarray, targets: np.ndarray) -> float:
@@ -230,34 +227,18 @@ def _slack_system(
     total when they differ), matching the count-level reading of the problem.
     """
     proj = PROJECTION.reshape(16, 16)
-    n_var = 16 + 16 + 36
-    rows = []
-    rhs = []
-    for r in range(16):  # P w - d + s = counts
-        row = np.zeros(n_var)
-        row[:16] = proj[r]
-        row[16 + r] = -1.0
-        row[32 + r] = 1.0
-        rows.append(row)
-        rhs.append(counts.reshape(16)[r] / scale)
-    for r in range(16):  # -P w - d + s = -counts
-        row = np.zeros(n_var)
-        row[:16] = -proj[r]
-        row[16 + r] = -1.0
-        row[48 + r] = 1.0
-        rows.append(row)
-        rhs.append(-counts.reshape(16)[r] / scale)
-    for c in range(4):  # sum_o d_{c,o} + s = slack
-        row = np.zeros(n_var)
-        row[16 + 4 * c : 16 + 4 * (c + 1)] = 1.0
-        row[64 + c] = 1.0
-        rows.append(row)
-        rhs.append(slack / scale)
-    mass_row = np.zeros(n_var)
-    mass_row[:16] = 1.0
-    rows.append(mass_row)
-    rhs.append(mass / scale)
-    return np.vstack(rows), np.array(rhs)
+    minus_eye = 0.0 - np.eye(16)  # not -np.eye(16), whose off-diagonal zeros are -0.0
+    zeros = np.zeros((16, 16))
+    a_eq = np.block([
+        [proj, minus_eye, np.eye(16), zeros, np.zeros((16, 4))],  # P w - d + s = counts
+        [-proj, minus_eye, zeros, np.eye(16), np.zeros((16, 4))],  # -P w - d + s = -counts
+        [np.zeros((4, 16)), np.kron(np.eye(4), np.ones(4)), np.zeros((4, 32)), np.eye(4)],  # sum_o d + s = slack
+        [np.ones((1, 16)), np.zeros((1, 52))],  # sum w = mass
+    ])
+    flat = counts.reshape(16)
+    # (-flat) / scale, so that an empty cell gives 0.0 and not -0.0
+    b_eq = np.concatenate([flat / scale, -flat / scale, [slack / scale] * 4, [mass / scale]])
+    return a_eq, b_eq
 
 
 def reshuffle_feasible(problem: ReshuffleProblem) -> FeasibilityResult:
@@ -265,7 +246,8 @@ def reshuffle_feasible(problem: ReshuffleProblem) -> FeasibilityResult:
 
     The exact variant (slack 0, equal totals) asks for assignment counts whose
     projections reproduce every table; a feasible answer carries an integer
-    witness for every N (see the module docstring), labeled "integer".  With
+    witness, labeled "integer", or raises ``NumericError`` where float64
+    cannot resolve the counts (N >= ~10^16; see the module docstring).  With
     slack > 0 each context table may deviate by up to ``slack`` in L1, and the
     witness is the LP's real-valued one.
     """
@@ -278,7 +260,7 @@ def reshuffle_feasible(problem: ReshuffleProblem) -> FeasibilityResult:
             f"exact reshuffling needs equal context totals, got {totals.tolist()}; "
             "set slack > 0 to allow deviations"
         )
-    scale = float(max(1, counts.sum()))
+    scale = float(counts.sum())
     if problem.slack == 0.0:
         a_eq, b_eq = _marginal_system(counts / scale, totals[0] / scale)
     else:

@@ -6,8 +6,10 @@ exactly, so save/load cycles are lossless and byte-stable.
 
 The CSV writers stream bytes to a binary handle, a block of rows at a time, so
 a file of millions of rows never exists whole in memory, and every line ends
-in ``\n`` on every OS.  Writing, not sampling, is what a large bundle costs,
-so the bundle writer builds no Python object per row.  It writes
+in ``\n`` on every OS.  The bundle reader likewise reads its file line by
+line, so it holds the parsed N x 5 integer array but never the whole text.
+Writing, not sampling, is what a large bundle costs, so the bundle writer
+builds no Python object per row.  It writes
 ``BLOCK_ROWS`` = 10^4 rows at a time, each block one numpy record array:
 within block q > 0 every trial index is ``str(q)`` followed by the index inside
 the block, zero-padded to four digits (block 0 has no prefix and no padding),
@@ -65,6 +67,9 @@ CURVE_HEADER = "n,trials,frequency,ci_lo,ci_hi,mean_s,sd_s,z"  # StudyRow's fiel
 # Rows formatted per write: bounds the text held in memory at once.
 CHUNK_ROWS = 8192
 
+# What bytes.strip() strips; str.strip() would also strip "\xa0", "\x85" and "\x1c" to "\x1f".
+ASCII_WHITESPACE = " \t\n\r\x0b\x0c"
+
 
 def _preamble_lines(preamble: Mapping[str, Any] | None) -> list[str]:
     if not preamble:
@@ -80,31 +85,9 @@ def _data_lines(path: Path) -> list[str]:
     return [ln.strip() for ln in lines if ln.strip() and not ln.lstrip().startswith("#")]
 
 
-def _next_data_line(lines: Iterator[bytes]) -> bytes | None:
+def _next_data_line(lines: Iterator[str]) -> str | None:
     """Advance past blank and comment lines; the lines must be stripped."""
-    return next((ln for ln in lines if ln and not ln.startswith(b"#")), None)
-
-
-def _read_int_csv(path: Path, header: str) -> np.ndarray:
-    columns = header.count(",") + 1
-    lines = map(bytes.strip, Path(path).read_bytes().splitlines())
-    first = _next_data_line(lines)
-    if first != header.encode():
-        found = "<empty>" if first is None else first.decode(errors="replace")
-        raise ConfigError(f"{path}: expected header {header!r}, found {found!r}")
-    row = _next_data_line(lines)
-    if row is None:
-        return np.empty((0, columns), dtype=np.int64)
-    try:
-        # loadtxt itself skips the blank and comment lines still to come
-        data = np.loadtxt(
-            itertools.chain((row,), lines), delimiter=",", dtype=np.int64, ndmin=2
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: malformed CSV body: {exc}") from exc
-    if data.shape[1] != columns:
-        raise ConfigError(f"{path}: expected {columns} columns, got {data.shape[1]}")
-    return data
+    return next((ln for ln in lines if ln and not ln.startswith("#")), None)
 
 
 def _write_csv(
@@ -172,11 +155,32 @@ def write_bundle_csv(
 
 
 def read_bundle_csv(path: Path) -> ExperimentBundle:
-    data = _read_int_csv(Path(path), BUNDLE_HEADER)
+    columns = BUNDLE_HEADER.count(",") + 1
+    # latin-1 gives one character per byte, and text mode splits lines at
+    # \n, \r and \r\n, as bytes.splitlines does
+    with Path(path).open(encoding="latin-1") as handle:
+        lines = map(str.strip, handle, itertools.repeat(ASCII_WHITESPACE))
+        first = _next_data_line(lines)
+        if first != BUNDLE_HEADER:
+            found = "<empty>" if first is None else first.encode("latin-1").decode(errors="replace")
+            raise ConfigError(f"{path}: expected header {BUNDLE_HEADER!r}, found {found!r}")
+        row = _next_data_line(lines)
+        if row is None:
+            data = np.empty((0, columns), dtype=np.int64)
+        else:
+            try:
+                # loadtxt itself skips the blank and comment lines still to come
+                data = np.loadtxt(
+                    itertools.chain((row,), lines), delimiter=",", dtype=np.int64, ndmin=2
+                )
+            except ValueError as exc:
+                raise ConfigError(f"{path}: malformed CSV body: {exc}") from exc
+    if data.shape[1] != columns:
+        raise ConfigError(f"{path}: expected {columns} columns, got {data.shape[1]}")
     datasets = []
     for context in CANONICAL_CONTEXTS:
         mask = (data[:, 1] == context.alice) & (data[:, 2] == context.bob)
-        pairs = data[mask][:, 3:5]
+        pairs = data[mask, 3:5]
         if pairs.shape[0] == 0:
             raise ConfigError(f"{path}: no rows for context {context}")
         datasets.append(ContextDataset(context, pairs))

@@ -209,7 +209,7 @@ class TestReshuffle:
 
 
 class TestIntegerReshuffle:
-    """Slack-0 count problems get an exact integer reshuffle at every N."""
+    """Slack-0 count problems get an exact integer reshuffle, or a NumericError past float64."""
 
     def test_marginal_system_is_unimodular(self):
         a_eq, _ = feasibility._marginal_system(np.zeros((4, 4)), 0.0)
@@ -250,6 +250,28 @@ class TestIntegerReshuffle:
         assert result.integrality == "integer"
         assert np.array_equal((PROJECTION @ result.witness_counts).astype(np.int64), problem.counts)
         assert result.residual <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([10**16, 10**18]),
+        st.sampled_from([0.05, 1.0]),
+        st.integers(1, 16),
+    )
+    def test_past_float64_an_exact_witness_or_numeric_error(self, seed, n, alpha, support):
+        rng = np.random.default_rng(seed)
+        weights = np.zeros(16)
+        weights[rng.choice(16, size=support, replace=False)] = rng.dirichlet(np.full(support, alpha))
+        assignment_counts = rng.multinomial(n, weights / weights.sum())
+        counts = PROJECTION.astype(np.int64) @ assignment_counts
+        try:
+            result = reshuffle_feasible(ReshuffleProblem(counts))
+        except NumericError:
+            return
+        assert result.feasible and result.integrality == "integer"
+        witness = result.witness_counts.astype(np.int64)
+        assert np.array_equal(witness, result.witness_counts)
+        assert witness.min() >= 0 and np.array_equal(PROJECTION.astype(np.int64) @ witness, counts)
 
     def test_witness_off_the_counts_raises_instead_of_relabeling(self, monkeypatch):
         def all_on_first_assignment(a_eq, b_eq, tol):

@@ -10,6 +10,9 @@ digests were recorded from the per-row string bundle writer).
 
 import hashlib
 import io
+import itertools
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from hypothesis import strategies as st
 
 from bellsim.cli import EXIT_OK, main
 from bellsim.core import CANONICAL_CONTEXTS, ContextDataset, ExperimentBundle
-from bellsim.errors import ConfigError, DomainError
+from bellsim.errors import BellSimError, ConfigError, DomainError
 from bellsim.fileio import CHUNK_ROWS, read_bundle_csv, write_bundle_csv
 
 SIZES = (1, 7, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 3 * CHUNK_ROWS + 5)
@@ -191,9 +194,10 @@ BUNDLE = ExperimentBundle(tuple(
         f"# seed: 3\r\n{HEADER}\r\n0,1,1,1,-1\r\n1,1,1,-1,-1\r\n0,1,2,1,1\r\n0,2,1,-1,1\r\n0,2,2,-1,-1\r\n",
         f"  {HEADER}  \n 0,1,1,1,-1\n\t1,1,1,-1,-1 \n0,1,2,1,1\n0,2,1,-1,1\n0,2,2,-1,-1   \n",
         f"{HEADER}\n0, 1,1 ,1,-1\n1,1,1,-1,-1\n0,1,2,1,1\n0,2,1,-1,1\n0,2,2,-1,-1 # trailing comment\n",
+        f"# seed: 3\r{HEADER}\r0,1,1,1,-1\r1,1,1,-1,-1\r\r0,1,2,1,1\r0,2,1,-1,1\r0,2,2,-1,-1\r",
     ],
     ids=["plain", "no-final-newline", "comments-and-blanks", "crlf", "surrounding-spaces",
-         "inner-spaces-and-trailing-comment"],
+         "inner-spaces-and-trailing-comment", "bare-cr"],
 )
 def test_reader_accepts(tmp_path, text):
     path = tmp_path / "bundle.csv"
@@ -249,3 +253,96 @@ def test_bundle_reader_rejects_foreign_context(tmp_path):
     path.write_bytes(b"trial,context_i,context_j,a,b\n0,1,1,1,1\n0,1,2,1,1\n0,2,1,1,1\n0,2,2,1,1\n0,3,1,1,1\n")
     with pytest.raises(ConfigError, match="outside the four canonical contexts"):
         read_bundle_csv(path)
+
+
+def whole_file_read_bundle_csv(path):
+    """The bundle reader that split the whole file into lines first, kept as the reference."""
+    lines = map(bytes.strip, Path(path).read_bytes().splitlines())
+
+    def next_data_line():
+        return next((ln for ln in lines if ln and not ln.startswith(b"#")), None)
+
+    if next_data_line() != HEADER.encode():
+        raise ConfigError("header")
+    row = next_data_line()
+    if row is None:
+        data = np.empty((0, 5), dtype=np.int64)
+    else:
+        try:
+            data = np.loadtxt(itertools.chain((row,), lines), delimiter=",", dtype=np.int64, ndmin=2)
+        except ValueError as exc:
+            raise ConfigError("malformed") from exc
+    if data.shape[1] != 5:
+        raise ConfigError("columns")
+    datasets = []
+    for context in CANONICAL_CONTEXTS:
+        pairs = data[(data[:, 1] == context.alice) & (data[:, 2] == context.bob)][:, 3:5]
+        if pairs.shape[0] == 0:
+            raise ConfigError("empty context")
+        datasets.append(ContextDataset(context, pairs))
+    if data.shape[0] != sum(d.n_pairs for d in datasets):
+        raise ConfigError("foreign context")
+    return ExperimentBundle(tuple(datasets))
+
+
+# Padding alphabets: what bytes.strip() strips, and that plus some of what only str.strip() strips.
+PADDINGS = st.sampled_from([" \t\x0b\x0c", " \t\x0b\x0c\xa0\x85\x1c"]).map(
+    lambda alphabet: st.text(st.sampled_from(alphabet), max_size=2)
+)
+BASE_ROWS = [["0", "1", "1", "1", "-1"], ["1", "1", "1", "-1", "-1"], ["0", "1", "2", "1", "1"],
+             ["0", "2", "1", "-1", "1"], ["0", "2", "2", "-1", "-1"]]
+EXTRA_ROW = st.tuples(
+    st.integers(0, 99), st.integers(1, 2), st.integers(1, 2), st.sampled_from([-1, 1]), st.sampled_from([-1, 1])
+).map(lambda row: [str(v) for v in row])
+
+
+@st.composite
+def decorated_bundle_texts(draw):
+    """A bundle file with comments, blank lines, mixed line ends and padding; at times one bad cell."""
+    padding = draw(PADDINGS)
+    rows = BASE_ROWS + draw(st.lists(EXTRA_ROW, max_size=4))
+    bad = draw(st.none() | st.tuples(st.integers(0, len(rows) - 1), st.integers(0, 4),
+                                      st.sampled_from(["x", "1.0", "", "2", "3", "1,1", "1 1"])))
+    if bad is not None:
+        rows[bad[0]] = [*rows[bad[0]]]
+        rows[bad[0]][bad[1]] = bad[2]
+    lines = [draw(padding) + HEADER + draw(padding)]
+    lines += [",".join(draw(padding) + cell + draw(padding) for cell in row) for row in rows]
+    for _ in range(draw(st.integers(0, 4))):
+        extra = draw(padding) + draw(st.sampled_from(["", "# note", "#"])) + draw(padding)
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text.encode(draw(st.sampled_from(["utf-8", "latin-1"])))
+
+
+def read_outcome(read, path):
+    try:
+        return read(path)
+    except BellSimError as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(decorated_bundle_texts())
+def test_reader_agrees_with_whole_file_reader(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("reader") / "bundle.csv"
+    path.write_bytes(data)
+    assert read_outcome(read_bundle_csv, path) == read_outcome(whole_file_read_bundle_csv, path)
+
+
+def test_reader_peak_memory_is_below_twice_its_array(tmp_path):
+    n = 50_000
+    path = tmp_path / "bundle.csv"
+    bundle = bundle_of((n, n, n, n), "memory")
+    write_bundle_csv(path, bundle)
+    tracemalloc.start()
+    try:
+        read = read_bundle_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert read == bundle
+    assert peak < 2 * np.empty((4 * n, 5), dtype=np.int64).nbytes
