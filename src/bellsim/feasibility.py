@@ -23,11 +23,10 @@ decides that question exactly:
     SIAM Rev. 10, 371 (1968)).  The phase-1 simplex stops at a vertex, so
     rounding its witness removes only float noise, and the rounded witness
     is checked exactly against the counts.  That holds while float64
-    resolves the counts, up to N ~ 10^15.  Past it the rounding can miss,
-    and the check then raises ``NumericError``: most feasible tables do so
-    at N = 10^16, and all tested ones at N >= 10^17.  It never returns a
-    wrong witness or a wrong verdict.  ROADMAP item 2 plans an exact integer
-    construction for any N.
+    resolves the counts (N up to ~10^15).  Past that the check raises
+    ``NumericError`` for most feasible tables at N = 10^16 and for all
+    tested ones from N = 10^17; it never returns a wrong witness or
+    verdict.  ROADMAP item 2 plans an exact integer construction.
 """
 
 from __future__ import annotations
