@@ -6,10 +6,8 @@ exactly, so save/load cycles are lossless and byte-stable.
 
 The CSV writers stream bytes to a binary handle, a block of rows at a time, so
 a file of millions of rows never exists whole in memory, and every line ends
-in ``\n`` on every OS.  The bundle reader likewise reads its file line by
-line, so it holds the parsed N x 5 integer array but never the whole text.
-Writing, not sampling, is what a large bundle costs, so the bundle writer
-builds no Python object per row.  It writes
+in ``\n`` on every OS.  Writing, not sampling, is what a large bundle costs,
+so the bundle writer builds no Python object per row.  It writes
 ``BLOCK_ROWS`` = 10^4 rows at a time, each block one numpy record array:
 within block q > 0 every trial index is ``str(q)`` followed by the index inside
 the block, zero-padded to four digits (block 0 has no prefix and no padding),
@@ -17,6 +15,15 @@ so a row is the block's prefix, a line of a cached digit table, and the
 context's suffix such as ``",1,2,-1,1\n"``, picked by the pair's
 ``core.outcome_codes`` code.  NUL bytes pad the shorter strings to one width
 and are dropped with one mask before the block is written.
+
+The bundle reader likewise reads ``READ_BYTES`` at a time, in binary, and cuts
+each block after its last line end.  A block of canonical rows
+(``digits,d,d,-?d,-?d\n``, as the writer writes them) is parsed by numpy
+alone, each row read back from its newline, into int8 columns i, j, a, b.  Any
+other block (comments, blank lines, ``\r``, spaces, a trial index of 19 or
+more digits) goes through ``np.loadtxt`` as int64, which decides what is
+accepted.  The trial column is checked and dropped, so a canonical bundle
+costs the reader 4 bytes per row, not an N x 5 int64 array.
 
   bundle                 trial,context_i,context_j,a,b   (canonical context order)
   pointer records        trial,rA1,rA2,rB1,rB2,bvalue    (repr floats)
@@ -34,7 +41,7 @@ import itertools
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import astuple
 from pathlib import Path
-from typing import Any
+from typing import Any, BinaryIO
 
 import numpy as np
 
@@ -67,10 +74,6 @@ CURVE_HEADER = "n,trials,frequency,ci_lo,ci_hi,mean_s,sd_s,z"  # StudyRow's fiel
 # Rows formatted per write: bounds the text held in memory at once.
 CHUNK_ROWS = 8192
 
-# What bytes.strip() strips; str.strip() would also strip "\xa0", "\x85" and "\x1c" to "\x1f".
-ASCII_WHITESPACE = " \t\n\r\x0b\x0c"
-
-
 def _preamble_lines(preamble: Mapping[str, Any] | None) -> list[str]:
     if not preamble:
         return []
@@ -83,11 +86,6 @@ def _data_lines(path: Path) -> list[str]:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     return [ln.strip() for ln in lines if ln.strip() and not ln.lstrip().startswith("#")]
-
-
-def _next_data_line(lines: Iterator[str]) -> str | None:
-    """Advance past blank and comment lines; the lines must be stripped."""
-    return next((ln for ln in lines if ln and not ln.startswith("#")), None)
 
 
 def _write_csv(
@@ -154,37 +152,132 @@ def write_bundle_csv(
     _write_csv(path, BUNDLE_HEADER, preamble, blocks)
 
 
-def read_bundle_csv(path: Path) -> ExperimentBundle:
-    columns = BUNDLE_HEADER.count(",") + 1
-    # latin-1 gives one character per byte, and text mode splits lines at
-    # \n, \r and \r\n, as bytes.splitlines does
-    with Path(path).open(encoding="latin-1") as handle:
-        lines = map(str.strip, handle, itertools.repeat(ASCII_WHITESPACE))
-        first = _next_data_line(lines)
-        if first != BUNDLE_HEADER:
-            found = "<empty>" if first is None else first.encode("latin-1").decode(errors="replace")
-            raise ConfigError(f"{path}: expected header {BUNDLE_HEADER!r}, found {found!r}")
-        row = _next_data_line(lines)
-        if row is None:
-            data = np.empty((0, columns), dtype=np.int64)
+# Bytes read from a bundle file per block, and split into lines at a time in search of its header.
+READ_BYTES = 256 * 1024
+HEAD_BYTES = 4096
+
+# Byte codes of the canonical bundle rows' alphabet, as uint8 so that no comparison depends on
+# numpy's promotion rules.
+NEWLINE, COMMA, MINUS, ZERO, NINE = (np.uint8(ord(c)) for c in "\n,-09")
+# The shortest canonical row, "0,1,1,1,1\n".
+MIN_ROW_BYTES = 10
+# Trial indices of up to 18 digits fit int64, whose largest value has 19.
+MAX_TRIAL_DIGITS = 18
+
+
+def _line_blocks(handle: BinaryIO) -> Iterator[bytes]:
+    """The handle's bytes in blocks of whole lines, each cut after its last ``\\n`` or ``\\r``.
+
+    A line longer than a read is carried as a list of parts, joined once its
+    end arrives, so a file with no line break is copied once, not per read.
+    The last block lacks a line end if the file does.
+    """
+    carry: list[bytes] = []
+    while read := handle.read(READ_BYTES):
+        cut = max(read.rfind(b"\n"), read.rfind(b"\r")) + 1
+        if cut:
+            block, carry = b"".join([*carry, read[:cut]]), [read[cut:]]
+            yield block
         else:
-            try:
-                # loadtxt itself skips the blank and comment lines still to come
-                data = np.loadtxt(
-                    itertools.chain((row,), lines), delimiter=",", dtype=np.int64, ndmin=2
-                )
-            except ValueError as exc:
-                raise ConfigError(f"{path}: malformed CSV body: {exc}") from exc
+            carry.append(read)
+    tail = b"".join(carry)
+    carry.clear()
+    if tail:
+        yield tail
+
+
+def _canonical_rows(block: bytes) -> np.ndarray | None:
+    """The 4 x n int8 columns i, j, a, b of a block of canonical rows, or None.
+
+    A canonical row is ``digits,d,d,-?d,-?d\\n``, as ``write_bundle_csv``
+    writes it.  Each row is read back from its newline: a digit, an optional
+    ``-`` and a ``,`` per field.  The block qualifies only if it holds no byte
+    but ``0-9 , - \\n``, has exactly four commas per row and no ``-`` but the
+    signs found, and every trial field has 1 to MAX_TRIAL_DIGITS digits, so
+    that ``np.loadtxt`` would read the same numbers from it.
+    """
+    text = np.frombuffer(block, dtype=np.uint8)
+    ends = np.flatnonzero(text == NEWLINE)
+    if not ends.size or ends[-1] != text.size - 1 or np.diff(ends, prepend=-1).min() < MIN_ROW_BYTES:
+        return None
+    # every row spans MIN_ROW_BYTES or more, so the reads below stay inside it or
+    # reach its preceding newline (the block's last byte, for the first row)
+    digits = np.count_nonzero(text - ZERO <= NINE - ZERO)
+    commas = np.count_nonzero(text == COMMA)
+    minuses = np.count_nonzero(text == MINUS)
+    if digits + commas + minuses + ends.size != text.size or commas != 4 * ends.size:
+        return None
+    b_sign = text[ends - 2] == MINUS
+    b_comma = ends - 2 - b_sign
+    a_sign = text[b_comma - 2] == MINUS
+    a_comma = b_comma - 2 - a_sign
+    trial_comma = a_comma - 4
+    trial_digits = trial_comma - np.concatenate(([0], ends[:-1] + 1))
+    columns = np.stack([text[a_comma - 3], text[a_comma - 1], text[b_comma - 1], text[ends - 1]]) - ZERO
+    if not (
+        (columns <= NINE - ZERO).all()
+        and (text[np.stack([trial_comma, a_comma - 2, a_comma, b_comma])] == COMMA).all()
+        and minuses == np.count_nonzero(a_sign) + np.count_nonzero(b_sign)
+        and ((trial_digits >= 1) & (trial_digits <= MAX_TRIAL_DIGITS)).all()
+    ):
+        return None
+    columns = columns.view(np.int8)
+    columns[2, a_sign] *= -1
+    columns[3, b_sign] *= -1
+    return columns
+
+
+def _header_rest(path: Path, blocks: Iterator[bytes]) -> bytes:
+    """What follows the header line in its block; ConfigError unless the first data line is the header."""
+    for block in blocks:
+        start = 0
+        while start < len(block):
+            # split HEAD_BYTES or so at a time, cut after a newline: the header is near the top
+            window = block[start:block.find(b"\n", start + HEAD_BYTES) + 1 or len(block)]
+            for line in window.splitlines(keepends=True):
+                start += len(line)
+                line = line.strip()
+                if line and not line.startswith(b"#"):
+                    if line != BUNDLE_HEADER.encode():
+                        found = repr(line.decode(errors="replace"))
+                        raise ConfigError(f"{path}: expected header {BUNDLE_HEADER!r}, found {found}")
+                    return block[start:]
+    raise ConfigError(f"{path}: expected header {BUNDLE_HEADER!r}, found '<empty>'")
+
+
+def _bundle_rows(path: Path, block: bytes) -> np.ndarray:
+    """The 4 x n columns i, j, a, b of a block's rows: int8 if canonical, else int64 from ``np.loadtxt``."""
+    rows = _canonical_rows(block)
+    if rows is not None:
+        return rows
+    lines = [ln for ln in map(bytes.strip, block.splitlines()) if ln and not ln.startswith(b"#")]
+    if not lines:
+        return np.empty((4, 0), dtype=np.int8)
+    try:
+        data = np.loadtxt(lines, delimiter=",", dtype=np.int64, ndmin=2)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: malformed CSV body: {exc}") from exc
+    columns = BUNDLE_HEADER.count(",") + 1
     if data.shape[1] != columns:
         raise ConfigError(f"{path}: expected {columns} columns, got {data.shape[1]}")
+    return data[:, 1:].T
+
+
+def read_bundle_csv(path: Path) -> ExperimentBundle:
+    with Path(path).open("rb") as handle:
+        blocks = _line_blocks(handle)
+        rest = _header_rest(path, blocks)
+        i, j, a, b = np.concatenate(
+            [_bundle_rows(path, block) for block in itertools.chain((rest,), blocks)], axis=1
+        )
     datasets = []
     for context in CANONICAL_CONTEXTS:
-        mask = (data[:, 1] == context.alice) & (data[:, 2] == context.bob)
-        pairs = data[mask, 3:5]
+        mask = (i == context.alice) & (j == context.bob)
+        pairs = np.stack([a[mask], b[mask]], axis=1)
         if pairs.shape[0] == 0:
             raise ConfigError(f"{path}: no rows for context {context}")
         datasets.append(ContextDataset(context, pairs))
-    if int(data.shape[0]) != sum(d.n_pairs for d in datasets):
+    if i.size != sum(d.n_pairs for d in datasets):
         raise ConfigError(f"{path}: rows outside the four canonical contexts")
     return ExperimentBundle(tuple(datasets))
 

@@ -16,9 +16,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bellsim import fileio
 from bellsim.cli import EXIT_OK, main
 from bellsim.core import CANONICAL_CONTEXTS, ContextDataset, ExperimentBundle
 from bellsim.errors import BellSimError, ConfigError, DomainError
@@ -346,3 +347,155 @@ def test_reader_peak_memory_is_below_twice_its_array(tmp_path):
         tracemalloc.stop()
     assert read == bundle
     assert peak < 2 * np.empty((4 * n, 5), dtype=np.int64).nbytes
+
+
+# --- block reader: the canonical fast path, block edges and bad bytes ---------------
+
+def loadtxt_columns(block):
+    """The 4 x n columns i, j, a, b that ``np.loadtxt`` reads from a block, or None where it fails."""
+    lines = [ln for ln in map(bytes.strip, block.splitlines()) if ln and not ln.startswith(b"#")]
+    if not lines:
+        return None
+    try:
+        data = np.loadtxt(lines, delimiter=",", dtype=np.int64, ndmin=2)
+    except ValueError:
+        return None
+    return data[:, 1:].T if data.shape[1] == 5 else None
+
+
+def assert_none_or_loadtxt_columns(block):
+    rows = fileio._canonical_rows(block)
+    if rows is not None:
+        expected = loadtxt_columns(block)
+        assert expected is not None, block
+        assert rows.dtype == np.int8 and np.array_equal(rows, expected), block
+
+
+# Trial indices up to 10^20 reach past int64 (19 digits), which loadtxt rejects.
+CANONICAL_ROW = st.tuples(
+    st.integers(0, 10**20), st.integers(0, 9), st.integers(0, 9), st.integers(-9, 9), st.integers(-9, 9)
+).map(lambda row: ",".join(map(str, row)).encode() + b"\n")
+CANONICAL_ROWS = st.lists(CANONICAL_ROW, min_size=1, max_size=6).map(b"".join)
+MUTATION_BYTES = b"0123456789,-\n\r #"
+
+
+@st.composite
+def mutated_canonical_blocks(draw):
+    """Canonical rows with one to three bytes inserted, replaced or deleted, each at a row and offset."""
+    rows = [bytearray(row) for row in draw(st.lists(CANONICAL_ROW, min_size=1, max_size=6))]
+    for _ in range(draw(st.integers(1, 3))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        at = draw(st.integers(0, len(row)))
+        kind = draw(st.sampled_from(["insert", "replace", "delete"]))
+        # "-" and "," most often: they can move a field's edges and keep the row's shape
+        byte = draw(st.sampled_from(b"-,") | st.sampled_from(MUTATION_BYTES))
+        if kind == "insert":
+            row.insert(at, byte)
+        elif at < len(row):
+            if kind == "replace":
+                row[at] = byte
+            else:
+                del row[at]
+    return b"".join(rows)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(mutated_canonical_blocks())
+def test_canonical_rows_are_none_or_loadtxt_columns(block):
+    assert_none_or_loadtxt_columns(block)
+
+
+@settings(max_examples=200, deadline=None)
+@given(CANONICAL_ROWS)
+def test_canonical_rows_take_every_canonical_block(block):
+    rows = fileio._canonical_rows(block)
+    assert (rows is None) == any(len(row.split(b",")[0]) > 18 for row in block.splitlines())
+    assert rows is None or np.array_equal(rows, loadtxt_columns(block))
+
+
+CANONICAL_BLOCK = b"0,1,1,1,-1\n12,1,2,-1,1\n345,2,1,1,1\n6789,2,2,-1,-1\n"
+
+
+def test_canonical_rows_columns():
+    rows = fileio._canonical_rows(CANONICAL_BLOCK)
+    assert rows.dtype == np.int8
+    assert rows.tolist() == [[1, 1, 2, 2], [1, 2, 1, 2], [1, -1, 1, -1], [-1, 1, 1, -1]]
+
+
+@pytest.mark.parametrize("byte", [b"/", b":", b",", b"-", b"\x00", b"\xff"],
+                         ids=["slash", "colon", "comma", "minus", "nul", "xff"])
+def test_canonical_rows_edge_bytes(byte):
+    """The bytes next to and at the ends of the digit range are never digits, at any position."""
+    for at in range(len(CANONICAL_BLOCK)):
+        block = CANONICAL_BLOCK[:at] + byte + CANONICAL_BLOCK[at + 1:]
+        if byte in b",-":
+            assert_none_or_loadtxt_columns(block)
+        else:
+            assert fileio._canonical_rows(block) is None
+
+
+@st.composite
+def canonical_bundle_texts(draw):
+    """A bundle file as the writer writes it, at times with a comment, CRLF ends or no final newline."""
+    lines = [HEADER] + [",".join(row) for row in BASE_ROWS + draw(st.lists(EXTRA_ROW, max_size=12))]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(1, len(lines))), "# mid-body comment")
+    ends = [draw(st.sampled_from(["\n"] * 3 + ["\r\n"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return (text.rstrip("\r\n") if draw(st.booleans()) else text).encode()
+
+
+@pytest.mark.parametrize("read_bytes", [1, 7, 64])
+@settings(max_examples=150, deadline=None)
+@given(data=canonical_bundle_texts() | decorated_bundle_texts())
+@example(data=f"{HEADER}\r\n0,1,1,1,-1\r\n1,1,1,-1,-1\r\n0,1,2,1,1\r\n0,2,1,-1,1\r\n0,2,2,-1,-1".encode())
+def test_reader_agrees_with_whole_file_reader_across_block_edges(tmp_path_factory, read_bytes, data):
+    path = tmp_path_factory.mktemp("reader") / "bundle.csv"
+    path.write_bytes(data)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fileio, "READ_BYTES", read_bytes)
+        outcome = read_outcome(read_bundle_csv, path)
+    assert outcome == read_outcome(whole_file_read_bundle_csv, path)
+
+
+def test_file_without_line_break_is_read_in_linear_memory(tmp_path):
+    size = 8 * fileio.READ_BYTES
+    path = tmp_path / "bundle.csv"
+    path.write_bytes((b"# " + b"0123456789" * size)[:size])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="found '<empty>'"):
+            read_bundle_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * size
+
+
+CANONICAL_ALPHABET = st.lists(st.sampled_from(b"0123456789,-\n"), max_size=200).map(bytes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([b"", f"{HEADER}\n".encode()]), st.binary(max_size=200) | CANONICAL_ALPHABET)
+def test_reader_raises_only_bellsim_errors(tmp_path_factory, head, body):
+    path = tmp_path_factory.mktemp("reader") / "bundle.csv"
+    path.write_bytes(head + body)
+    try:
+        assert isinstance(read_bundle_csv(path), ExperimentBundle)
+    except BellSimError:
+        pass
+
+
+def test_reader_peak_memory_is_below_its_int64_array(tmp_path):
+    n = 50_000
+    path = tmp_path / "bundle.csv"
+    bundle = bundle_of((n, n, n, n), "memory")
+    write_bundle_csv(path, bundle)
+    tracemalloc.start()
+    try:
+        read = read_bundle_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert read == bundle
+    assert peak < np.empty((4 * n, 5), dtype=np.int64).nbytes
