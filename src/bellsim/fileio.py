@@ -152,6 +152,156 @@ def write_bundle_csv(
     _write_csv(path, BUNDLE_HEADER, preamble, blocks)
 
 
+# Bytes of a float field: repr of any float64 fits ("-2.2250738585072014e-308" has 24).
+FIELD_BYTES = 24
+# repr writes |x| in [FIELD_LOW, FIELD_HIGH) positionally; _float_fields computes those fields.
+FIELD_LOW, FIELD_HIGH = 1e-4, 1e16
+# Such an x scales by 10**k, 1 <= k <= MAX_SCALE, into [10**16, 10**17): MAX_DIGITS digits.
+MAX_DIGITS, MAX_SCALE = 17, 20
+Y_LOW, Y_HIGH = 1e16, 1e17
+# Veltkamp's splitter for float64: 2**27 + 1.
+SPLITTER = 134217729.0
+
+
+@functools.cache
+def _float_tables() -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The powers of ten as float64 (exact up to 10**22) and int64, and the field layouts.
+
+    A field's bytes come from 24 digit bytes, seven ``0`` and then the 17
+    digits of y = |x| * 10**k: byte p takes the digit byte p + 1 before the
+    decimal point, the digit byte p after it, or a constant (``.`` and ``-``).
+    Each (k, j, sign) has one row per source, 1 where byte p takes it (the
+    constant's own byte), else 0, which leaves a NUL.  With x = 0.d1d2... *
+    10**decpt, decpt = 17 - k, the integer part starts at byte 6 (the units
+    ``0`` of ``0.000d`` at byte 5 + decpt), the point is byte 6 + decpt, and
+    the fraction ends with the last of the 17 - j significant digits, or with
+    a ``0`` after the point.
+    """
+    p = np.arange(FIELD_BYTES)
+    k = np.arange(MAX_SCALE + 1)[:, None, None, None]
+    j = np.arange(MAX_DIGITS + 1)[None, :, None, None]
+    negative = np.arange(2)[None, None, :, None]
+    decpt = MAX_DIGITS - k
+    point = 6 + decpt
+    first = np.where(decpt > 0, 6, point - 1)
+    kept = (p >= first) & (p <= np.maximum(6 + MAX_DIGITS - j, point + 1))
+    constant = np.where(p == point, ord("."), 0) + np.where((p == first - 1) & (negative == 1), ord("-"), 0)
+    shape = (MAX_SCALE + 1, MAX_DIGITS + 1, 2, FIELD_BYTES)
+    layouts = tuple(
+        np.broadcast_to(table, shape).reshape(-1, FIELD_BYTES).astype(np.uint8)
+        for table in (kept & (p < point), kept & (p > point), constant)
+    )
+    return 10.0 ** np.arange(23), 10 ** np.arange(19, dtype=np.int64), layouts
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a as hi + lo, each of at most 26 significant bits (Veltkamp)."""
+    t = a * SPLITTER
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rounded product a*b and its exact rounding error (Dekker, Numer. Math. 18, 224 (1971))."""
+    product = a * b
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _split(b)
+    return product, ((a_hi * b_hi - product) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _floor_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """floor(a + b) of the exact sum, as int64.
+
+    Knuth's two-sum gives a + b = s + t exactly, s the rounded sum.  No
+    integer lies strictly between the exact and the rounded sum, so only an
+    integer s with t < 0 rounds down further.
+    """
+    s = a + b
+    b_part = s - a
+    t = (a - (s - b_part)) + (b - b_part)
+    floor = np.floor(s)
+    return floor.astype(np.int64) - ((floor == s) & (t < 0))
+
+
+def _float_fields(values: np.ndarray) -> np.ndarray:
+    """(n, FIELD_BYTES) uint8: ``repr(float(x)).encode()`` of each float64, NUL-padded.
+
+    repr writes the shortest digits that read back as x, the nearest to x if
+    several are as short.  For FIELD_LOW <= |x| < FIELD_HIGH, repr's
+    positional range, they are found in exact integer arithmetic:
+
+    - y = |x| * 10**k in [10**16, 10**17) is P + e exactly (Dekker's product,
+      P int64, |e| <= 8), and the reals that round to x scale to
+      [y - h, y + h], h = ulp(x) * 10**k / 2, exact too.
+    - The digits are the multiple of 10**j nearest y, ties to an even
+      quotient, for the largest j with a multiple of 10**j in that interval.
+    - The interval is taken closed and symmetric.  An end y +- h is a
+      multiple of 10 only for x in [2**53, 10**16), where the ends 10(x +- 1)
+      are odd multiples of 10 and y = 10x itself is the answer, so whether an
+      end belongs to the interval (x's parity) never matters.  Only a power
+      of two has a nearer lower neighbour; the test over every power of two
+      covers them.
+
+    repr writes every other value (zeros, subnormals, NaN, infinities,
+    |x| < FIELD_LOW or >= FIELD_HIGH) itself.
+    """
+    pow10, pow10_int, (before, after, constant) = _float_tables()
+    n = values.shape[0]
+    magnitude = np.abs(values)
+    computed = (magnitude >= FIELD_LOW) & (magnitude < FIELD_HIGH)
+    x = np.where(computed, magnitude, 1.0)
+    # np.log10's k is off by at most one next to a power of ten; the exact comparison mends it
+    k = np.int64(MAX_DIGITS - 1) - np.floor(np.log10(x)).astype(np.int64)
+    y, e = _two_product(x, pow10[k])
+    shift = ((y < Y_LOW) | ((y == Y_LOW) & (e < 0))).astype(np.int64) - ((y > Y_HIGH) | ((y == Y_HIGH) & (e >= 0)))
+    moved = np.flatnonzero(shift)
+    if moved.size:
+        k[moved] += shift[moved]
+        y[moved], e[moved] = _two_product(x[moved], pow10[k[moved]])
+    whole = y.astype(np.int64)
+    half_width = np.spacing(x) * pow10[k] * 0.5
+    upper = whole + _floor_sum(e, half_width)
+    lower = whole - _floor_sum(-e, half_width)
+    # j <= 16: 10**17 in the interval would read back as x < 10**17 / 10**k, a power of ten above x;
+    # 10**m is a double for m >= 0, and 0.1 to 0.0001 read back as doubles above them
+    j = np.zeros(n, dtype=np.int64)
+    active = np.arange(n)
+    for power in pow10_int[1:MAX_DIGITS]:
+        found = upper // power * power >= lower
+        active, upper, lower = active[found], upper[found], lower[found]
+        if not active.size:
+            break
+        j[active] += np.int64(1)
+    # 2y = twice + g, twice an integer and 0 <= g < 1: a tie needs g = 0, and only g > 0 is tested
+    two_e = 2.0 * e
+    floor_two_e = np.floor(two_e)
+    twice = np.int64(2) * whole + floor_two_e.astype(np.int64)
+    unit = pow10_int[j]
+    quotient, rest = np.divmod(twice, np.int64(2) * unit)
+    odd = (quotient & np.int64(1)).astype(bool)
+    digits = (quotient + ((rest > unit) | ((rest == unit) & ((floor_two_e != two_e) | odd)))) * unit
+    # seven '0' bytes and the 17 digits, in 4-digit groups; a spare row for the view one byte on
+    groups = np.zeros((n + 1, FIELD_BYTES // 4), dtype=np.uint32)
+    table = _bundle_tables()[0].view(np.uint32)
+    groups[:, 0] = table[0]
+    groups[:n, 1] = table[digits // pow10_int[MAX_DIGITS - 1]]
+    for column, power in enumerate(pow10_int[12::-4], start=2):
+        groups[:n, column] = table[digits // power % pow10_int[4]]
+    text = groups.view(np.uint8).reshape(-1)
+    layout = (k * np.int64(MAX_DIGITS + 1) + j) * np.int64(2) + (values < 0)
+    fields = np.take(before, layout, axis=0).reshape(-1)
+    fields *= text[1:n * FIELD_BYTES + 1]
+    fields += np.take(after, layout, axis=0).reshape(-1) * text[:n * FIELD_BYTES]
+    fields += np.take(constant, layout, axis=0).reshape(-1)
+    fields = fields.reshape(n, FIELD_BYTES)
+    others = np.flatnonzero(~computed)
+    if others.size:
+        fields[others] = np.array(
+            [repr(v).encode() for v in values[others].tolist()], dtype=f"S{FIELD_BYTES}"
+        ).view(np.uint8).reshape(-1, FIELD_BYTES)
+    return fields
+
+
 # Bytes read from a bundle file at a time (of 64 KiB to 4 MiB, the fastest).
 READ_BYTES = 256 * 1024
 # Bytes split into lines at a time in search of the header, which sits near the top.
@@ -164,6 +314,8 @@ NEWLINE, COMMA, MINUS, ZERO, NINE = (np.uint8(ord(c)) for c in "\n,-09")
 MIN_ROW_BYTES = 10
 # Trial indices of up to 18 digits fit int64, whose largest value has 19.
 MAX_TRIAL_DIGITS = 18
+# Bytes of a wrong header line quoted in its error: a long line gives no long message.
+QUOTE_BYTES = 80
 
 
 def _line_blocks(handle: BinaryIO) -> Iterator[bytes]:
@@ -240,7 +392,8 @@ def _header_rest(path: Path, blocks: Iterator[bytes]) -> bytes:
                 line = line.strip()
                 if line and not line.startswith(b"#"):
                     if line != BUNDLE_HEADER.encode():
-                        found = repr(line.decode(errors="replace"))
+                        cut = "..." if len(line) > QUOTE_BYTES else ""
+                        found = repr(line[:QUOTE_BYTES].decode(errors="replace")) + cut
                         raise ConfigError(f"{path}: expected header {BUNDLE_HEADER!r}, found {found}")
                     return block[start:]
     raise ConfigError(f"{path}: expected header {BUNDLE_HEADER!r}, found '<empty>'")
@@ -283,19 +436,36 @@ def read_bundle_csv(path: Path) -> ExperimentBundle:
     return ExperimentBundle(tuple(datasets))
 
 
+def _index_text(start: int, stop: int) -> np.ndarray:
+    """(m, w) uint8: the integers start .. stop - 1 as text, NUL-padded on the left."""
+    index = np.arange(start, stop, dtype=np.int64)
+    padded = _bundle_tables()[0]
+    width = -(-len(str(stop - 1)) // BLOCK_DIGITS)  # in 4-digit groups
+    powers = np.int64(BLOCK_ROWS) ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    text = padded.view(np.uint32)[index[:, None] // powers % np.int64(BLOCK_ROWS)].view(np.uint8)
+    # keep from the first nonzero digit, and the last digit of 0
+    leading = np.int64(BLOCK_DIGITS * width - 1) - np.searchsorted(_float_tables()[1][1:], index, side="right")
+    text *= (np.arange(BLOCK_DIGITS * width) >= leading[:, None]).view(np.uint8)
+    return text
+
+
+def _records_blocks(run: PointerRun) -> Iterator[bytes]:
+    """Bytes of the rows ``k,rA1,rA2,rB1,rB2,bvalue``, CHUNK_ROWS rows per block."""
+    for start in range(0, len(run), CHUNK_ROWS):
+        stop = min(start + CHUNK_ROWS, len(run))
+        values = np.column_stack([run.readings[start:stop], run.b_values[start:stop]])
+        fields = _float_fields(values.reshape(-1)).reshape(stop - start, values.shape[1], FIELD_BYTES)
+        comma, newline = (np.full((stop - start, 1), ord(c), dtype=np.uint8) for c in ",\n")
+        pieces = [(comma, fields[:, column]) for column in range(values.shape[1])]
+        text = np.concatenate([_index_text(start, stop), *itertools.chain.from_iterable(pieces), newline], axis=1)
+        yield text[text != 0].tobytes()
+
+
 def write_records_csv(
     path: Path, run: PointerRun, preamble: Mapping[str, Any] | None = None
 ) -> None:
     """Per-pair pointer records: the four readings and the B-value of each pair."""
-
-    def blocks() -> Iterator[str]:
-        for start in range(0, len(run), CHUNK_ROWS):
-            stop = start + CHUNK_ROWS
-            readings, b_values = run.readings[start:stop].tolist(), run.b_values[start:stop].tolist()
-            rows = zip(range(start, stop), readings, b_values)
-            yield "".join([f"{k},{r[0]!r},{r[1]!r},{r[2]!r},{r[3]!r},{b!r}\n" for k, r, b in rows]).encode()
-
-    _write_csv(path, RECORDS_HEADER, preamble, blocks())
+    _write_csv(path, RECORDS_HEADER, preamble, _records_blocks(run))
 
 
 def write_curve_csv(

@@ -54,15 +54,24 @@ def _seed_of(h: Any) -> int:
     return int.from_bytes(h.digest()[:8], "little")
 
 
+def _master(master: object) -> object:
+    """``master`` if it is an integer of any integer type (not a ``bool``); else ConfigError."""
+    if isinstance(master, bool) or not isinstance(master, numbers.Integral):
+        raise ConfigError(f"seed must be an integer, got {master!r}")
+    return master
+
+
 def derive_seed(master: int, *path: object) -> int:
     """Derive a 64-bit child seed from a master seed and a label path.
 
     Path elements (strings, ints) are encoded unambiguously, so
     ("ab", 1) and ("a", "b1") yield unrelated seeds.  Integers of any type
     (``7``, ``np.int64(7)``) are hashed as Python ints, so equal values give
-    equal streams; ``bool`` keeps its own encoding.
+    equal streams; ``bool`` keeps its own encoding.  The master must be an
+    integer: ``1.0``, ``"1"`` and ``True`` would each hash to a stream
+    unrelated to ``1``'s, so they are ConfigErrors.
     """
-    return _seed_of(hashlib.sha256(b"".join([b"bellsim-seed", *map(_token, (master, *path))])))
+    return _seed_of(hashlib.sha256(b"".join([b"bellsim-seed", *map(_token, (_master(master), *path))])))
 
 
 def derive_seeds(masters: Iterable[int], path: tuple[object, ...], last: Iterable[object]) -> list[int]:
@@ -74,7 +83,7 @@ def derive_seeds(masters: Iterable[int], path: tuple[object, ...], last: Iterabl
     tails = [_token(part) for part in last]
     seeds = []
     for master in masters:
-        prefix = hashlib.sha256(b"".join([b"bellsim-seed", _token(master), head]))
+        prefix = hashlib.sha256(b"".join([b"bellsim-seed", _token(_master(master)), head]))
         for tail in tails:
             h = prefix.copy()
             h.update(tail)

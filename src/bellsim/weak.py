@@ -41,6 +41,14 @@ __all__ = [
 ]
 
 
+def _finite_real(value: object) -> bool:
+    """Whether value is a real number whose float64 value is finite (an int beyond float64 is not)."""
+    try:
+        return isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class PointerConfig:
     """Readout gain g and per-reading pointer spread sigma."""
@@ -50,9 +58,9 @@ class PointerConfig:
 
     def __post_init__(self) -> None:
         g, sigma = self.coupling, self.noise_sd
-        if not (isinstance(g, numbers.Real) and g > 0 and math.isfinite(g)):
+        if not (_finite_real(g) and g > 0):
             raise ConfigError(f"coupling g must be positive, got {g!r}")
-        if not (isinstance(sigma, numbers.Real) and sigma >= 0 and math.isfinite(sigma)):
+        if not (_finite_real(sigma) and sigma >= 0):
             raise ConfigError(f"noise_sd must be >= 0, got {sigma!r}")
 
 
@@ -95,7 +103,8 @@ def per_pair_b_values_lhv(
     rng = spawn_rng(seed, "weak-lhv")
     g, sigma = config.coupling, config.noise_sd
     means = g * table.outcomes.astype(np.float64)
-    readings = means + sigma * rng.standard_normal(means.shape)
+    with np.errstate(all="ignore"):  # readings beyond float64 end as inf or NaN, rejected by PointerRun
+        readings = means + sigma * rng.standard_normal(means.shape)
     return PointerRun(
         readings,
         config,
@@ -118,16 +127,17 @@ def per_pair_b_values_calibrated(
     reference reading is what makes the 50% exceedance exact.)
     """
     n = sample_size(n, "n")
-    if not (isinstance(target_s, numbers.Real) and math.isfinite(target_s)):
+    if not _finite_real(target_s):
         raise ConfigError(f"target_s must be finite, got {target_s}")
     rng = spawn_rng(seed, "weak-calibrated")
     g, sigma = config.coupling, config.noise_sd
     a = math.sqrt(abs(target_s) / 2.0)
     b = math.copysign(a, target_s) if target_s != 0 else 0.0
-    noise = sigma * rng.standard_normal((n, 3))
     readings = np.empty((n, 4))
-    readings[:, 0] = g * a + noise[:, 0]  # r_A1
-    readings[:, 1] = g * a + noise[:, 1]  # r_A2
+    with np.errstate(all="ignore"):  # readings beyond float64 end as inf or NaN, rejected by PointerRun
+        noise = sigma * rng.standard_normal((n, 3))
+        readings[:, 0] = g * a + noise[:, 0]  # r_A1
+        readings[:, 1] = g * a + noise[:, 1]  # r_A2
     readings[:, 2] = g * b  # r_B1: noiseless reference
     readings[:, 3] = noise[:, 2]  # r_B2: zero-mean
     return PointerRun(
@@ -140,11 +150,11 @@ def per_pair_b_values_calibrated(
 
 def exceedance_fraction(values: Sequence[float] | np.ndarray, threshold: float) -> float:
     """Fraction of values strictly above the threshold."""
-    if not (isinstance(threshold, numbers.Real) and math.isfinite(threshold)):
+    if not _finite_real(threshold):
         raise ConfigError(f"threshold must be a finite number, got {threshold!r}")
     try:
         arr = np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError("values must be numbers") from exc
     if arr.size == 0:
         raise DomainError("exceedance fraction undefined for an empty list")
