@@ -451,12 +451,12 @@ def _index_text(start: int, stop: int) -> np.ndarray:
 
 def _records_blocks(run: PointerRun) -> Iterator[bytes]:
     """Bytes of the rows ``k,rA1,rA2,rB1,rB2,bvalue``, CHUNK_ROWS rows per block."""
+    columns = [*run.readings.T, run.b_values]
     for start in range(0, len(run), CHUNK_ROWS):
         stop = min(start + CHUNK_ROWS, len(run))
-        values = np.column_stack([run.readings[start:stop], run.b_values[start:stop]])
-        fields = _float_fields(values.reshape(-1)).reshape(stop - start, values.shape[1], FIELD_BYTES)
         comma, newline = (np.full((stop - start, 1), ord(c), dtype=np.uint8) for c in ",\n")
-        pieces = [(comma, fields[:, column]) for column in range(values.shape[1])]
+        # a column at a time: the kernel's intermediates stay a fifth of the block's
+        pieces = [(comma, _float_fields(column[start:stop])) for column in columns]
         text = np.concatenate([_index_text(start, stop), *itertools.chain.from_iterable(pieces), newline], axis=1)
         yield text[text != 0].tobytes()
 
