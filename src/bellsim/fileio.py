@@ -1,8 +1,8 @@
 """Text formats for bundles, pointer records, curves, behaviors, models, studies and states.
 
 CSV files may start with ``# key: value`` comment lines (the run's provenance); all
-readers skip them.  Floats are written with repr, which round-trips float64
-exactly, so save/load cycles are lossless and byte-stable.
+readers skip them.  Floats are written as repr writes them, which round-trips
+float64 exactly, so save/load cycles are lossless and byte-stable.
 
 The CSV writers stream bytes to a binary handle, a block of rows at a time, so
 a file of millions of rows never exists whole in memory, and every line ends
@@ -15,6 +15,14 @@ so a row is the block's prefix, a line of a cached digit table, and the
 context's suffix such as ``",1,2,-1,1\n"``, picked by the pair's
 ``core.outcome_codes`` code.  NUL bytes pad the shorter strings to one width
 and are dropped with one mask before the block is written.
+
+The pointer records writer likewise builds ``CHUNK_ROWS`` rows at a time with
+numpy alone: each row is the trial index (from the same digit table), five
+float fields, commas and a newline.  ``_float_fields`` writes repr's bytes into
+NUL-padded 24-byte fields.  Within repr's positional range, 1e-4 <= |x| < 1e16,
+it finds repr's shortest round-trip digits in exact integer arithmetic; repr
+itself writes every other value (zeros, subnormals, NaN, infinities and the
+magnitudes outside that range).
 
 The bundle reader likewise reads ``READ_BYTES`` at a time, in binary, and cuts
 each block after its last line end.  A block of canonical rows
@@ -209,20 +217,6 @@ def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return product, ((a_hi * b_hi - product) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
-def _floor_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """floor(a + b) of the exact sum, as int64.
-
-    Knuth's two-sum gives a + b = s + t exactly, s the rounded sum.  No
-    integer lies strictly between the exact and the rounded sum, so only an
-    integer s with t < 0 rounds down further.
-    """
-    s = a + b
-    b_part = s - a
-    t = (a - (s - b_part)) + (b - b_part)
-    floor = np.floor(s)
-    return floor.astype(np.int64) - ((floor == s) & (t < 0))
-
-
 def _float_fields(values: np.ndarray) -> np.ndarray:
     """(n, FIELD_BYTES) uint8: ``repr(float(x)).encode()`` of each float64, NUL-padded.
 
@@ -232,7 +226,7 @@ def _float_fields(values: np.ndarray) -> np.ndarray:
 
     - y = |x| * 10**k in [10**16, 10**17) is P + e exactly (Dekker's product,
       P int64, |e| <= 8), and the reals that round to x scale to
-      [y - h, y + h], h = ulp(x) * 10**k / 2, exact too.
+      [y - h, y + h], h = ulp(x) * 10**k / 2, whose ends are exact too.
     - The digits are the multiple of 10**j nearest y, ties to an even
       quotient, for the largest j with a multiple of 10**j in that interval.
     - The interval is taken closed and symmetric.  An end y +- h is a
@@ -259,9 +253,11 @@ def _float_fields(values: np.ndarray) -> np.ndarray:
         k[moved] += shift[moved]
         y[moved], e[moved] = _two_product(x[moved], pow10[k[moved]])
     whole = y.astype(np.int64)
+    # y = M * 5**k * 2**(q+k) for x = M * 2**q, M < 2**53, so y >= 10**16 and k <= 20 give q + k >= -46:
+    # e and h are multiples of 2**(q+k-1) and |e +- h| < 32, so e +- h needs at most 52 bits, exact
     half_width = np.spacing(x) * pow10[k] * 0.5
-    upper = whole + _floor_sum(e, half_width)
-    lower = whole - _floor_sum(-e, half_width)
+    upper = whole + np.floor(e + half_width).astype(np.int64)
+    lower = whole + np.ceil(e - half_width).astype(np.int64)
     # j <= 16: 10**17 in the interval would read back as x < 10**17 / 10**k, a power of ten above x;
     # 10**m is a double for m >= 0, and 0.1 to 0.0001 read back as doubles above them
     j = np.zeros(n, dtype=np.int64)
@@ -439,13 +435,14 @@ def read_bundle_csv(path: Path) -> ExperimentBundle:
 def _index_text(start: int, stop: int) -> np.ndarray:
     """(m, w) uint8: the integers start .. stop - 1 as text, NUL-padded on the left."""
     index = np.arange(start, stop, dtype=np.int64)
-    padded = _bundle_tables()[0]
-    width = -(-len(str(stop - 1)) // BLOCK_DIGITS)  # in 4-digit groups
-    powers = np.int64(BLOCK_ROWS) ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    text = padded.view(np.uint32)[index[:, None] // powers % np.int64(BLOCK_ROWS)].view(np.uint8)
+    digits = len(str(stop - 1))
+    width = -(-digits // BLOCK_DIGITS) * BLOCK_DIGITS
+    powers = np.int64(BLOCK_ROWS) ** np.arange(width // BLOCK_DIGITS - 1, -1, -1, dtype=np.int64)
+    text = _bundle_tables()[0].view(np.uint32)[index[:, None] // powers % np.int64(BLOCK_ROWS)].view(np.uint8)
     # keep from the first nonzero digit, and the last digit of 0
-    leading = np.int64(BLOCK_DIGITS * width - 1) - np.searchsorted(_float_tables()[1][1:], index, side="right")
-    text *= (np.arange(BLOCK_DIGITS * width) >= leading[:, None]).view(np.uint8)
+    tens = np.int64(10) ** np.arange(1, digits, dtype=np.int64)
+    leading = np.int64(width - 1) - np.searchsorted(tens, index, side="right")
+    text *= (np.arange(width) >= leading[:, None]).view(np.uint8)
     return text
 
 

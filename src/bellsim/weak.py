@@ -140,6 +140,7 @@ def per_pair_b_values_calibrated(
         readings[:, 1] = g * a + noise[:, 1]  # r_A2
     readings[:, 2] = g * b  # r_B1: noiseless reference
     readings[:, 3] = noise[:, 2]  # r_B2: zero-mean
+    del noise  # not held while PointerRun copies the readings: n = 10^6 peaks 24 MB lower
     return PointerRun(
         readings,
         config,

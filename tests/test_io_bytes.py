@@ -472,6 +472,23 @@ def test_file_without_line_break_is_read_in_linear_memory(tmp_path):
     assert peak < 3 * size
 
 
+def test_long_first_line_is_quoted_in_part(tmp_path):
+    size = 8 * fileio.READ_BYTES  # 2 MiB, no line break
+    path = tmp_path / "bundle.csv"
+    path.write_bytes((b"0123456789" * size)[:size])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=r"found '0123456789.*'\.\.\.$") as raised:
+            read_bundle_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    message = str(raised.value).removeprefix(f"{path}: ")  # the path's length is the test's
+    assert len(message) < 200
+    # the line's blocks and their join, as for a comment line; the whole-line quote added 1x more
+    assert peak < 2.05 * size
+
+
 CANONICAL_ALPHABET = st.lists(st.sampled_from(b"0123456789,-\n"), max_size=200).map(bytes)
 
 

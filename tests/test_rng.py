@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bellsim.errors import ConfigError
 from bellsim.rng import categorical, category_runs, default_rngs, derive_seed, derive_seeds, spawn_rng
 
 
@@ -126,3 +128,12 @@ def test_python_int_seeds_are_unchanged():
     assert spawn_rng(42, "trial", 7).random(3).tolist() == [
         0.38277346550837044, 0.30790164072816373, 0.8606150415921476,
     ]
+
+
+@pytest.mark.parametrize("master", [1.0, np.float64(1.0), "1", True, np.bool_(True), None, 1.5, 1 + 0j],
+                         ids=["float", "np-float", "str", "bool", "np-bool", "none", "one-and-a-half", "complex"])
+def test_master_seed_must_be_an_integer(master):
+    # each would hash to a stream unrelated to the integer's
+    for derive in (derive_seed, spawn_rng, lambda m: derive_seeds([m], ("x",), [1])):
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            derive(master)

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import binomtest
 
 from bellsim.core import CounterfactualTable, b_statistic, row_c_values
-from bellsim.errors import ConfigError, DomainError
+from bellsim.errors import BellSimError, ConfigError, DomainError
 from bellsim.lhv import boundary_mixture_model, sample_counterfactual_table
 from bellsim.weak import (
     PointerConfig,
@@ -144,3 +146,33 @@ class TestExceedance:
     def test_bad_threshold_rejected(self, threshold):
         with pytest.raises(ConfigError, match="threshold"):
             exceedance_fraction([1.0, 3.0], threshold)
+
+
+# Bare scalars of many types: huge and non-finite numbers, numpy scalars, text, None.
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.complex_numbers(), st.text(max_size=3),
+    st.fractions(), st.decimals(), st.sampled_from([10**400, -(10**400)]),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64), st.floats(width=32).map(np.float32),
+)
+# Sample sizes: any scalar but a large integer, which would ask for that many readings.
+SIZES = SCALARS.filter(lambda n: not (isinstance(n, (int, np.integer)) and n > 50))
+
+
+@settings(max_examples=500, deadline=None)
+@given(coupling=SCALARS, noise_sd=SCALARS, target_s=SCALARS, n=SIZES, seed=SCALARS,
+       values=st.lists(SCALARS, max_size=4) | SCALARS, threshold=SCALARS)
+def test_bare_scalar_inputs_raise_only_bellsim_errors(coupling, noise_sd, target_s, n, seed, values, threshold):
+    table = CounterfactualTable(np.ones((3, 4)))
+    calls = [
+        lambda: PointerConfig(coupling, noise_sd),
+        lambda: per_pair_b_values_calibrated(target_s, PointerConfig(), n, seed),
+        lambda: per_pair_b_values_lhv(table, PointerConfig(), seed),
+        lambda: per_pair_b_values_calibrated(1.0, PointerConfig(coupling, noise_sd), 3, 1),
+        lambda: per_pair_b_values_lhv(table, PointerConfig(coupling, noise_sd), 1),
+        lambda: exceedance_fraction(values, threshold),
+    ]
+    for call in calls:
+        try:
+            call()
+        except BellSimError:
+            pass
