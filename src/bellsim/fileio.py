@@ -453,8 +453,8 @@ def _records_blocks(run: PointerRun) -> Iterator[bytes]:
         stop = min(start + CHUNK_ROWS, len(run))
         comma, newline = (np.full((stop - start, 1), ord(c), dtype=np.uint8) for c in ",\n")
         # a column at a time: the kernel's intermediates stay a fifth of the block's
-        pieces = [(comma, _float_fields(column[start:stop])) for column in columns]
-        text = np.concatenate([_index_text(start, stop), *itertools.chain.from_iterable(pieces), newline], axis=1)
+        fields = itertools.chain.from_iterable((comma, _float_fields(column[start:stop])) for column in columns)
+        text = np.concatenate([_index_text(start, stop), *fields, newline], axis=1)
         yield text[text != 0].tobytes()
 
 
