@@ -25,6 +25,8 @@ layout for all others: ``Context.columns``, ``context_products`` and ``chsh_sum`
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, fields
 from typing import Any
@@ -51,6 +53,7 @@ __all__ = [
     "context_plus_counts",
     "context_products",
     "correlation",
+    "finite_real",
     "frozen_array",
     "outcome_codes",
     "outcome_rows",
@@ -130,6 +133,14 @@ def outcome_codes(outcomes: np.ndarray) -> np.ndarray:
     for k in range(1, outcomes.shape[1]):
         codes = codes << 1 | minus[:, k]
     return codes
+
+
+def finite_real(value: object) -> bool:
+    """Whether value is a real number whose float64 value is finite (an int beyond float64 is not)."""
+    try:
+        return isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def frozen_array(values: object, dtype: type, shape: tuple[int | None, ...], name: str) -> np.ndarray:

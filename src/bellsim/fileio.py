@@ -6,23 +6,25 @@ float64 exactly, so save/load cycles are lossless and byte-stable.
 
 The CSV writers stream bytes to a binary handle, a block of rows at a time, so
 a file of millions of rows never exists whole in memory, and every line ends
-in ``\n`` on every OS.  Writing, not sampling, is what a large bundle costs,
-so the bundle writer builds no Python object per row.  It writes
-``BLOCK_ROWS`` = 10^4 rows at a time, each block one numpy record array:
-within block q > 0 every trial index is ``str(q)`` followed by the index inside
-the block, zero-padded to four digits (block 0 has no prefix and no padding),
-so a row is the block's prefix, a line of a cached digit table, and the
-context's suffix such as ``",1,2,-1,1\n"``, picked by the pair's
-``core.outcome_codes`` code.  NUL bytes pad the shorter strings to one width
-and are dropped with one mask before the block is written.
+in ``\n`` on every OS.  Writing, not sampling, is what a large file costs, so
+both writers build their rows with numpy alone, through one row builder.  It
+writes ``WRITE_ROWS`` = ``BLOCK_ROWS`` / 2 rows at a time, so a write never
+leaves one of the ``BLOCK_ROWS`` = 10^4-row blocks in which trial indices
+share their leading digits: within block q > 0 every trial index is ``str(q)``
+followed by the index inside the block, zero-padded to four digits from a
+cached digit table (block 0 has no prefix and no padding).  Each row is a
+record of NUL-padded byte strings in one numpy record array: the block's
+prefix, the index in the block, then the row's fields.  A bundle row's field
+is the context's suffix such as ``",1,2,-1,1\n"``, picked by the pair's
+``core.outcome_codes`` code; a pointer record's are five float fields with
+commas and a newline.  The field arrays are dropped, then every NUL byte with
+one mask, and the rest is the rows' text.
 
-The pointer records writer likewise builds ``CHUNK_ROWS`` rows at a time with
-numpy alone: each row is the trial index (from the same digit table), five
-float fields, commas and a newline.  ``_float_fields`` writes repr's bytes into
-NUL-padded 24-byte fields.  Within repr's positional range, 1e-4 <= |x| < 1e16,
-it finds repr's shortest round-trip digits in exact integer arithmetic; repr
-itself writes every other value (zeros, subnormals, NaN, infinities and the
-magnitudes outside that range).
+``_float_fields`` writes repr's bytes into NUL-padded 24-byte fields.  Within
+repr's positional range, 1e-4 <= |x| < 1e16, it finds repr's shortest
+round-trip digits in exact integer arithmetic; repr itself writes every other
+value (zeros, subnormals, NaN, infinities and the magnitudes outside that
+range).
 
 The bundle reader likewise reads ``READ_BYTES`` at a time, in binary, and cuts
 each block after its last line end.  A block of canonical rows
@@ -79,9 +81,6 @@ BUNDLE_HEADER = "trial,context_i,context_j,a,b"
 RECORDS_HEADER = "trial,rA1,rA2,rB1,rB2,bvalue"
 CURVE_HEADER = "n,trials,frequency,ci_lo,ci_hi,mean_s,sd_s,z"  # StudyRow's fields, in order
 
-# Rows formatted per write: bounds the text held in memory at once.
-CHUNK_ROWS = 8192
-
 def _preamble_lines(preamble: Mapping[str, Any] | None) -> list[str]:
     if not preamble:
         return []
@@ -105,19 +104,21 @@ def _write_csv(
         handle.writelines(blocks)
 
 
-# Bundle rows per block: a power of ten, so that a block's trial indices share their leading digits.
+# Rows per block: a power of ten, so that a block's trial indices share their leading digits.
 BLOCK_DIGITS = 4
 BLOCK_ROWS = 10**BLOCK_DIGITS
+# Rows per write: half a block bounds the text held at once, and no write crosses a block.
+WRITE_ROWS = BLOCK_ROWS // 2
 
 
 @functools.cache
 def _bundle_tables() -> tuple[np.ndarray, np.ndarray, dict[Context, np.ndarray]]:
-    """Byte-string tables of bundle rows, built on first use.
+    """Byte-string tables of CSV rows, built on first use.
 
     The indices 0 .. BLOCK_ROWS - 1 as text zero-padded to BLOCK_DIGITS (the
     part of a trial index after its block's prefix) and unpadded (block 0),
-    and per context the row text after the trial index, indexed by the pair's
-    ``outcome_codes`` code.  numpy pads the shorter strings with NUL bytes.
+    and per context the bundle row text after the trial index, indexed by the
+    pair's ``outcome_codes`` code.  numpy pads the shorter strings with NUL bytes.
     """
     index = np.arange(BLOCK_ROWS)
     digits = index[:, None] // 10 ** np.arange(BLOCK_DIGITS - 1, -1, -1) % 10 + ord("0")
@@ -130,27 +131,33 @@ def _bundle_tables() -> tuple[np.ndarray, np.ndarray, dict[Context, np.ndarray]]
     return padded, unpadded, suffixes
 
 
-def _bundle_blocks(dataset: ContextDataset) -> Iterator[bytes]:
-    """Bytes of the dataset's rows ``k,i,j,a,b``, BLOCK_ROWS rows per block.
+def _row_text(start: int, stop: int, fields: Iterable[bytes | np.ndarray]) -> bytes:
+    """Text of rows start .. stop - 1, which lie in one BLOCK_ROWS block: each trial index, then its fields.
 
-    Each row is a record of three NUL-padded byte strings: the block number
-    (block 0's is empty, one NUL), the index in the block and the suffix.
-    Dropping every NUL byte of the block's records leaves its text.
+    A field is one byte string for every row or an array of one NUL-padded
+    byte string per row.  Each row is a record of NUL-padded byte strings:
+    the block's prefix (block 0's is empty, one NUL), the index in the block
+    and the fields.  Dropping every NUL byte of the records leaves their text.
     """
-    padded, unpadded, suffixes = _bundle_tables()
-    suffix = suffixes[dataset.context]
+    block, offset = divmod(start, BLOCK_ROWS)
+    padded, unpadded, _ = _bundle_tables()
+    prefix = str(block).encode() if block else b""
+    fields = [prefix, (padded if block else unpadded)[offset:offset + stop - start], *fields]
+    rows = np.empty(stop - start, [(f"f{k}", np.asarray(field).dtype) for k, field in enumerate(fields)])
+    for name, field in zip(rows.dtype.names, fields):
+        rows[name] = field
+    del fields  # not held while the mask and the text are made
+    text = rows.view(np.uint8)
+    return text[text != 0].tobytes()
+
+
+def _bundle_blocks(dataset: ContextDataset) -> Iterator[bytes]:
+    """Bytes of the dataset's rows ``k,i,j,a,b``, WRITE_ROWS rows per block."""
+    suffix = _bundle_tables()[2][dataset.context]
     codes = outcome_codes(dataset.pairs)
-    for block, start in enumerate(range(0, codes.shape[0], BLOCK_ROWS)):
-        chunk = codes[start:start + BLOCK_ROWS]
-        prefix = str(block).encode() if block else b""
-        rows = np.empty(chunk.shape[0], [
-            ("prefix", f"S{len(prefix) or 1}"), ("index", padded.dtype), ("suffix", suffix.dtype)
-        ])
-        rows["prefix"] = prefix
-        rows["index"] = (padded if block else unpadded)[:chunk.shape[0]]
-        rows["suffix"] = suffix[chunk]
-        text = rows.view(np.uint8)
-        yield text[text != 0].tobytes()
+    for start in range(0, codes.shape[0], WRITE_ROWS):
+        stop = min(start + WRITE_ROWS, codes.shape[0])
+        yield _row_text(start, stop, [suffix[codes[start:stop]]])
 
 
 def write_bundle_csv(
@@ -326,6 +333,7 @@ def _line_blocks(handle: BinaryIO) -> Iterator[bytes]:
         cut = max(read.rfind(b"\n"), read.rfind(b"\r")) + 1
         if cut:
             block, carry = b"".join([*carry, read[:cut]]), [read[cut:]]
+            del read  # while the block is parsed, hold no second copy of its last read
             yield block
         else:
             carry.append(read)
@@ -432,30 +440,16 @@ def read_bundle_csv(path: Path) -> ExperimentBundle:
     return ExperimentBundle(tuple(datasets))
 
 
-def _index_text(start: int, stop: int) -> np.ndarray:
-    """(m, w) uint8: the integers start .. stop - 1 as text, NUL-padded on the left."""
-    index = np.arange(start, stop, dtype=np.int64)
-    digits = len(str(stop - 1))
-    width = -(-digits // BLOCK_DIGITS) * BLOCK_DIGITS
-    powers = np.int64(BLOCK_ROWS) ** np.arange(width // BLOCK_DIGITS - 1, -1, -1, dtype=np.int64)
-    text = _bundle_tables()[0].view(np.uint32)[index[:, None] // powers % np.int64(BLOCK_ROWS)].view(np.uint8)
-    # keep from the first nonzero digit, and the last digit of 0
-    tens = np.int64(10) ** np.arange(1, digits, dtype=np.int64)
-    leading = np.int64(width - 1) - np.searchsorted(tens, index, side="right")
-    text *= (np.arange(width) >= leading[:, None]).view(np.uint8)
-    return text
-
-
 def _records_blocks(run: PointerRun) -> Iterator[bytes]:
-    """Bytes of the rows ``k,rA1,rA2,rB1,rB2,bvalue``, CHUNK_ROWS rows per block."""
+    """Bytes of the rows ``k,rA1,rA2,rB1,rB2,bvalue``, WRITE_ROWS rows per block."""
     columns = [*run.readings.T, run.b_values]
-    for start in range(0, len(run), CHUNK_ROWS):
-        stop = min(start + CHUNK_ROWS, len(run))
-        comma, newline = (np.full((stop - start, 1), ord(c), dtype=np.uint8) for c in ",\n")
+    for start in range(0, len(run), WRITE_ROWS):
+        stop = min(start + WRITE_ROWS, len(run))
         # a column at a time: the kernel's intermediates stay a fifth of the block's
-        fields = itertools.chain.from_iterable((comma, _float_fields(column[start:stop])) for column in columns)
-        text = np.concatenate([_index_text(start, stop), *fields, newline], axis=1)
-        yield text[text != 0].tobytes()
+        fields = itertools.chain.from_iterable(
+            (b",", _float_fields(column[start:stop]).view(f"S{FIELD_BYTES}")[:, 0]) for column in columns
+        )
+        yield _row_text(start, stop, itertools.chain(fields, [b"\n"]))
 
 
 def write_records_csv(

@@ -194,7 +194,8 @@ def sign_cosine_model(
     angles), E(a, b) = (2/pi) * d(a, b) - 1 where d is the angular distance
     folded to [0, pi].
     """
-    if bob_sign not in (-1, 1):
+    sign = float(_numbers("bob_sign", bob_sign))
+    if sign not in (-1.0, 1.0):
         raise ConfigError(f"bob_sign must be +1 or -1, got {bob_sign}")
     angles = np.array([float(_numbers(key, value)) for key, value in zip(ANGLE_KEYS, (a1, a2, b1, b2))])
     for key, angle in zip(ANGLE_KEYS, angles):
@@ -203,11 +204,11 @@ def sign_cosine_model(
     flips = np.mod(np.concatenate([angles - math.pi / 2, angles + math.pi / 2]), TWO_PI)
     cuts = np.array(sorted({0.0, TWO_PI, *flips.tolist()}))  # np.unique would import numpy.ma
     midpoints = (cuts[:-1] + cuts[1:]) / 2
-    signs = np.where(np.cos(midpoints[:, None] - angles) >= 0.0, 1, -1) * np.array([1, 1, bob_sign, bob_sign])
+    signs = np.where(np.cos(midpoints[:, None] - angles) >= 0.0, 1, -1) * np.array([1, 1, sign, sign])
     return mixture_model(
         signs,
         np.diff(cuts) / TWO_PI,
-        name=f"sign_cosine(a1={a1!r},a2={a2!r},b1={b1!r},b2={b2!r},bob_sign={int(bob_sign)})",
+        name=f"sign_cosine(a1={a1!r},a2={a2!r},b1={b1!r},b2={b2!r},bob_sign={int(sign)})",
     )
 
 

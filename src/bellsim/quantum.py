@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CANONICAL_CONTEXTS, OUTCOME_PAIRS, ArrayValue, ExperimentBundle, chsh_sum, frozen_array
+from .core import CANONICAL_CONTEXTS, OUTCOME_PAIRS, ArrayValue, ExperimentBundle, chsh_sum, finite_real, frozen_array
 from .errors import ConfigError, DomainError
 
 __all__ = [
@@ -92,7 +92,7 @@ def random_density_matrix(rng: np.random.Generator) -> DensityMatrix:
 
 @dataclass(frozen=True)
 class AngleQuadruple:
-    """The four setting angles (a1, a2, b1, b2), radians."""
+    """The four setting angles (a1, a2, b1, b2), radians, stored as floats."""
 
     a1: float
     a2: float
@@ -100,7 +100,9 @@ class AngleQuadruple:
     b2: float
 
     def __post_init__(self) -> None:
-        frozen_array(self.as_tuple(), np.float64, (4,), "angles a1, a2, b1, b2")
+        angles = frozen_array(self.as_tuple(), np.float64, (4,), "angles a1, a2, b1, b2")
+        for name, angle in zip(("a1", "a2", "b1", "b2"), angles.tolist()):  # observable takes real numbers
+            object.__setattr__(self, name, angle)
 
     def alice(self, index: int) -> float:
         return self.a1 if index == 1 else self.a2
@@ -117,12 +119,8 @@ TSIRELSON_ANGLES = AngleQuadruple(0.0, math.pi / 2.0, math.pi / 4.0, -math.pi / 
 
 def observable(angle: float) -> np.ndarray:
     """cos(angle) sigma_z + sin(angle) sigma_x for a finite Bloch angle."""
-    try:
-        finite = math.isfinite(angle)
-    except TypeError:  # a string, None, a complex number
-        raise DomainError(f"angle must be a real number, got {angle!r}") from None
-    if not finite:
-        raise DomainError(f"angle must be finite, got {angle!r}")
+    if not finite_real(angle):
+        raise DomainError(f"angle must be a finite real number, got {angle!r}")
     return math.cos(angle) * SIGMA_Z + math.sin(angle) * SIGMA_X
 
 
@@ -201,11 +199,11 @@ def optimize_angles(
     value 2.
 
     ``grid_points`` and ``refine_iters`` are accepted and ignored: the closed
-    form has no grid and no iterations.  ``grid_points`` below 8 still raises
-    ``ConfigError``.
+    form has no grid and no iterations.  A ``grid_points`` that is not a finite
+    number of at least 8 still raises ``ConfigError``.
     """
-    if grid_points < 8:
-        raise ConfigError(f"grid_points must be >= 8, got {grid_points}")
+    if not (finite_real(grid_points) and grid_points >= 8):
+        raise ConfigError(f"grid_points must be a finite number >= 8, got {grid_points!r}")
     block = correlation_block(rho)
     _, (s1, s2), (v1, v2) = np.linalg.svd(block)
     theta = math.atan2(s2, s1)

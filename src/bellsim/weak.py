@@ -22,13 +22,12 @@ vehicle for targets like 2*sqrt(2) that no counterfactual table can reach.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ArrayValue, CounterfactualTable, chsh_sum, context_products, frozen_array
+from .core import ArrayValue, CounterfactualTable, chsh_sum, context_products, finite_real, frozen_array
 from .errors import ConfigError, DomainError
 from .rng import sample_size, spawn_rng
 
@@ -41,27 +40,22 @@ __all__ = [
 ]
 
 
-def _finite_real(value: object) -> bool:
-    """Whether value is a real number whose float64 value is finite (an int beyond float64 is not)."""
-    try:
-        return isinstance(value, numbers.Real) and math.isfinite(value)
-    except OverflowError:
-        return False
-
-
 @dataclass(frozen=True)
 class PointerConfig:
-    """Readout gain g and per-reading pointer spread sigma."""
+    """Readout gain g and per-reading pointer spread sigma, stored as floats."""
 
     coupling: float = 1.0
     noise_sd: float = 1.0
 
     def __post_init__(self) -> None:
         g, sigma = self.coupling, self.noise_sd
-        if not (_finite_real(g) and g > 0):
+        if not (finite_real(g) and g > 0):
             raise ConfigError(f"coupling g must be positive, got {g!r}")
-        if not (_finite_real(sigma) and sigma >= 0):
+        if not (finite_real(sigma) and sigma >= 0):
             raise ConfigError(f"noise_sd must be >= 0, got {sigma!r}")
+        # a Fraction or an int64 would otherwise reach the samplers' float arithmetic as itself
+        object.__setattr__(self, "coupling", float(g))
+        object.__setattr__(self, "noise_sd", float(sigma))
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,7 +121,7 @@ def per_pair_b_values_calibrated(
     reference reading is what makes the 50% exceedance exact.)
     """
     n = sample_size(n, "n")
-    if not _finite_real(target_s):
+    if not finite_real(target_s):
         raise ConfigError(f"target_s must be finite, got {target_s}")
     rng = spawn_rng(seed, "weak-calibrated")
     g, sigma = config.coupling, config.noise_sd
@@ -151,7 +145,7 @@ def per_pair_b_values_calibrated(
 
 def exceedance_fraction(values: Sequence[float] | np.ndarray, threshold: float) -> float:
     """Fraction of values strictly above the threshold."""
-    if not _finite_real(threshold):
+    if not finite_real(threshold):
         raise ConfigError(f"threshold must be a finite number, got {threshold!r}")
     try:
         arr = np.asarray(values, dtype=np.float64)

@@ -12,11 +12,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bellsim.behaviors import Behavior, pr_box, sample_bundle_from_behavior
 from bellsim.cli import EXIT_CONFIG, EXIT_OK, _write_json, main
 from bellsim.core import CounterfactualTable, project_bundle
-from bellsim.errors import ConfigError, DomainError, NumericError
+from bellsim.errors import BellSimError, ConfigError, DomainError, NumericError
 from bellsim.feasibility import ReshuffleProblem
 from bellsim.fileio import (
     STUDY_KEYS,
@@ -39,11 +41,17 @@ from bellsim.quantum import (
     TSIRELSON_ANGLES,
     AngleQuadruple,
     DensityMatrix,
+    born_probabilities,
+    expectation,
+    observable,
+    optimize_angles,
+    s_quantum,
     sample_bundle_quantum,
     singlet,
 )
 from bellsim.stats import ViolationStudy, generator_from_lhv, significance_curve, violation_frequency
 from bellsim.weak import PointerConfig, per_pair_b_values_calibrated
+from scalars import SCALARS
 
 SIGN_COSINE = "variant = sign_cosine\na1 = 0\na2 = 1\nb1 = 2\nb2 = 3\n"
 STUDY = "n = 10\ntrials = 3\nseed = 1\n"
@@ -320,6 +328,29 @@ def test_study_threshold_must_be_a_number(threshold):
 def test_angle_quadruple_rejects_non_numeric_angles(angles):
     with pytest.raises(DomainError, match="angles"):
         AngleQuadruple(*angles)
+
+
+@settings(max_examples=500, deadline=None)
+@given(angles=st.tuples(*[SCALARS] * 4), bob_sign=SCALARS, grid_points=SCALARS, refine_iters=SCALARS)
+@example(angles=(10**400, 0.0, 0.0, 0.0), bob_sign=-1.0, grid_points=24, refine_iters=64)
+@example(angles=(0.0, 0.0, 0.0, 0.0), bob_sign=-1.0, grid_points=None, refine_iters=64)
+@example(angles=(0.0, 0.0, 0.0, 0.0), bob_sign=-1.0, grid_points="x", refine_iters=64)
+@example(angles=(0, 0, 0, 0), bob_sign=np.array([1, 1]), grid_points=24, refine_iters=64)
+def test_bare_scalar_angles_raise_only_bellsim_errors(angles, bob_sign, grid_points, refine_iters):
+    rho = singlet()
+    calls = [
+        lambda: observable(angles[0]),
+        lambda: expectation(rho, angles[0], angles[1]),
+        lambda: born_probabilities(rho, angles[2], angles[3]),
+        lambda: s_quantum(rho, AngleQuadruple(*angles)),
+        lambda: optimize_angles(rho, grid_points, refine_iters),
+        lambda: sign_cosine_model(*angles, bob_sign=bob_sign),
+    ]
+    for call in calls:
+        try:
+            call()
+        except BellSimError:
+            pass
 
 
 @pytest.mark.parametrize(

@@ -15,12 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellsim.fileio import (
-    CHUNK_ROWS,
+    BLOCK_ROWS,
     FIELD_HIGH,
     FIELD_LOW,
     RECORDS_HEADER,
+    WRITE_ROWS,
     _float_fields,
-    _index_text,
+    _row_text,
     write_records_csv,
 )
 from bellsim.weak import PointerConfig, PointerRun
@@ -126,7 +127,8 @@ PLANTED = [0.0, -0.0, 5e-324, 9.99e-5, 1e16, -1.7e308]
 
 def planted_run(n: int) -> PointerRun:
     readings = np.random.default_rng(n).normal(1.19, 1.0, (n, 4))
-    rows = sorted({0, 1, n // 2, CHUNK_ROWS - 1, CHUNK_ROWS, n - 1} & set(range(n)))
+    edges = {WRITE_ROWS - 1, WRITE_ROWS, BLOCK_ROWS - 1, BLOCK_ROWS}
+    rows = sorted({0, 1, n // 2, n - 1, *edges} & set(range(n)))
     for number, row in enumerate(rows):
         for column in range(4):
             readings[row, column] = PLANTED[(number + column) % len(PLANTED)]
@@ -135,7 +137,9 @@ def planted_run(n: int) -> PointerRun:
     return PointerRun(readings, PointerConfig(), "planted readings")
 
 
-@pytest.mark.parametrize("n", [3, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
+@pytest.mark.parametrize(
+    "n", [3, WRITE_ROWS - 1, WRITE_ROWS, WRITE_ROWS + 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1]
+)
 @pytest.mark.parametrize("preamble", [None, PREAMBLE], ids=["bare", "preamble"])
 def test_records_writer_is_the_per_row_writer(tmp_path, n, preamble):
     run = planted_run(n)
@@ -145,8 +149,12 @@ def test_records_writer_is_the_per_row_writer(tmp_path, n, preamble):
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "row.csv").read_bytes()
 
 
-@pytest.mark.parametrize("start", [0, 9_995, 99_999_990, 10**12 - 5, 10**16 - 5, 10**18 - 5, 2**63 - 10])
-def test_index_text_is_str(start):
-    # runs of ten across the edges where an index gains a digit, or a 4-digit group
-    text = _index_text(start, start + 10)
-    assert [row[row != 0].tobytes() for row in text] == [str(k).encode() for k in range(start, start + 10)]
+# Whole blocks: block 0 (no prefix, no padding), blocks on each side of the edges where the block
+# prefix gains a digit, and the last block whose first trial index fits int64.
+@pytest.mark.parametrize("block", [0, 1, 9, 10, 99_999, 10**8 - 1, 10**8, (2**63 - 1) // BLOCK_ROWS])
+def test_row_text_is_the_per_row_text(block):
+    start = block * BLOCK_ROWS
+    rows = range(start, start + BLOCK_ROWS)
+    names = np.array([f"r{k % 7}".encode() for k in rows])
+    text = _row_text(start, start + BLOCK_ROWS, [b",", names, b"\n"])
+    assert text == "".join(f"{k},r{k % 7}\n" for k in rows).encode()

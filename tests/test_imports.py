@@ -1,8 +1,9 @@
-"""Every import in a package module is used, and every private module-level name is read.
+"""Every import in a package module is used, and every private or constant module-level name is read.
 
-So a deletion cannot leave a dead import or a dead private helper behind.
-``__init__.py`` is exempt from the import check: its imports are the
-package's re-exports.
+So a deletion cannot leave a dead import, a dead private helper or a dead
+constant behind.  A constant (an UPPER_CASE name) listed in ``__all__`` is
+public and exempt; reads in tests do not count.  ``__init__.py`` is exempt
+from the import check: its imports are the package's re-exports.
 """
 
 import ast
@@ -58,17 +59,31 @@ def test_unused_imports_cases(source, unused):
     assert unused_imports(ast.parse(source)) == unused
 
 
-def private_names(tree: ast.Module) -> set[str]:
-    """Names with one leading underscore that a module binds at its top level."""
+def bound_names(tree: ast.Module) -> set[str]:
+    """Names a module binds at its top level: functions, classes and assignment targets."""
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names.add(node.name)
-        elif isinstance(node, ast.Assign):
-            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            names.add(node.target.id)
-    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            nodes = [n for t in targets for n in ast.walk(t)]
+            names.update(n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store))
+    return names
+
+
+def private_names(tree: ast.Module) -> set[str]:
+    """Names with one leading underscore that a module binds at its top level."""
+    return {name for name in bound_names(tree) if name.startswith("_") and not name.startswith("__")}
+
+
+def constant_names(tree: ast.Module) -> set[str]:
+    """UPPER_CASE names that a module binds at its top level and does not list in ``__all__``."""
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported.update(ast.literal_eval(node.value))
+    return {name for name in bound_names(tree) if name.isupper() and name not in exported}
 
 
 def read_names(tree: ast.Module) -> set[str]:
@@ -114,3 +129,36 @@ def test_every_private_name_is_read(path):
 def test_unread_private_names_cases(sources, unread):
     package = [ast.parse(source) for source in sources]
     assert unread_private_names(package[0], package) == unread
+
+
+def unread_constants(tree: ast.Module, package: list[ast.Module]) -> list[str]:
+    """The module's UPPER_CASE top-level names outside ``__all__`` that no module of the package reads.
+
+    A constant only tests read is a setting nothing uses: reads outside the package do not count.
+    """
+    return sorted(constant_names(tree) - set().union(*map(read_names, package)))
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_every_constant_is_read(path):
+    package = [ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE]
+    assert unread_constants(package[PACKAGE.index(path)], package) == []
+
+
+@pytest.mark.parametrize(
+    ("sources", "unread"),
+    [
+        (["ROWS = 8192\n"], ["ROWS"]),
+        (["LOW, HIGH = 1, 2\nx = LOW\n"], ["HIGH"]),
+        (["TABLE: dict = {}\n_PRIVATE = 1\n"], ["TABLE", "_PRIVATE"]),
+        (["__all__ = ['PUBLIC']\nPUBLIC = 1\n"], []),
+        (["ROWS = 1\nWRITE = ROWS // 2\n", "from .a import WRITE\nWRITE\n"], []),
+        (["ROWS = 1\n", "from . import a\na.ROWS\n"], []),
+        (["Rows = 1\ndef f():\n    LOCAL = 1\n"], []),
+    ],
+    ids=["unread", "tuple-target", "annotated-and-private", "exported", "imported", "attribute-read",
+         "not-upper-case-or-not-top-level"],
+)
+def test_unread_constants_cases(sources, unread):
+    package = [ast.parse(source) for source in sources]
+    assert unread_constants(package[0], package) == unread

@@ -3,7 +3,9 @@
 The digests below were recorded from the per-row f-string writers that the
 streamed lookup-table writers replaced, so any change in the bytes written
 (row order, separators, trailing newline, preamble, float formatting) fails
-here.  ``SIZES`` straddle the writers' chunk boundary; ``BLOCK_EDGE_SIZES``
+here.  ``SIZES`` straddle 8192 rows, an earlier writer's write size; every
+one ends inside one of the writers' ``WRITE_ROWS`` = 5000-row writes, and
+24581 crosses four of their ends.  ``BLOCK_EDGE_SIZES``
 straddle the 10^4-row edges at which a trial index gains a digit (their
 digests were recorded from the per-row string bundle writer).
 """
@@ -23,9 +25,9 @@ from bellsim import fileio
 from bellsim.cli import EXIT_OK, main
 from bellsim.core import CANONICAL_CONTEXTS, ContextDataset, ExperimentBundle
 from bellsim.errors import BellSimError, ConfigError, DomainError
-from bellsim.fileio import CHUNK_ROWS, read_bundle_csv, write_bundle_csv
+from bellsim.fileio import read_bundle_csv, write_bundle_csv
 
-SIZES = (1, 7, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 3 * CHUNK_ROWS + 5)
+SIZES = (1, 7, 8191, 8192, 8193, 24581)
 BLOCK_EDGE_SIZES = (9_999, 10_000, 10_001, 100_001)
 PREAMBLE = {"bellsim-version": "0.1.0", "spec-hash": "0123456789abcdef", "seed": 7}
 
@@ -110,10 +112,10 @@ CLI_DIGESTS = {
 CLI_CASES = {
     "records-calibrated": (
         ["weak-bvalues", "--source", "calibrated", "--target-s", "2.8284271247461903",
-         "--n", str(CHUNK_ROWS + 1), "--seed", "11"], "records.csv"),
+         "--n", "8193", "--seed", "11"], "records.csv"),
     "records-lhv": (
         ["weak-bvalues", "--source", "lhv", "--variant", "boundary_mixture",
-         "--n", str(CHUNK_ROWS + 1), "--seed", "12"], "records.csv"),
+         "--n", "8193", "--seed", "12"], "records.csv"),
     "bundle-lhv": (
         ["simulate-lhv", "--variant", "boundary_mixture", "--n", "1000", "--seed", "13"],
         "bundle.csv"),
@@ -131,9 +133,11 @@ def test_writer_bytes_match_recorded_digests(tmp_path, kind, n, with_preamble):
     assert sha256(path) == WRITER_DIGESTS[f"{kind}/{n}/{'preamble' if with_preamble else 'bare'}"]
 
 
-# Context sizes: small, empty, and next to the 10^4-row edges where trial indices gain a digit.
+# Context sizes: small, empty, next to a write's end, and next to the 10^4-row edges where trial
+# indices gain a digit.
 CONTEXT_SIZE = st.one_of(
-    st.integers(0, 40), st.integers(9_990, 10_010), st.integers(19_995, 20_005), st.integers(0, 25_000)
+    st.integers(0, 40), st.integers(4_995, 5_005), st.integers(9_990, 10_010), st.integers(19_995, 20_005),
+    st.integers(0, 25_000),
 )
 
 
@@ -166,7 +170,7 @@ def test_cli_output_bytes_match_recorded_digests(tmp_path, case):
 @pytest.mark.parametrize("kind", ["bundle", "ragged-bundle"])
 def test_written_files_read_back(tmp_path, kind):
     path = tmp_path / "out.csv"
-    n = CHUNK_ROWS + 1
+    n = 8193
     write_case(kind, n, path, PREAMBLE)
     if kind == "bundle":
         for original, read in zip(bundle_of((n, n, n, n), f"{kind}-{n}").datasets, read_bundle_csv(path).datasets):
@@ -472,10 +476,11 @@ def test_file_without_line_break_is_read_in_linear_memory(tmp_path):
     assert peak < 3 * size
 
 
-def test_long_first_line_is_quoted_in_part(tmp_path):
-    size = 8 * fileio.READ_BYTES  # 2 MiB, no line break
+@pytest.mark.parametrize("end", [b"", b"\n", b"\r"], ids=["none", "lf", "cr"])
+def test_long_first_line_is_quoted_in_part(tmp_path, end):
+    size = 8 * fileio.READ_BYTES  # 2 MiB, one line
     path = tmp_path / "bundle.csv"
-    path.write_bytes((b"0123456789" * size)[:size])
+    path.write_bytes((b"0123456789" * size)[:size - len(end)] + end)
     tracemalloc.start()
     try:
         with pytest.raises(ConfigError, match=r"found '0123456789.*'\.\.\.$") as raised:

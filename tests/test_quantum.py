@@ -264,6 +264,13 @@ def test_angle_quadruple_validation():
     assert q.as_tuple() == (0.1, 0.2, 0.3, 0.4)
 
 
+def test_angle_quadruple_holds_floats_of_any_numeric_input():
+    # a 0-d array is no real number to observable, so the quadruple keeps the float it validated
+    q = AngleQuadruple(np.array(0.0), np.float32(1.5), np.int64(1), True)
+    assert all(type(a) is float for a in q.as_tuple())
+    assert s_quantum(singlet(), q) == s_quantum(singlet(), AngleQuadruple(0.0, 1.5, 1.0, 1.0))
+
+
 def test_born_sampling_matches_the_per_context_reference():
     """Born bundles are drawn as the per-context loop below draws them: same streams, same bytes.
 

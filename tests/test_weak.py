@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from bellsim.weak import (
     per_pair_b_values_calibrated,
     per_pair_b_values_lhv,
 )
+from scalars import SCALARS
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
@@ -114,6 +116,19 @@ class TestRecordsAndConfig:
         with pytest.raises(DomainError, match="shape"):
             PointerRun(np.zeros((5, 3)), PointerConfig(), "test")
 
+    @pytest.mark.parametrize("gain", [Fraction(1, 2), np.float32(0.5), np.int64(2)], ids=str)
+    def test_gain_of_any_real_type_gives_the_float_run(self, source_table, gain):
+        # the config holds floats, so g * g is float64 arithmetic whatever type the gain came as
+        config = PointerConfig(gain, Fraction(3, 4))
+        assert type(config.coupling) is float and type(config.noise_sd) is float
+        for sample in (
+            lambda config: per_pair_b_values_calibrated(1.0, config, 50, seed=3),
+            lambda config: per_pair_b_values_lhv(source_table, config, seed=3),
+        ):
+            run, expected = sample(PointerConfig(gain, Fraction(3, 4))), sample(PointerConfig(float(gain), 0.75))
+            assert np.array_equal(run.readings, expected.readings)
+            assert np.array_equal(run.b_values, expected.b_values)
+
     def test_record_access(self):
         run = per_pair_b_values_calibrated(1.0, PointerConfig(1.0, 0.5), 5, seed=2)
         assert len(run) == 5
@@ -148,12 +163,6 @@ class TestExceedance:
             exceedance_fraction([1.0, 3.0], threshold)
 
 
-# Bare scalars of many types: huge and non-finite numbers, numpy scalars, text, None.
-SCALARS = st.one_of(
-    st.none(), st.booleans(), st.integers(), st.floats(), st.complex_numbers(), st.text(max_size=3),
-    st.fractions(), st.decimals(), st.sampled_from([10**400, -(10**400)]),
-    st.integers(-(2**63), 2**63 - 1).map(np.int64), st.floats(width=32).map(np.float32),
-)
 # Sample sizes: any scalar but a large integer, which would ask for that many readings.
 SIZES = SCALARS.filter(lambda n: not (isinstance(n, (int, np.integer)) and n > 50))
 
