@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CANONICAL_CONTEXTS, OUTCOME_PAIRS, PAIR_PRODUCTS, Context, ContextLaw, ExperimentBundle
-from .core import ArrayValue, chsh_sum, frozen_array, outcome_codes, sample_contexts
+from .core import ArrayValue, chsh_sum, fixed_sum, frozen_array, outcome_codes, sample_contexts
 from .errors import DomainError
 from .quantum import AngleQuadruple, DensityMatrix, born_probabilities
 
@@ -60,7 +60,7 @@ class Behavior(ArrayValue):
 
 def behavior_correlation(behavior: Behavior, context: Context) -> float:
     """<A_ij B_ij> = p(++) + p(--) - p(+-) - p(-+) for the labeled context."""
-    return float(behavior.probs[context.index] @ PAIR_PRODUCTS)
+    return fixed_sum(behavior.probs[context.index], PAIR_PRODUCTS)
 
 
 def behavior_s(behavior: Behavior) -> float:

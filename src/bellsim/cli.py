@@ -132,9 +132,7 @@ def _state_from_args(args: argparse.Namespace) -> tuple[DensityMatrix, str]:
         return read_density(Path(args.rho)), f"file:{args.rho}"
     if args.state == "singlet":
         return singlet(), "singlet"
-    if args.state == "mixed":
-        return maximally_mixed(), "mixed"
-    raise ConfigError(f"unknown state {args.state!r}")
+    return maximally_mixed(), "mixed"  # the only other choice argparse admits
 
 
 def _angles_from_args(args: argparse.Namespace) -> AngleQuadruple:

@@ -54,6 +54,7 @@ __all__ = [
     "context_products",
     "correlation",
     "finite_real",
+    "fixed_sum",
     "frozen_array",
     "outcome_codes",
     "outcome_rows",
@@ -133,6 +134,17 @@ def outcome_codes(outcomes: np.ndarray) -> np.ndarray:
     for k in range(1, outcomes.shape[1]):
         codes = codes << 1 | minus[:, k]
     return codes
+
+
+def fixed_sum(weights: Iterable[Any], values: Iterable[Any]) -> float:
+    """Sum of weights[k] * values[k] in float64, added left to right from 0.0: one order on every CPU.
+
+    Every exact correlation is such a sum; a BLAS dot adds in the order its per-CPU kernel picks.
+    """
+    total = 0.0
+    for product in np.multiply(weights, values, dtype=np.float64).tolist():
+        total += product
+    return total
 
 
 def finite_real(value: object) -> bool:

@@ -32,15 +32,14 @@ decides that question exactly:
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._simplex import phase1_solve
-from .behaviors import Behavior, behavior_from_bundle
-from .core import CANONICAL_CONTEXTS, PAIR_PRODUCTS, Context, CounterfactualTable
-from .core import ArrayValue, frozen_array, outcome_codes, outcome_rows, project_bundle
+from .behaviors import Behavior, behavior_correlation, behavior_from_bundle
+from .core import CANONICAL_CONTEXTS, ArrayValue, Context, CounterfactualTable
+from .core import finite_real, fixed_sum, frozen_array, outcome_codes, outcome_rows, project_bundle
 from .errors import DomainError, NumericError
 
 __all__ = [
@@ -142,9 +141,9 @@ class FeasibilityResult(ArrayValue):
 
 
 def chsh_certificate_detail(behavior: Behavior) -> tuple[float, tuple[int, int, int, int]]:
-    """Max over the 8 signed CHSH forms, with the achieving sign pattern."""
-    correlations = behavior.probs @ PAIR_PRODUCTS
-    values = [float(np.dot(signs, correlations)) for signs in CHSH_SIGN_PATTERNS]
+    """Max over the 8 signed CHSH forms, with the achieving sign pattern; the (+,+,+,-) form is ``behavior_s``."""
+    correlations = [behavior_correlation(behavior, context) for context in CANONICAL_CONTEXTS]
+    values = [fixed_sum(signs, correlations) for signs in CHSH_SIGN_PATTERNS]
     best = values.index(max(values))
     return values[best], CHSH_SIGN_PATTERNS[best]
 
@@ -201,8 +200,7 @@ class ReshuffleProblem(ArrayValue):
         counts = frozen_array(self.counts, np.int64, (4, 4), "counts")
         if counts.min() < 0:
             raise DomainError("counts must be nonnegative")
-        # NaN fails the range test too
-        if not (isinstance(self.slack, numbers.Real) and 0.0 <= self.slack < math.inf):
+        if not (finite_real(self.slack) and self.slack >= 0.0):
             raise DomainError(f"slack must be finite and >= 0, got {self.slack}")
         object.__setattr__(self, "counts", counts)
 

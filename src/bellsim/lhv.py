@@ -33,7 +33,7 @@ from typing import Any
 import numpy as np
 
 from .core import CANONICAL_CONTEXTS, Context, ContextLaw, CounterfactualTable, ExperimentBundle
-from .core import chsh_sum, context_products, sample_contexts
+from .core import chsh_sum, context_products, fixed_sum, sample_contexts
 from .errors import ConfigError
 from .rng import categorical, sample_size, spawn_rng
 
@@ -115,8 +115,8 @@ def sample_bundle(model: LhvModel, n_per_context: int, seed: int) -> ExperimentB
 def exact_lhv_correlation(model: LhvModel, context: Context) -> float:
     """The coupling integral E_ij in closed form: the weighted sum of a_i * b_j."""
     i, j = context.columns
-    table = np.asarray(model.strategies, dtype=np.float64)
-    return float(np.dot(table[:, i] * table[:, j], model.weights))
+    table = np.asarray(model.strategies, dtype=np.int8)
+    return fixed_sum(model.weights, table[:, i] * table[:, j])
 
 
 def exact_lhv_s(model: LhvModel) -> float:

@@ -124,13 +124,17 @@ def observable(angle: float) -> np.ndarray:
     return math.cos(angle) * SIGMA_Z + math.sin(angle) * SIGMA_X
 
 
+def _local_trace(rho: DensityMatrix, a: np.ndarray, b: np.ndarray, name: str) -> float:
+    """Tr(rho a x b) for Hermitian 2x2 a and b; an imaginary residue over 1e-12 is a DomainError naming ``name``."""
+    value = complex(np.trace(rho.matrix @ np.kron(a, b)))
+    if abs(value.imag) > 1e-12:
+        raise DomainError(f"{name} has imaginary residue {value.imag:.3e}")
+    return value.real
+
+
 def expectation(rho: DensityMatrix, alice_angle: float, bob_angle: float) -> float:
     """Tr(rho A(alice_angle) x B(bob_angle)); real, in [-1, 1]."""
-    op = np.kron(observable(alice_angle), observable(bob_angle))
-    value = complex(np.trace(rho.matrix @ op))
-    if abs(value.imag) > 1e-12:
-        raise DomainError(f"expectation has imaginary residue {value.imag:.3e}")
-    return value.real
+    return _local_trace(rho, observable(alice_angle), observable(bob_angle), "expectation")
 
 
 def born_probabilities(rho: DensityMatrix, alice_angle: float, bob_angle: float) -> np.ndarray:
@@ -139,11 +143,7 @@ def born_probabilities(rho: DensityMatrix, alice_angle: float, bob_angle: float)
     b = observable(bob_angle)
     probs = np.empty(4)
     for k, (sa, sb) in enumerate(OUTCOME_PAIRS):
-        projector = np.kron((IDENTITY_2 + sa * a) / 2.0, (IDENTITY_2 + sb * b) / 2.0)
-        value = complex(np.trace(rho.matrix @ projector))
-        if abs(value.imag) > 1e-12:
-            raise DomainError(f"Born probability has imaginary residue {value.imag:.3e}")
-        probs[k] = value.real
+        probs[k] = _local_trace(rho, (IDENTITY_2 + sa * a) / 2.0, (IDENTITY_2 + sb * b) / 2.0, "Born probability")
     if probs.min() < -1e-12 or abs(probs.sum() - 1.0) > 1e-12:
         raise DomainError(
             f"Born probabilities invalid: min {probs.min():.3e}, sum {probs.sum()!r}"
@@ -177,11 +177,8 @@ def correlation_block(rho: DensityMatrix) -> np.ndarray:
     E(a, b) = [cos a, sin a] T [cos b, sin b]^T, so S over the four angles is a
     bilinear form in unit vectors, maximized in closed form from T's SVD.
     """
-    block = np.empty((2, 2))
-    for p, sp in enumerate((SIGMA_Z, SIGMA_X)):
-        for q, sq in enumerate((SIGMA_Z, SIGMA_X)):
-            block[p, q] = float(np.real(np.trace(rho.matrix @ np.kron(sp, sq))))
-    return block
+    paulis = (SIGMA_Z, SIGMA_X)
+    return np.array([[_local_trace(rho, sp, sq, "correlation") for sq in paulis] for sp in paulis])
 
 
 def optimize_angles(

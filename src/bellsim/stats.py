@@ -33,13 +33,12 @@ The mean, sd and z-score are computed from the float S-hat.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .behaviors import Behavior, behavior_from_quantum, behavior_laws, behavior_s
-from .core import ExperimentBundle, PlusCounts, chsh_sum, context_plus_counts, correlation, s_from_counts
+from .core import ExperimentBundle, PlusCounts, chsh_sum, context_plus_counts, correlation, finite_real, s_from_counts
 from .errors import ConfigError, DomainError
 from .lhv import LhvModel, exact_lhv_s, model_laws
 from .quantum import AngleQuadruple, DensityMatrix, s_quantum
@@ -113,7 +112,7 @@ class ViolationStudy:
 
 def _check_study(trials: int, threshold: float, mode: str) -> int:
     """Check the settings a study and a curve share; returns trials as a Python int."""
-    if not (isinstance(threshold, numbers.Real) and math.isfinite(threshold) and threshold > 0):
+    if not (finite_real(threshold) and threshold > 0):
         raise ConfigError(f"threshold must be finite and positive, got {threshold}")
     if mode not in ("signed", "absolute"):
         raise ConfigError(f"mode must be 'signed' or 'absolute', got {mode!r}")

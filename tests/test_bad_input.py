@@ -233,7 +233,9 @@ def test_behavior_file_lines(tmp_path, capsys, lines, error, message):
     assert capsys.readouterr().err.startswith("bellsim: configuration error:")
 
 
-@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+@pytest.mark.parametrize(
+    "threshold", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0, pytest.param(10**400, id="10**400")]
+)
 def test_study_threshold_must_be_finite_and_positive(threshold):
     generator = generator_from_lhv(MODEL)
     with pytest.raises(ConfigError, match="threshold must be finite and positive"):
@@ -276,7 +278,7 @@ def test_sign_cosine_model_rejects_non_numeric_angles(angles):
         sign_cosine_model(*angles)
 
 
-@pytest.mark.parametrize("slack", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("slack", [float("nan"), float("inf"), float("-inf"), pytest.param(10**400, id="10**400")])
 def test_reshuffle_problem_rejects_non_finite_slack(slack):
     with pytest.raises(DomainError, match="slack must be finite"):
         ReshuffleProblem(np.full((4, 4), 5), slack)

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from bellsim.behaviors import pr_box
-from bellsim.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
+from bellsim.behaviors import Behavior, pr_box
+from bellsim.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_RUNTIME, main
 from bellsim.core import CounterfactualTable, project_bundle
 from bellsim.fileio import read_bundle_csv, write_behavior, write_bundle_csv
 from bellsim.quantum import TSIRELSON_BOUND, random_density_matrix, singlet
@@ -195,6 +195,34 @@ class TestFeasibility:
                      "--out", str(out)])
         assert code == EXIT_OK
         assert "integrality" not in json.loads((out / "result.json").read_text())
+
+
+class TestRuntimeExit:
+    """A NumericError, and an OSError from the output directory, end the run with exit 1."""
+
+    def test_unresolved_counts_are_runtime_error(self, tmp_path, capsys):
+        # N = 10**16 per context: float64 no longer resolves the counts, so the rounded vertex misses them
+        counts = np.array([
+            [6784289675738202, 518988682217997, 1567727383978802, 1128994258064999],
+            [6312058455973871, 991219901982328, 1323832876503324, 1372888765540477],
+            [7093086512332160, 944106569705221, 1258930547384844, 703876370577775],
+            [6998917778655067, 1038275303382314, 636973553822128, 1325833364140491],
+        ])
+        behavior_file = tmp_path / "big.behavior"
+        write_behavior(behavior_file, Behavior(counts / counts.sum(axis=1, keepdims=True), counts))
+        code = main(["feasibility", "--behavior", str(behavior_file), "--level", "counts",
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err == "bellsim: runtime error: rounded LP vertex does not reproduce the count tables\n"
+
+    def test_out_naming_a_file_is_runtime_error(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        code = main(["simulate-lhv", "--variant", "deterministic", "--outcomes", "1", "1", "1", "1",
+                     "--n", "5", "--seed", "1", "--out", str(out)])
+        assert code == EXIT_RUNTIME
+        assert "File exists" in capsys.readouterr().err
 
 
 class TestViolationCurve:

@@ -9,7 +9,9 @@ from bellsim import feasibility
 from bellsim._simplex import phase1_solve
 from bellsim.behaviors import (
     Behavior,
+    behavior_correlation,
     behavior_from_quantum,
+    behavior_s,
     pr_box,
     random_no_signaling_behavior,
 )
@@ -54,6 +56,18 @@ class TestChshCertificate:
         value, signs = chsh_certificate_detail(pr_box())
         assert value == pytest.approx(4.0)
         assert signs == (1, 1, 1, -1)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_value_is_left_to_right_sum_and_canonical_form_is_behavior_s(self, seed):
+        behavior = random_no_signaling_behavior(np.random.default_rng(seed))
+        value, signs = chsh_certificate_detail(behavior)
+        total = 0.0
+        for sign, context in zip(signs, CANONICAL_CONTEXTS):
+            total += sign * behavior_correlation(behavior, context)
+        assert float.hex(value) == float.hex(total)
+        if signs == (1, 1, 1, -1):
+            assert value == behavior_s(behavior)
 
 
 class TestFineLp:

@@ -1,4 +1,4 @@
-"""The CHSH layout that core owns: context columns, outcome codes, and the order of S's sum."""
+"""The CHSH layout that core owns: context columns, outcome codes, and the order of every exact sum."""
 
 import itertools
 import math
@@ -16,6 +16,7 @@ from bellsim.core import (
     PAIR_PRODUCTS,
     chsh_sum,
     context_products,
+    fixed_sum,
     outcome_codes,
     outcome_rows,
     s_from_counts,
@@ -117,11 +118,22 @@ def behaviors():
     return nph.arrays(np.float64, (4, 4), elements=st.floats(0.0, 1.0)).map(normalize)
 
 
+def left_to_right_dot(weights, values):
+    """The sum of weights[k] * values[k] in Python floats, started from 0.0 and added left to right."""
+    total = 0.0
+    for weight, value in zip(weights, values):
+        total += float(weight) * float(value)
+    return total
+
+
 COUNT_PAIR = st.integers(1, 10**6).flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n)))
 
 
 class TestSumOrder:
     """Every S function adds its four correlations as 0.0 + E11 + E12 + E21 - E22, bit for bit.
+
+    Each exact correlation is itself ``fixed_sum``'s left-to-right sum of weight
+    times product, never a BLAS dot, whose order depends on the CPU.
 
     Built-in ``sum`` of floats is compensated from Python 3.12 on, so it does
     not keep this order on every supported interpreter.
@@ -149,6 +161,29 @@ class TestSumOrder:
     @given(st.lists(COUNT_PAIR, min_size=4, max_size=4))
     def test_s_from_counts(self, counts):
         assert_bitwise(s_from_counts(counts), [(2 * k - n) / n for k, n in counts])
+
+    def test_fixed_sum_adds_left_to_right(self):
+        ones = [1.0, 1.0, 1.0]
+        assert fixed_sum(ones, [1e16, 1.0, -1e16]) == 0.0  # 1e16 + 1 rounds to 1e16; math.fsum gives 1.0
+        assert fixed_sum(ones, [1e16, -1e16, 1.0]) == 1.0
+        assert float.hex(fixed_sum([1.0], [-0.0])) == float.hex(0.0)
+        assert fixed_sum([], []) == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(mixture_models())
+    def test_exact_lhv_correlation(self, model):
+        table = np.array(model.strategies)
+        for context in CANONICAL_CONTEXTS:
+            i, j = context.columns
+            expected = left_to_right_dot(model.weights, table[:, i] * table[:, j])
+            assert float.hex(exact_lhv_correlation(model, context)) == float.hex(expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(behaviors())
+    def test_behavior_correlation(self, behavior):
+        for context in CANONICAL_CONTEXTS:
+            expected = left_to_right_dot(behavior.probs[context.index], PAIR_PRODUCTS)
+            assert float.hex(behavior_correlation(behavior, context)) == float.hex(expected)
 
     def test_exact_zero_is_positive_zero(self):
         angles = AngleQuadruple(0.0, math.pi / 2, math.pi / 4, -math.pi / 4)
