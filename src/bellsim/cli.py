@@ -7,11 +7,16 @@ and re-running a spec reproduces all files byte for byte.
 
 Exit codes: 0 success/feasible, 1 runtime error, 2 configuration error,
 3 infeasible (feasibility subcommand only).
+
+bellsim.cli.main(argv) can be called many times in one process: the parser
+is built on the first call and reused, and each subcommand function is
+looked up when it is called.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -379,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p, "model specification file")
     p.add_argument("--n", type=int, required=True, help="pairs per context")
     _add_seed_out(p)
-    p.set_defaults(func=cmd_simulate_lhv)
 
     p = sub.add_parser("simulate-quantum", help="sample a bundle from a two-qubit state")
     p.add_argument("--state", choices=["singlet", "mixed"], default="singlet")
@@ -391,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "to Bloch angles (run.json records them as given)")
     p.add_argument("--n", type=int, required=True)
     _add_seed_out(p)
-    p.set_defaults(func=cmd_simulate_quantum)
 
     p = sub.add_parser("feasibility", help="joint-distribution feasibility of a behavior or bundle")
     p.add_argument("--behavior", help="behavior file")
@@ -400,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="default: distribution for --behavior, counts for --bundle")
     p.add_argument("--slack", type=float, default=0.0, help="per-context L1 slack in counts")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_feasibility)
 
     p = sub.add_parser("violation-curve", help="violation frequency and z-score per sample size")
     p.add_argument("--spec", help="study spec file ('key = value'); its values take precedence over flags")
@@ -414,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["signed", "absolute"], default="signed")
     p.add_argument("--seed", type=int, help="master seed (here or in --spec; no wall-clock default)")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_violation_curve)
 
     p = sub.add_parser("weak-bvalues", help="per-pair pointer B-values and exceedance fractions")
     p.add_argument("--source", choices=["calibrated", "lhv"], required=True)
@@ -425,15 +426,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=float, default=1.0, help="readout gain")
     p.add_argument("--sigma", type=float, default=1.0, help="pointer spread per reading")
     _add_seed_out(p)
-    p.set_defaults(func=cmd_weak_bvalues)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up per call, so a cmd_* rebound after the parser is built (a tracer, a test) is the one run
+    command = globals()["cmd_" + args.subcommand.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (ConfigError, DomainError) as exc:
         print(f"bellsim: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from bellsim import cli
 from bellsim.behaviors import Behavior, pr_box
 from bellsim.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_RUNTIME, main
 from bellsim.core import CounterfactualTable, project_bundle
@@ -368,3 +369,81 @@ class TestFloatArguments:
         # the parsed values reach the spec: an 'angles' list, or the LHV model's name
         angles = spec.get("angles") or spec["model"]
         assert "-1e-05" in str(angles) and "-2.5e-07" in str(angles)
+
+
+class TestParserReuse:
+    """main builds its parser once per process and looks each subcommand up when it is called."""
+
+    @pytest.fixture
+    def fresh_parser(self):
+        cli._parser.cache_clear()
+        yield
+        cli._parser.cache_clear()  # later tests get a parser built by the real build_parser
+
+    def test_one_build_per_process(self, tmp_path, monkeypatch, fresh_parser):
+        real_build_parser, builds = cli.build_parser, []
+
+        def counting_build_parser():
+            builds.append(None)
+            return real_build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        box_file = tmp_path / "box.txt"
+        write_behavior(box_file, pr_box())
+        assert main(["feasibility", "--behavior", str(box_file), "--out", str(tmp_path / "f")]) == EXIT_INFEASIBLE
+        assert main(["simulate-lhv", "--variant", "boundary_mixture", "--n", "5", "--seed", "1",
+                     "--out", str(tmp_path / "s")]) == EXIT_OK
+        assert main(["weak-bvalues", "--source", "calibrated", "--target-s", "2.0", "--n", "5",
+                     "--seed", "1", "--out", str(tmp_path / "w")]) == EXIT_OK
+        assert len(builds) == 1
+
+    def test_rebound_command_is_the_one_run(self, tmp_path, monkeypatch):
+        box_file = tmp_path / "box.txt"
+        write_behavior(box_file, pr_box())
+        argv = ["feasibility", "--behavior", str(box_file), "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_INFEASIBLE  # the parser is cached from here on
+        seen = []
+
+        def fake_feasibility(args):
+            seen.append(args.subcommand)
+            return EXIT_OK
+
+        monkeypatch.setattr(cli, "cmd_feasibility", fake_feasibility)
+        assert main(argv) == EXIT_OK
+        assert seen == ["feasibility"]
+
+    def test_spec_values_do_not_reach_the_next_call(self, tmp_path, capsys):
+        spec = tmp_path / "study.txt"
+        spec.write_text("trials = 3\nseed = 4\n")
+        flags = ["violation-curve", "--generator", "boundary_mixture", "--n", "10", "20"]
+        assert main([*flags, "--spec", str(spec), "--out", str(tmp_path / "spec")]) == EXIT_OK
+        capsys.readouterr()
+        out = tmp_path / "flags"
+        assert main([*flags, "--out", str(out)]) == EXIT_CONFIG
+        assert "--trials is required" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestConfigErrorPaths:
+    """Configuration errors found after parsing exit 2 with their message and write no output."""
+
+    CURVE = ["violation-curve", "--n", "10", "--trials", "2", "--seed", "1"]
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            ([*CURVE, "--generator", "model"], "--generator model needs --model FILE"),
+            ([*CURVE, "--generator", "behavior"], "--generator behavior needs --behavior FILE"),
+            (["feasibility", "--behavior", "{box}", "--level", "counts"],
+             "count-level feasibility needs counts"),
+        ],
+        ids=["model-without-file", "behavior-without-file", "counts-without-counts"],
+    )
+    def test_exit_2_without_output(self, tmp_path, capsys, argv, message):
+        box_file = tmp_path / "box.txt"
+        write_behavior(box_file, pr_box())  # probabilities only: no counts lines
+        out = tmp_path / "out"
+        argv = [arg.format(box=box_file) for arg in argv]
+        assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
