@@ -47,7 +47,8 @@ class Behavior(ArrayValue):
         probs = frozen_array(self.probs, np.float64, (4, 4), "behavior probabilities")
         if probs.min() < -PROB_TOL:
             raise DomainError(f"negative probability {probs.min():.3e} in behavior")
-        sums = probs.sum(axis=1)
+        with np.errstate(over="ignore"):  # probabilities near float64's limit sum to inf, which fails the check
+            sums = probs.sum(axis=1)
         if np.abs(sums - 1.0).max() > PROB_TOL:
             raise DomainError(f"context rows must each sum to 1, got sums {sums.tolist()}")
         object.__setattr__(self, "probs", probs)

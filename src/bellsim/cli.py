@@ -82,7 +82,7 @@ def _write_json(path: Path, payload: dict[str, Any]) -> None:
         text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     except ValueError as exc:
         raise NumericError(f"{path.name}: {exc}") from exc
-    path.write_text(text + "\n")
+    path.write_bytes(f"{text}\n".encode())
 
 
 def _run_record(spec: dict[str, Any]) -> dict[str, Any]:

@@ -1,21 +1,23 @@
 """Text formats for bundles, pointer records, curves, behaviors, models, studies and states.
 
-CSV files may start with ``# key: value`` comment lines (the run's provenance); all
-readers skip them.  Floats are written as repr writes them, which round-trips
-float64 exactly, so save/load cycles are lossless and byte-stable.
+Written files may start with ``# key: value`` comment lines (the run's
+provenance); all readers skip them.  Floats are written as repr writes them,
+which round-trips float64 exactly, so save/load cycles are lossless and
+byte-stable.  Every writer writes bytes through ``_write_lines``, so lines end
+in ``\n`` on every OS; text readers break lines at ``\n``, ``\r\n`` and ``\r``
+only.  ``read_keyvalue`` reads each ``key = value`` format with its key table.
 
-The CSV writers stream bytes to a binary handle, a block of rows at a time, so
-a file of millions of rows never exists whole in memory, and every line ends
-in ``\n`` on every OS.  Writing, not sampling, is what a large file costs, so
-both writers build their rows with numpy alone, through one row builder.  It
-writes ``WRITE_ROWS`` = ``BLOCK_ROWS`` / 2 rows at a time, so a write never
-leaves one of the ``BLOCK_ROWS`` = 10^4-row blocks in which trial indices
-share their leading digits: within block q > 0 every trial index is ``str(q)``
-followed by the index inside the block, zero-padded to four digits from a
-cached digit table (block 0 has no prefix and no padding).  Each row is a
-record of NUL-padded byte strings in one numpy record array: the block's
-prefix, the index in the block, then the row's fields.  A bundle row's field
-is the context's suffix such as ``",1,2,-1,1\n"``, picked by the pair's
+The CSV writers stream a block of rows at a time, so a file of millions of rows
+never exists whole in memory.  Writing, not sampling, is what a large file
+costs, so the bundle and records writers build their rows with numpy alone,
+through one row builder.  It writes ``WRITE_ROWS`` = ``BLOCK_ROWS`` / 2 rows at
+a time, so a write never leaves one of the ``BLOCK_ROWS`` = 10^4-row blocks in
+which trial indices share their leading digits: within block q > 0 every trial
+index is ``str(q)`` followed by the index inside the block, zero-padded to four
+digits from a cached digit table (block 0 has no prefix and no padding).  Each
+row is a record of NUL-padded byte strings in one numpy record array: the
+block's prefix, the index in the block, then the row's fields.  A bundle row's
+field is the context's suffix such as ``",1,2,-1,1\n"``, picked by the pair's
 ``core.outcome_codes`` code; a pointer record's are five float fields with
 commas and a newline.  The field arrays are dropped, then every NUL byte with
 one mask, and the rest is the rows' text.
@@ -38,7 +40,7 @@ costs the reader 4 bytes per row, not an N x 5 int64 array.
   bundle                 trial,context_i,context_j,a,b   (canonical context order)
   pointer records        trial,rA1,rA2,rB1,rB2,bvalue    (repr floats)
   significance curve     n,trials,frequency,ci_lo,ci_hi,mean_s,sd_s,z   (repr floats)
-  behavior               "context i j = p p p p" lines, optional "counts i j = ..."
+  behavior               "context i j = p p p p" lines, optional "counts i j = ..." (keys: BEHAVIOR_KEYS)
   model specification    "key = value" lines with a "variant" key (keys: MODEL_KEYS)
   study specification    "key = value" lines (keys: STUDY_KEYS)
   density matrix         16 "re im" lines, row-major (read only)
@@ -64,6 +66,7 @@ from .stats import StudyResult
 from .weak import PointerRun
 
 __all__ = [
+    "BEHAVIOR_KEYS",
     "MODEL_KEYS",
     "STUDY_KEYS",
     "read_behavior",
@@ -81,27 +84,20 @@ BUNDLE_HEADER = "trial,context_i,context_j,a,b"
 RECORDS_HEADER = "trial,rA1,rA2,rB1,rB2,bvalue"
 CURVE_HEADER = "n,trials,frequency,ci_lo,ci_hi,mean_s,sd_s,z"  # StudyRow's fields, in order
 
-def _preamble_lines(preamble: Mapping[str, Any] | None) -> list[str]:
-    if not preamble:
-        return []
-    return [f"# {key}: {value}" for key, value in preamble.items()]
-
-
 def _data_lines(path: Path) -> list[str]:
+    """The stripped lines that are neither blank nor comments, broken at ``\\n``, ``\\r\\n`` and ``\\r`` only."""
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = [ln.decode("utf-8").strip() for ln in Path(path).read_bytes().splitlines()]
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
-    return [ln.strip() for ln in lines if ln.strip() and not ln.lstrip().startswith("#")]
+    return [ln for ln in lines if ln and not ln.startswith("#")]
 
 
-def _write_csv(
-    path: Path, header: str, preamble: Mapping[str, Any] | None, blocks: Iterable[bytes]
-) -> None:
-    """Write preamble comments, the header, then the row blocks in order."""
+def _write_lines(path: Path, preamble: Mapping[str, Any] | None, lines: Iterable[bytes]) -> None:
+    """Write the preamble as ``# key: value`` comment lines, then the lines' bytes, in binary."""
     with Path(path).open("wb") as handle:
-        handle.write(("\n".join(_preamble_lines(preamble) + [header]) + "\n").encode())
-        handle.writelines(blocks)
+        handle.writelines(f"# {key}: {value}\n".encode() for key, value in (preamble or {}).items())
+        handle.writelines(lines)
 
 
 # Rows per block: a power of ten, so that a block's trial indices share their leading digits.
@@ -163,8 +159,8 @@ def _bundle_blocks(dataset: ContextDataset) -> Iterator[bytes]:
 def write_bundle_csv(
     path: Path, bundle: ExperimentBundle, preamble: Mapping[str, Any] | None = None
 ) -> None:
-    blocks = itertools.chain.from_iterable(_bundle_blocks(d) for d in bundle.datasets)
-    _write_csv(path, BUNDLE_HEADER, preamble, blocks)
+    blocks = (_bundle_blocks(d) for d in bundle.datasets)
+    _write_lines(path, preamble, itertools.chain([f"{BUNDLE_HEADER}\n".encode()], *blocks))
 
 
 # Bytes of a float field: repr of any float64 fits ("-2.2250738585072014e-308" has 24).
@@ -456,7 +452,7 @@ def write_records_csv(
     path: Path, run: PointerRun, preamble: Mapping[str, Any] | None = None
 ) -> None:
     """Per-pair pointer records: the four readings and the B-value of each pair."""
-    _write_csv(path, RECORDS_HEADER, preamble, _records_blocks(run))
+    _write_lines(path, preamble, itertools.chain([f"{RECORDS_HEADER}\n".encode()], _records_blocks(run)))
 
 
 def write_curve_csv(
@@ -464,51 +460,7 @@ def write_curve_csv(
 ) -> None:
     """One row per sample size of a significance curve: n and trials, then repr floats."""
     rows = ((f"{r.n},{r.trials}," + ",".join(map(repr, astuple(r)[2:])) + "\n").encode() for r in result.rows)
-    _write_csv(path, CURVE_HEADER, preamble, rows)
-
-
-def write_behavior(
-    path: Path, behavior: Behavior, preamble: Mapping[str, Any] | None = None
-) -> None:
-    lines = _preamble_lines(preamble)
-    for context in CANONICAL_CONTEXTS:
-        probs = " ".join(repr(float(p)) for p in behavior.probs[context.index])
-        lines.append(f"context {context.alice} {context.bob} = {probs}")
-    if behavior.counts is not None:
-        for context in CANONICAL_CONTEXTS:
-            counts = " ".join(str(int(c)) for c in behavior.counts[context.index])
-            lines.append(f"counts {context.alice} {context.bob} = {counts}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_behavior(path: Path) -> Behavior:
-    tables = {"context": np.zeros((4, 4)), "counts": np.zeros((4, 4), dtype=np.int64)}
-    given = {kind: np.zeros(4, dtype=bool) for kind in tables}
-    for line in _data_lines(Path(path)):
-        if "=" not in line:
-            raise ConfigError(f"{path}: expected 'context i j = ...' lines, got {line!r}")
-        head, _, tail = line.partition("=")
-        fields = head.split()
-        if len(fields) != 3 or fields[0] not in tables:
-            raise ConfigError(f"{path}: unknown directive {head.strip()!r}")
-        kind = fields[0]
-        convert = float if kind == "context" else int
-        try:
-            context = Context(int(fields[1]), int(fields[2]))
-            values = np.array([convert(v) for v in tail.split()], dtype=tables[kind].dtype)
-        except (ValueError, TypeError, OverflowError) as exc:
-            raise ConfigError(f"{path}: malformed line {line!r}: {exc}") from exc
-        if len(values) != 4:
-            raise ConfigError(f"{path}: need 4 values per context, got {len(values)}")
-        if given[kind][context.index]:
-            raise ConfigError(f"{path}: repeated line {head.strip()!r}")
-        given[kind][context.index] = True
-        tables[kind][context.index] = values
-    if not given["context"].all():
-        raise ConfigError(f"{path}: missing context lines (need all four)")
-    if given["counts"].any() and not given["counts"].all():
-        raise ConfigError(f"{path}: counts given for only some contexts")
-    return Behavior(tables["context"], tables["counts"] if given["counts"].all() else None)
+    _write_lines(path, preamble, itertools.chain([f"{CURVE_HEADER}\n".encode()], rows))
 
 
 def _values(convert: Callable[[str], Any], count: int | None = None) -> Callable[[str], list]:
@@ -545,6 +497,15 @@ STUDY_KEYS: dict[str, Callable[[str], Any]] = {
     "threshold": float,
 }
 
+# Value parser of each key a behavior file may hold: the four probabilities
+# p(++) p(+-) p(-+) p(--) of each context, then (optional) its four counts,
+# each kind in canonical context order.
+BEHAVIOR_KEYS: dict[str, Callable[[str], Any]] = {
+    f"{kind} {c.alice} {c.bob}": parse
+    for kind, parse in (("context", _values(float, 4)), ("counts", _values(int, 4)))
+    for c in CANONICAL_CONTEXTS
+}
+
 
 def read_keyvalue(path: Path, keys: Mapping[str, Callable[[str], Any]]) -> dict[str, Any]:
     """Parse a 'key = value' file, reading each value with its key's parser.
@@ -557,7 +518,7 @@ def read_keyvalue(path: Path, keys: Mapping[str, Callable[[str], Any]]) -> dict[
         if "=" not in line:
             raise ConfigError(f"{path}: expected 'key = value' lines, got {line!r}")
         key, _, value = line.partition("=")
-        key = key.strip()
+        key = " ".join(key.split())
         value = value.strip()
         if not key or not value:
             raise ConfigError(f"{path}: malformed line {line!r}")
@@ -573,6 +534,27 @@ def read_keyvalue(path: Path, keys: Mapping[str, Callable[[str], Any]]) -> dict[
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}; expected some of {sorted(keys)}")
     return mapping
+
+
+def write_behavior(
+    path: Path, behavior: Behavior, preamble: Mapping[str, Any] | None = None
+) -> None:
+    """Four ``context i j`` lines of repr floats, then four ``counts i j`` lines if the behavior has counts."""
+    rows = behavior.probs.tolist() + ([] if behavior.counts is None else behavior.counts.tolist())
+    lines = (f"{key} = {' '.join(map(repr, row))}\n".encode() for key, row in zip(BEHAVIOR_KEYS, rows))
+    _write_lines(path, preamble, lines)
+
+
+def read_behavior(path: Path) -> Behavior:
+    """Parse a behavior file (keys: BEHAVIOR_KEYS); counts are given for all four contexts or none."""
+    mapping = read_keyvalue(Path(path), BEHAVIOR_KEYS)
+    rows = [mapping.get(key) for key in BEHAVIOR_KEYS]
+    probs, counts = rows[:4], rows[4:]
+    if None in probs:
+        raise ConfigError(f"{path}: missing context lines (need all four)")
+    if counts.count(None) not in (0, 4):
+        raise ConfigError(f"{path}: counts given for only some contexts")
+    return Behavior(probs, None if None in counts else counts)
 
 
 def read_model(path: Path) -> LhvModel:

@@ -87,8 +87,10 @@ def validate_model(model: LhvModel) -> tuple[np.ndarray, np.ndarray]:
     weights = _numbers("weights", model.weights, (len(table),)).astype(np.float64)
     if (weights < 0).any():
         raise ConfigError(f"model {model.name!r}: negative probability mass")
-    if not abs(float(weights.sum()) - 1.0) <= MASS_TOL:  # NaN masses fail too
-        raise ConfigError(f"model {model.name!r}: masses sum to {weights.sum()!r}, not 1 within {MASS_TOL}")
+    with np.errstate(over="ignore"):  # masses near float64's limit sum to inf, which fails the check
+        total = weights.sum()
+    if not abs(float(total) - 1.0) <= MASS_TOL:  # NaN masses fail too
+        raise ConfigError(f"model {model.name!r}: masses sum to {total!r}, not 1 within {MASS_TOL}")
     return table, weights
 
 

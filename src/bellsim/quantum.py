@@ -53,18 +53,21 @@ class DensityMatrix(ArrayValue):
 
     def __post_init__(self) -> None:
         m = frozen_array(self.matrix, np.complex128, (4, 4), "density matrix")
-        herm = float(np.abs(m - m.conj().T).max())
+        with np.errstate(over="ignore", invalid="ignore"):  # entries near float64's limit give inf or NaN here
+            herm = float(np.abs(m - m.conj().T).max())
+            trace = complex(np.trace(m))
         if herm > HERMITIAN_TOL:
             raise DomainError(f"matrix is not Hermitian: max |rho - rho^dag| = {herm:.3e}")
-        trace = complex(np.trace(m))
-        if abs(trace - 1.0) > TRACE_TOL:
+        if not abs(trace - 1.0) <= TRACE_TOL:  # NaN fails too
             raise DomainError(f"trace must be 1, got {trace!r}")
         eigenvalues = np.linalg.eigvalsh(m)
         if float(eigenvalues.min()) < PSD_TOL:
             raise DomainError(
                 f"matrix is not positive semidefinite: min eigenvalue {eigenvalues.min():.3e}"
             )
-        object.__setattr__(self, "matrix", m)
+        hermitian = (m + m.conj().T) / 2  # the drift HERMITIAN_TOL admits would make traces complex
+        hermitian.setflags(write=False)
+        object.__setattr__(self, "matrix", hermitian)
 
     @property
     def purity(self) -> float:

@@ -214,11 +214,13 @@ COUNT_LINES = ["counts 1 1 = 5 0 0 5", "counts 1 2 = 5 0 0 5",
     ("lines", "error", "message"),
     [
         (["context 1 1 = nan 0 0 1", *BEHAVIOR_LINES[1:]], DomainError, "finite"),
-        ([*BEHAVIOR_LINES, "context 1 1 = 1 0 0 0"], ConfigError, "repeated line 'context 1 1'"),
+        ([*BEHAVIOR_LINES, "context 1 1 = 1 0 0 0"], ConfigError, "duplicate key 'context 1 1'"),
         ([*BEHAVIOR_LINES, *COUNT_LINES, "counts 2 2 = 0 5 5 0"], ConfigError,
-         "repeated line 'counts 2 2'"),
-        ([*BEHAVIOR_LINES, "counts 1 1 = nan 0 0 10", *COUNT_LINES[1:]], ConfigError, "malformed"),
-        ([*BEHAVIOR_LINES, "counts 1 1 = 2.5 0 0 7.5", *COUNT_LINES[1:]], ConfigError, "malformed"),
+         "duplicate key 'counts 2 2'"),
+        ([*BEHAVIOR_LINES, "counts 1 1 = nan 0 0 10", *COUNT_LINES[1:]], ConfigError,
+         "bad value for 'counts 1 1': 'nan 0 0 10'"),
+        ([*BEHAVIOR_LINES, "counts 1 1 = 2.5 0 0 7.5", *COUNT_LINES[1:]], ConfigError,
+         "bad value for 'counts 1 1': '2.5 0 0 7.5'"),
         ([*BEHAVIOR_LINES, COUNT_LINES[0]], ConfigError, "counts given for only some contexts"),
     ],
     ids=["nan-probability", "repeated-context", "repeated-counts", "nan-count", "fractional-count",

@@ -89,7 +89,7 @@ def test_behavior_rejects_partial_or_unknown(tmp_path):
         )
         + "\nwhatever 1 1 = 0 0 0 0\n"
     )
-    with pytest.raises(ConfigError, match="unknown directive"):
+    with pytest.raises(ConfigError, match=r"unknown keys \['whatever 1 1'\]"):
         read_behavior(path)
 
 

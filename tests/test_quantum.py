@@ -106,16 +106,18 @@ class TestExpectation:
             with pytest.raises(DomainError, match="real number"):
                 born_probabilities(singlet(), alice, bob)
 
-    def test_imaginary_residue_is_domain_error(self):
-        # anti-Hermitian drift of 0.9e-12 passes the state's tolerance, but Tr(rho sigma_x x sigma_x) gains 1.8e-12i
+    def test_drifted_state_traces_are_real(self):
+        # anti-Hermitian drift of 0.9e-12 passes the state's tolerance; unstored, it would put 1.8e-12i
+        # into Tr(rho sigma_x x sigma_x), over the residue guard's 1e-12
         matrix = singlet().matrix.copy()
         for cell in [(1, 2), (2, 1), (0, 3), (3, 0)]:
             matrix[cell] += 0.45e-12j
         rho = DensityMatrix(matrix)
-        with pytest.raises(DomainError, match="expectation has imaginary residue 1.800e-12"):
-            expectation(rho, math.pi / 2, math.pi / 2)
-        with pytest.raises(DomainError, match="correlation has imaginary residue 1.800e-12"):
-            correlation_block(rho)
+        assert np.array_equal(rho.matrix, rho.matrix.conj().T)
+        assert expectation(rho, math.pi / 2, math.pi / 2) == pytest.approx(
+            expectation(singlet(), math.pi / 2, math.pi / 2), abs=1e-12
+        )
+        assert np.allclose(correlation_block(rho), correlation_block(singlet()), rtol=0, atol=1e-12)
 
     def test_observable_eigenvalues(self):
         for theta in (0.0, 0.7, 2.9):
