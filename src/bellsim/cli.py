@@ -42,7 +42,7 @@ from .fileio import (
     write_curve_csv,
     write_records_csv,
 )
-from .lhv import LhvModel, exact_lhv_s, model_from_mapping, sample_bundle, sample_counterfactual_table
+from .lhv import MixtureModel, exact_lhv_s, model_from_mapping, sample_bundle, sample_counterfactual_table
 from .quantum import (
     TSIRELSON_ANGLES,
     TSIRELSON_BOUND,
@@ -112,7 +112,7 @@ _VARIANT_FLAGS = {
 }
 
 
-def _lhv_model(args: argparse.Namespace, name: str | None = None) -> LhvModel:
+def _lhv_model(args: argparse.Namespace, name: str | None = None) -> MixtureModel:
     """Build the LHV model ``name``: "model" reads --model FILE, a variant reads its flags.
 
     Without a name (simulate-lhv, weak-bvalues), --model FILE wins over --variant.
@@ -132,12 +132,14 @@ def _lhv_model(args: argparse.Namespace, name: str | None = None) -> LhvModel:
     return model_from_mapping(mapping)
 
 
+# The named quantum states of --state and --generator.
+_STATES = {"singlet": singlet, "mixed": maximally_mixed}
+
+
 def _state_from_args(args: argparse.Namespace) -> tuple[DensityMatrix, str]:
-    if getattr(args, "rho", None):
+    if args.rho:
         return read_density(Path(args.rho)), f"file:{args.rho}"
-    if args.state == "singlet":
-        return singlet(), "singlet"
-    return maximally_mixed(), "mixed"  # the only other choice argparse admits
+    return _STATES[args.state](), args.state
 
 
 def _angles_from_args(args: argparse.Namespace) -> AngleQuadruple:
@@ -262,11 +264,10 @@ def _generator_from_args(args: argparse.Namespace) -> tuple[BundleGenerator, dic
             raise ConfigError("--generator behavior needs --behavior FILE")
         behavior = read_behavior(Path(args.behavior))
         return generator_from_behavior(behavior), {"generator": "behavior", "file": args.behavior}
-    if name in ("singlet", "mixed"):
-        rho = singlet() if name == "singlet" else maximally_mixed()
+    if name in _STATES:
         angles = _angles_from_args(args)
         spec = {"generator": name, "angles": list(angles.as_tuple())}
-        return generator_from_quantum(rho, angles), spec
+        return generator_from_quantum(_STATES[name](), angles), spec
     if name != "model" and name not in _VARIANT_FLAGS:
         raise ConfigError(f"unknown generator {name!r}")
     model = _lhv_model(args, name)
@@ -386,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed_out(p)
 
     p = sub.add_parser("simulate-quantum", help="sample a bundle from a two-qubit state")
-    p.add_argument("--state", choices=["singlet", "mixed"], default="singlet")
+    p.add_argument("--state", choices=list(_STATES), default="singlet")
     p.add_argument("--rho", help="density matrix file (16 're im' lines)")
     p.add_argument("--angles", type=float, nargs=4, metavar=("A1", "A2", "B1", "B2"),
                    help="setting angles in radians (default: Tsirelson-optimal)")
@@ -407,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("violation-curve", help="violation frequency and z-score per sample size")
     p.add_argument("--spec", help="study spec file ('key = value'); its values take precedence over flags")
     p.add_argument("--generator",
-                   choices=[*_VARIANT_FLAGS, "model", "behavior", "singlet", "mixed"])
+                   choices=[*_VARIANT_FLAGS, "model", "behavior", *_STATES])
     p.add_argument("--behavior", help="behavior file for --generator behavior")
     _add_model_flags(p, "model file for --generator model")
     p.add_argument("--n", type=int, nargs="+", help="per-context sample sizes")

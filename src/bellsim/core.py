@@ -237,9 +237,6 @@ class CounterfactualTable(ArrayValue):
     def n_rows(self) -> int:
         return self.outcomes.shape[0]
 
-    def __len__(self) -> int:
-        return self.n_rows
-
 
 @dataclass(frozen=True, eq=False)
 class ContextDataset(ArrayValue):
@@ -254,9 +251,6 @@ class ContextDataset(ArrayValue):
     @property
     def n_pairs(self) -> int:
         return self.pairs.shape[0]
-
-    def __len__(self) -> int:
-        return self.n_pairs
 
 
 @dataclass(frozen=True)

@@ -252,6 +252,9 @@ def reshuffle_feasible(problem: ReshuffleProblem) -> FeasibilityResult:
     totals = problem.totals
     if counts.sum() == 0:
         raise DomainError("reshuffling undefined for all-empty count tables")
+    for context, total in zip(CANONICAL_CONTEXTS, totals.tolist()):
+        if total == 0:
+            raise DomainError(f"reshuffling undefined: empty count table in context {context}")
     if problem.slack == 0.0 and len(set(totals.tolist())) != 1:
         raise DomainError(
             f"exact reshuffling needs equal context totals, got {totals.tolist()}; "
@@ -264,7 +267,7 @@ def reshuffle_feasible(problem: ReshuffleProblem) -> FeasibilityResult:
         mass = float(np.rint(totals.mean()))
         a_eq, b_eq = _slack_system(counts, problem.slack, mass, scale)
     infeasibility, x = phase1_solve(a_eq, b_eq, tol=LP_TOL)
-    frequencies = counts / np.maximum(totals, 1)[:, None]
+    frequencies = counts / totals[:, None]
     if infeasibility > LP_TOL:
         return _infeasible(Behavior(frequencies), infeasibility, infeasibility * scale)
     if problem.slack > 0.0:

@@ -43,7 +43,7 @@ costs the reader 4 bytes per row, not an N x 5 int64 array.
   behavior               "context i j = p p p p" lines, optional "counts i j = ..." (keys: BEHAVIOR_KEYS)
   model specification    "key = value" lines with a "variant" key (keys: MODEL_KEYS)
   study specification    "key = value" lines (keys: STUDY_KEYS)
-  density matrix         16 "re im" lines, row-major (read only)
+  density matrix         16 "re im" lines, row-major, comma or space separated (read only)
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ import numpy as np
 from .behaviors import Behavior
 from .core import CANONICAL_CONTEXTS, OUTCOME_PAIRS, Context, ContextDataset, ExperimentBundle, outcome_codes
 from .errors import ConfigError
-from .lhv import LhvModel, model_from_mapping
+from .lhv import MixtureModel, model_from_mapping
 from .quantum import DensityMatrix
 from .stats import StudyResult
 from .weak import PointerRun
@@ -557,21 +557,19 @@ def read_behavior(path: Path) -> Behavior:
     return Behavior(probs, None if None in counts else counts)
 
 
-def read_model(path: Path) -> LhvModel:
+def read_model(path: Path) -> MixtureModel:
     """Parse a 'key = value' model file into a built-in LHV model."""
     return model_from_mapping(read_keyvalue(Path(path), MODEL_KEYS))
 
 
 def read_density(path: Path) -> DensityMatrix:
+    """Parse 16 ``re im`` lines, row-major; the two numbers are separated by a comma or spaces."""
     entries = []
     for line in _data_lines(Path(path)):
-        parts = line.split()
-        if len(parts) != 2:
-            raise ConfigError(f"{path}: each line must hold 're im', got {line!r}")
         try:
-            entries.append(complex(float(parts[0]), float(parts[1])))
+            entries.append(complex(*_values(float, 2)(line)))
         except ValueError as exc:
-            raise ConfigError(f"{path}: malformed entry {line!r}: {exc}") from exc
+            raise ConfigError(f"{path}: each line must hold 're im': {line!r} ({exc})") from exc
     if len(entries) != 16:
         raise ConfigError(f"{path}: need 16 entries, got {len(entries)}")
     return DensityMatrix(np.array(entries, dtype=np.complex128).reshape(4, 4))

@@ -4,8 +4,9 @@ A model is a hidden variable lambda with a known law plus deterministic
 response functions A_i(lambda), B_j(lambda) in {+1,-1}.  By Fine's theorem
 (A. Fine, PRL 48, 291 (1982)) every such model of the CHSH scenario is a
 mixture of deterministic strategies (a1, a2, b1, b2), so one type,
-``MixtureModel``, holds them all: lambda indexes finitely many strategies
-drawn with the given weights, and the exact per-context correlation
+``MixtureModel``, holds them all as read-only arrays: lambda indexes finitely
+many strategies drawn with the given weights, and the exact per-context
+correlation
 
     E_ij = sum over strategies of weight * a_i * b_j
 
@@ -32,13 +33,12 @@ from typing import Any
 
 import numpy as np
 
-from .core import CANONICAL_CONTEXTS, Context, ContextLaw, CounterfactualTable, ExperimentBundle
-from .core import chsh_sum, context_products, fixed_sum, sample_contexts
+from .core import CANONICAL_CONTEXTS, ArrayValue, Context, ContextLaw, CounterfactualTable, ExperimentBundle
+from .core import chsh_sum, context_products, fixed_sum, frozen_array, sample_contexts
 from .errors import ConfigError
 from .rng import categorical, sample_size, spawn_rng
 
 __all__ = [
-    "LhvModel",
     "MixtureModel",
     "boundary_mixture_model",
     "deterministic_model",
@@ -60,28 +60,26 @@ TWO_PI = 2.0 * math.pi
 ANGLE_KEYS = ("a1", "a2", "b1", "b2")
 
 
-@dataclass(frozen=True)
-class MixtureModel:
+@dataclass(frozen=True, eq=False)
+class MixtureModel(ArrayValue):
     """Lambda indexes deterministic strategies (a1, a2, b1, b2), drawn with the given weights.
 
-    Checked once and stored as tuples when built (``dataclasses.replace`` included):
-    the strategies are an (m, 4) array of +/-1, the m weights nonnegative with sum 1.
+    Checked once when built (``dataclasses.replace`` included) and stored as
+    read-only arrays: the strategies an (m, 4) int8 array of +/-1, the m float64
+    weights nonnegative with sum 1.
     """
 
     name: str
-    strategies: tuple[tuple[int, int, int, int], ...]
-    weights: tuple[float, ...]
+    strategies: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self) -> None:
         table, weights = validate_model(self)
-        object.__setattr__(self, "strategies", tuple(map(tuple, table.tolist())))
-        object.__setattr__(self, "weights", tuple(weights.tolist()))
+        object.__setattr__(self, "strategies", frozen_array(table, np.int8, (None, 4), "strategies"))
+        object.__setattr__(self, "weights", frozen_array(weights, np.float64, (None,), "weights"))
 
 
-LhvModel = MixtureModel
-
-
-def validate_model(model: LhvModel) -> tuple[np.ndarray, np.ndarray]:
+def validate_model(model: MixtureModel) -> tuple[np.ndarray, np.ndarray]:
     """Check the model's strategies and weights (every model does, once, when built); return them as arrays."""
     table = _strategy_table(model.strategies)
     weights = _numbers("weights", model.weights, (len(table),)).astype(np.float64)
@@ -94,34 +92,30 @@ def validate_model(model: LhvModel) -> tuple[np.ndarray, np.ndarray]:
     return table, weights
 
 
-def sample_counterfactual_table(model: LhvModel, n: int, seed: int) -> CounterfactualTable:
+def sample_counterfactual_table(model: MixtureModel, n: int, seed: int) -> CounterfactualTable:
     """Draw n lambdas from one stream; row k holds (A1, A2, B1, B2) at lambda_k."""
     n = sample_size(n, "n")
     lam = categorical(spawn_rng(seed, "lhv-table"), model.weights, n)
-    outcomes = np.asarray(model.strategies, dtype=np.int8)[lam]
-    return CounterfactualTable(outcomes)
+    return CounterfactualTable(model.strategies[lam])
 
 
-def model_laws(model: LhvModel) -> tuple[ContextLaw, ...]:
+def model_laws(model: MixtureModel) -> tuple[ContextLaw, ...]:
     """Per context: lambda drawn with the model's weights, recording the strategy columns (a_i, b_j)."""
-    weights = np.asarray(model.weights, dtype=np.float64)
-    table = np.asarray(model.strategies, dtype=np.int8)
-    return tuple((weights, table[:, context.columns]) for context in CANONICAL_CONTEXTS)
+    return tuple((model.weights, model.strategies[:, context.columns]) for context in CANONICAL_CONTEXTS)
 
 
-def sample_bundle(model: LhvModel, n_per_context: int, seed: int) -> ExperimentBundle:
+def sample_bundle(model: MixtureModel, n_per_context: int, seed: int) -> ExperimentBundle:
     """Four datasets from four independent lambda streams (fresh lambda per trial per context)."""
     return sample_contexts(model_laws(model), n_per_context, seed, "lhv-context")
 
 
-def exact_lhv_correlation(model: LhvModel, context: Context) -> float:
+def exact_lhv_correlation(model: MixtureModel, context: Context) -> float:
     """The coupling integral E_ij in closed form: the weighted sum of a_i * b_j."""
     i, j = context.columns
-    table = np.asarray(model.strategies, dtype=np.int8)
-    return fixed_sum(model.weights, table[:, i] * table[:, j])
+    return fixed_sum(model.weights, model.strategies[:, i] * model.strategies[:, j])
 
 
-def exact_lhv_s(model: LhvModel) -> float:
+def exact_lhv_s(model: MixtureModel) -> float:
     """Exact S of the coupling; lies in [-2, 2]."""
     return chsh_sum([exact_lhv_correlation(model, context) for context in CANONICAL_CONTEXTS]) + 0.0
 
@@ -144,7 +138,7 @@ def _strategy_table(strategies: object) -> np.ndarray:
         raise ConfigError(f"strategies must be an (m, 4) array of +/-1, got shape {table.shape}")
     if not np.isin(table, (-1, 1)).all():
         raise ConfigError("strategy entries must be +1 or -1")
-    return table.astype(np.int64)
+    return table.astype(np.int8)
 
 
 def mixture_model(strategies: object, weights: object, name: str = "mixture") -> MixtureModel:
@@ -221,7 +215,7 @@ _VARIANT_KEYS = {
 }
 
 
-def model_from_mapping(spec: Mapping[str, Any]) -> LhvModel:
+def model_from_mapping(spec: Mapping[str, Any]) -> MixtureModel:
     """Build a built-in model from a parsed key/value specification.
 
     Expected keys per variant:

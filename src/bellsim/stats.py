@@ -40,7 +40,7 @@ import numpy as np
 from .behaviors import Behavior, behavior_from_quantum, behavior_laws, behavior_s
 from .core import ExperimentBundle, PlusCounts, chsh_sum, context_plus_counts, correlation, finite_real, s_from_counts
 from .errors import ConfigError, DomainError
-from .lhv import LhvModel, exact_lhv_s, model_laws
+from .lhv import MixtureModel, exact_lhv_s, model_laws
 from .quantum import AngleQuadruple, DensityMatrix, s_quantum
 from .rng import derive_seed, derive_seeds, sample_size
 
@@ -75,7 +75,7 @@ class BundleGenerator:
     plus_counts: PlusCounts
 
 
-def generator_from_lhv(model: LhvModel) -> BundleGenerator:
+def generator_from_lhv(model: MixtureModel) -> BundleGenerator:
     """Trials on the streams of ``sample_bundle(model, ...)``; the laws are built once per generator."""
     plus_counts = context_plus_counts(model_laws(model), "lhv-context")
     return BundleGenerator(f"lhv:{model.name}", exact_lhv_s(model), plus_counts)

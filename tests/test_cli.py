@@ -26,6 +26,12 @@ def run_twice_identical(argv_template, tmp_path):
     return digest_tree(out1) == digest_tree(out2)
 
 
+# Context (1,1) has probabilities but no pairs; the other three hold PR-box counts.
+EMPTY_CONTEXT_BEHAVIOR = "".join(f"context {i} {j} = 0.25 0.25 0.25 0.25\n" for i in (1, 2) for j in (1, 2)) + (
+    "counts 1 1 = 0 0 0 0\ncounts 1 2 = 5 0 0 5\ncounts 2 1 = 5 0 0 5\ncounts 2 2 = 0 5 5 0\n"
+)
+
+
 class TestSimulateLhv:
     def test_deterministic_model_summary(self, tmp_path):
         out = tmp_path / "out"
@@ -196,6 +202,17 @@ class TestFeasibility:
                      "--out", str(out)])
         assert code == EXIT_OK
         assert "integrality" not in json.loads((out / "result.json").read_text())
+
+    @pytest.mark.parametrize("slack", ["3", "20"])
+    def test_empty_context_count_table_is_config_error(self, tmp_path, capsys, slack):
+        behavior_file = tmp_path / "empty.behavior"
+        behavior_file.write_text(EMPTY_CONTEXT_BEHAVIOR)
+        out = tmp_path / "out"
+        code = main(["feasibility", "--behavior", str(behavior_file), "--level", "counts",
+                     "--slack", slack, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "empty count table in context (1,1)" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRuntimeExit:

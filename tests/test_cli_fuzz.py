@@ -1,22 +1,31 @@
-"""Fuzzed argv through the one cached parser: main only returns or exits with 0-3.
+"""Fuzzed argv and fuzzed input files through the one cached parser: main only returns or exits with 0-3.
 
 The argv grammar covers the five subcommands and their flags, with good and bad
 values, input files that are valid, malformed, missing or a directory, and junk
 tokens.  Every size is bounded (--n <= 50, --trials <= 5, at most 3 n values), and
 no token the grammar can draw reads as a large count, so no case asks for a large
 sample or many trials.
+
+The file fuzz keeps the command line valid and draws the contents of the file
+given to --bundle, --behavior, --model, --rho or --spec: a seed file with up to
+three lines inserted, deleted or given a value from ``scalars.SCALARS``, or raw
+bytes.  A study spec that asks for more than the argv grammar's sizes is skipped.
 """
+
+import re
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from bellsim import cli
 from bellsim.behaviors import Behavior, behavior_from_bundle, pr_box
 from bellsim.core import CounterfactualTable, project_bundle
-from bellsim.fileio import write_behavior, write_bundle_csv
+from bellsim.errors import ConfigError
+from bellsim.fileio import STUDY_KEYS, read_keyvalue, write_behavior, write_bundle_csv
 from bellsim.quantum import singlet
+from scalars import SCALARS
 
 # Paths are drawn as "{in}/name" (an input file) and "{out}/name" (an output
 # directory); the test fills in its directories.
@@ -130,6 +139,9 @@ def inputs(tmp_path_factory):
     write_behavior(root / "box.behavior", pr_box())
     (root / "model.txt").write_text("variant = boundary_mixture\n")
     (root / "bad_model.txt").write_text("variant = deterministic\noutcomes = 1 1 1 2\n")
+    (root / "sign_model.txt").write_text("variant = sign_cosine\na1 = 0\na2 = 1.5\nb1 = 0.7\nb2 = 2.9\nbob_sign = 1\n")
+    (root / "mixture_model.txt").write_text(
+        "variant = boundary_mixture\nstrategies = 1,1,1,1 ; 1,1,1,-1\nweights = 0.25 0.75\n")
     (root / "rho.txt").write_text("".join(f"{v.real!r} {v.imag!r}\n" for v in singlet().matrix.reshape(-1).tolist()))
     (root / "junk.bin").write_bytes(b"\xff\x00not = a\nfile\n")
     (root / "study.txt").write_text("generator = boundary_mixture\nn = 10 20\ntrials = 3\nseed = 1\n")
@@ -153,3 +165,98 @@ def test_main_exits_with_a_documented_code(inputs, tmp_path, argv):
         code = exc.code
     assert code in (0, 1, 2, 3)
     assert cli._parser() is parser
+
+
+CURVE_SIZES = ["--n", "10", "--trials", "2", "--seed", "1"]
+# input flag -> (its seed files in the inputs directory, command lines that read the file "{file}")
+FILE_FLAGS = {
+    "--bundle": (["bundle.csv"], [
+        ["feasibility", "--bundle", "{file}"],
+        ["feasibility", "--bundle", "{file}", "--level", "distribution"],
+        ["feasibility", "--bundle", "{file}", "--slack", "3"],
+    ]),
+    "--behavior": (["counts.behavior", "probs.behavior", "box.behavior"], [
+        ["feasibility", "--behavior", "{file}"],
+        ["feasibility", "--behavior", "{file}", "--level", "counts", "--slack", "3"],
+        ["violation-curve", "--generator", "behavior", "--behavior", "{file}", *CURVE_SIZES],
+    ]),
+    "--model": (["model.txt", "sign_model.txt", "mixture_model.txt"], [
+        ["simulate-lhv", "--model", "{file}", "--n", "10", "--seed", "1"],
+        ["weak-bvalues", "--source", "lhv", "--model", "{file}", "--n", "10", "--seed", "1"],
+        ["violation-curve", "--generator", "model", "--model", "{file}", *CURVE_SIZES],
+    ]),
+    "--rho": (["rho.txt"], [["simulate-quantum", "--rho", "{file}", "--n", "10", "--seed", "1"]]),
+    "--spec": (["study.txt", "study_sign.txt", "study_mode.txt", "study_behavior.txt", "study_trials.txt"], [
+        ["violation-curve", "--spec", "{file}", "--generator", "boundary_mixture", *CURVE_SIZES],
+    ]),
+}
+# An edit: (kind, line position, token position, text); positions wrap around the file's lines and tokens.
+EDITS = st.tuples(
+    st.sampled_from(["copy", "insert", "delete", "token"]), st.integers(0, 99), st.integers(0, 9),
+    st.builds(lambda values, sep: sep.join(values), st.lists(SCALARS.map(str), min_size=1, max_size=5),
+              st.sampled_from([" ", ",", " = "])),
+)
+
+
+@st.composite
+def file_cases(draw):
+    """(argv with "{file}", contents): raw bytes, or (seed file name, edits) applied by ``edited``."""
+    seeds, commands = FILE_FLAGS[draw(st.sampled_from(sorted(FILE_FLAGS)))]
+    contents = st.binary(max_size=200) | st.tuples(st.sampled_from(seeds), st.lists(EDITS, max_size=3))
+    return draw(st.sampled_from(commands)), draw(contents)
+
+
+def edited(data, edits):
+    """The lines of ``data`` with each edit applied: a line copied, inserted or deleted, or a token replaced."""
+    lines = data.decode().splitlines()
+    for kind, at, token, text in edits:
+        where = at % (len(lines) + 1)
+        if kind == "insert":
+            lines.insert(where, text)
+        elif lines and kind == "copy":
+            lines.insert(where, lines[at % len(lines)])
+        elif lines and kind == "delete":
+            del lines[at % len(lines)]
+        elif lines:
+            tokens = re.split("([ ,])", lines[at % len(lines)])  # separators at the odd positions
+            tokens[2 * (token % ((len(tokens) + 1) // 2))] = text
+            lines[at % len(lines)] = "".join(tokens)
+    return "".join(line + "\n" for line in lines).encode()
+
+
+def small_study(path):
+    """Whether the study spec, if it parses, asks for at most the argv grammar's sizes."""
+    try:
+        spec = read_keyvalue(path, STUDY_KEYS)
+    except ConfigError:
+        return True
+    n = spec.get("n", [1])
+    return len(n) <= 3 and max(n, default=1) <= 50 and spec.get("trials", 1) <= 5
+
+
+# A behavior whose context (1,1) has probabilities but no counts: once "context rows must each sum
+# to 1" at slack 3 and "feasible" at slack 20, now an empty-context error (exit 2).
+EMPTY_CONTEXT = (
+    "".join(f"context {i} {j} = 0.25 0.25 0.25 0.25\n" for i in (1, 2) for j in (1, 2))
+    + "counts 1 1 = 0 0 0 0\ncounts 1 2 = 5 0 0 5\ncounts 2 1 = 5 0 0 5\ncounts 2 2 = 0 5 5 0\n"
+).encode()
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=file_cases())
+@example(case=(FILE_FLAGS["--behavior"][1][1], EMPTY_CONTEXT))
+def test_main_on_fuzzed_input_files_exits_with_a_documented_code(inputs, tmp_path_factory, case):
+    command, contents = case
+    if isinstance(contents, tuple):
+        name, edits = contents
+        contents = edited((inputs / name).read_bytes(), edits)
+    root = tmp_path_factory.mktemp("fuzzed")
+    path = root / "input"
+    path.write_bytes(contents)
+    assume(command[1] != "--spec" or small_study(path))
+    argv = [token.replace("{file}", str(path)) for token in command]
+    try:
+        code = cli.main([*argv, "--out", str(root / "out")])
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 1, 2, 3)

@@ -221,6 +221,14 @@ class TestReshuffle:
         with pytest.raises(DomainError, match="all-empty"):
             reshuffle_feasible(ReshuffleProblem(np.zeros((4, 4), dtype=int), 0.0))
 
+    @pytest.mark.parametrize("slack", [0.0, 3.0, 20.0])
+    def test_empty_context_rejected_at_any_slack(self, slack):
+        # once a misleading "context rows must each sum to 1" error at slack 3, and "feasible" at slack 20
+        counts = PR_BOX_COUNTS.copy()
+        counts[0] = 0
+        with pytest.raises(DomainError, match=r"empty count table in context \(1,1\)"):
+            reshuffle_feasible(ReshuffleProblem(counts, slack))
+
 
 class TestIntegerReshuffle:
     """Slack-0 count problems get an exact integer reshuffle, or a NumericError past float64."""

@@ -178,6 +178,13 @@ def test_density_reader_accepts(tmp_path, text):
     assert read_density(path) == singlet()
 
 
+@pytest.mark.parametrize("separator", [",", ", ", " ,\t"])
+def test_density_entries_may_be_comma_separated(tmp_path, separator):
+    path = tmp_path / "rho.txt"
+    path.write_bytes(SINGLET_TEXT.replace(" ", separator).encode())
+    assert read_density(path) == singlet()
+
+
 def _with_entry(row, col, value):
     matrix = np.diag([0.25] * 4).astype(np.complex128)
     matrix[row, col] = value
@@ -193,7 +200,7 @@ def _with_entry(row, col, value):
         (SINGLET_TEXT + "0.0 0.0\n", ConfigError, "need 16 entries, got 17"),
         ("0.25\n" * 16, ConfigError, "each line must hold 're im'"),
         ("0.25 0.0 0.0\n" * 16, ConfigError, "each line must hold 're im'"),
-        (SINGLET_TEXT.replace("0.0 0.0", "0.0 x", 1), ConfigError, "malformed entry"),
+        (SINGLET_TEXT.replace("0.0 0.0", "0.0 x", 1), ConfigError, "each line must hold 're im'"),
         (rho_text(_with_entry(0, 0, float("nan"))), DomainError, "finite"),
         (rho_text(_with_entry(0, 1, 0.125)), DomainError, "not Hermitian"),
         (rho_text(np.zeros((4, 4))), DomainError, "trace must be 1"),

@@ -4,9 +4,10 @@ Each array is copied when the value is built (the caller's array stays
 writable and unshared), the stored copy is read-only, values compare and hash
 by value, and a bad array (ragged, non-numeric, NaN or inf, the wrong shape,
 or numbers the field's dtype cannot hold exactly) is a DomainError, raised
-before any warning.  ``CASES`` holds one valid-instance factory per array
-field; a guard fails when a dataclass in ``bellsim`` gains an array field
-that is not in the table.
+before any warning; a model's arrays are its specification, so there it is a
+ConfigError.  ``CASES`` holds one valid-instance factory per array field; a
+guard fails when a dataclass in ``bellsim`` gains an array field that is not in
+the table.
 """
 
 import dataclasses
@@ -25,8 +26,9 @@ from hypothesis.extra import numpy as nph
 import bellsim
 from bellsim.behaviors import Behavior, pr_box
 from bellsim.core import ArrayValue, Context, ContextDataset, CounterfactualTable
-from bellsim.errors import DomainError
+from bellsim.errors import ConfigError, DomainError
 from bellsim.feasibility import PROJECTION, FeasibilityResult, JointDistribution, ReshuffleProblem
+from bellsim.lhv import MixtureModel
 from bellsim.quantum import DensityMatrix, singlet
 from bellsim.weak import PointerConfig, PointerRun, per_pair_b_values_calibrated
 
@@ -36,6 +38,7 @@ class Case(NamedTuple):
     valid: Callable[[], np.ndarray]  # a fresh, writable, valid array for that field
     change: Callable[[np.ndarray], None]  # alters the fewest entries that keep it valid
     dtype: type  # of the stored array
+    error: type = DomainError  # what a bad array raises
 
 
 def _flip_first(a):
@@ -58,6 +61,7 @@ def _move_diagonal(a):  # keeps the trace
 
 PR_BOX_COUNTS = [[5, 0, 0, 5], [5, 0, 0, 5], [5, 0, 0, 5], [0, 5, 5, 0]]
 UNIFORM_JOINT = JointDistribution(np.full(16, 1 / 16))
+THREE_STRATEGIES = [[1, 1, 1, 1], [1, 1, 1, -1], [-1, 1, -1, 1]]
 
 CASES = {
     (CounterfactualTable, "outcomes"): Case(
@@ -93,6 +97,14 @@ CASES = {
         lambda: np.array([[1.0, 0.0, -2.0, 3.0], [0.5, 1.0, 0.0, -1.0]]),
         _add_one,
         np.float64,
+    ),
+    (MixtureModel, "strategies"): Case(
+        lambda a: MixtureModel("test", a, [0.5, 0.25, 0.25]), lambda: np.array(THREE_STRATEGIES),
+        _flip_first, np.int8, ConfigError,
+    ),
+    (MixtureModel, "weights"): Case(
+        lambda a: MixtureModel("test", THREE_STRATEGIES, a), lambda: np.array([0.5, 0.5, 0.0]),
+        _move_mass, np.float64, ConfigError,
     ),
 }
 IDS = [f"{cls.__name__}.{name}" for cls, name in CASES]
@@ -195,7 +207,7 @@ def test_bad_arrays_are_domain_errors_without_warnings(key, make):
     case = CASES[key]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DomainError):
+        with pytest.raises(case.error):
             case.build(make(case.valid()))
 
 
