@@ -34,7 +34,7 @@ from typing import Any
 import numpy as np
 
 from .errors import DomainError
-from .rng import categorical, category_runs, default_rngs, derive_seeds, sample_size, spawn_rng
+from .rng import category_runs, default_rngs, derive_seeds, sample_size, spawn_rng
 
 __all__ = [
     "ArrayValue",
@@ -62,6 +62,7 @@ __all__ = [
     "project_bundle",
     "project_context",
     "row_c_values",
+    "rows_of_codes",
     "s_from_counts",
     "s_statistic",
     "sample_contexts",
@@ -134,6 +135,12 @@ def outcome_codes(outcomes: np.ndarray) -> np.ndarray:
     for k in range(1, outcomes.shape[1]):
         codes = codes << 1 | minus[:, k]
     return codes
+
+
+def rows_of_codes(codes: np.ndarray, columns: int) -> np.ndarray:
+    """``outcome_rows(columns)[codes]`` for 2 or 4 columns, each row gathered as one 2- or 4-byte word."""
+    words = outcome_rows(columns).view(f"u{columns}").ravel()
+    return words.take(codes).view(np.int8).reshape(-1, columns)
 
 
 def fixed_sum(weights: Iterable[Any], values: Iterable[Any]) -> float:
@@ -345,13 +352,13 @@ def sample_contexts(laws: Iterable[ContextLaw], n: int, seed: int, label: str) -
     ``laws`` follow the canonical context order.  Each stream depends only on
     its own path, so any evaluation order produces identical bytes, and sources
     that share this sampler keep their own streams by passing their own label.
-    ``context_plus_counts`` counts what it draws.
+    Its draws are ``categorical``'s, read as pair codes (``category_runs``); ``context_plus_counts`` counts them.
     """
     n = sample_size(n)
     datasets = []
     for context, (probs, pairs) in zip(CANONICAL_CONTEXTS, laws, strict=True):
-        draws = categorical(spawn_rng(seed, label, context.index), probs, n)
-        datasets.append(ContextDataset(context, pairs[draws]))
+        codes = category_runs(probs, outcome_codes(pairs)).codes(spawn_rng(seed, label, context.index).random(n))
+        datasets.append(ContextDataset(context, rows_of_codes(codes, 2)))
     return ExperimentBundle(tuple(datasets))
 
 

@@ -34,9 +34,9 @@ from typing import Any
 import numpy as np
 
 from .core import CANONICAL_CONTEXTS, ArrayValue, Context, ContextLaw, CounterfactualTable, ExperimentBundle
-from .core import chsh_sum, context_products, fixed_sum, frozen_array, sample_contexts
+from .core import chsh_sum, context_products, fixed_sum, frozen_array, outcome_codes, rows_of_codes, sample_contexts
 from .errors import ConfigError
-from .rng import categorical, sample_size, spawn_rng
+from .rng import category_runs, sample_size, spawn_rng
 
 __all__ = [
     "MixtureModel",
@@ -93,10 +93,10 @@ def validate_model(model: MixtureModel) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sample_counterfactual_table(model: MixtureModel, n: int, seed: int) -> CounterfactualTable:
-    """Draw n lambdas from one stream; row k holds (A1, A2, B1, B2) at lambda_k."""
+    """Draw n lambdas from one stream, as ``categorical`` would; row k holds (A1, A2, B1, B2) at lambda_k."""
     n = sample_size(n, "n")
-    lam = categorical(spawn_rng(seed, "lhv-table"), model.weights, n)
-    return CounterfactualTable(model.strategies[lam])
+    runs = category_runs(model.weights, outcome_codes(model.strategies))
+    return CounterfactualTable(rows_of_codes(runs.codes(spawn_rng(seed, "lhv-table").random(n)), 4))
 
 
 def model_laws(model: MixtureModel) -> tuple[ContextLaw, ...]:
@@ -183,8 +183,8 @@ def sign_cosine_model(
     Built as the mixture of the arcs between the cuts 0, 2pi and
     (angle +/- pi/2) mod 2pi, in ascending lambda order: each arc is the
     strategy of cosine signs at its midpoint, weighted by its length / 2pi.
-    ``categorical`` then picks the arc holding lambda = 2pi * u from the same
-    uniforms u that drawing lambda uniformly on [0, 2pi) would use.
+    The samplers (``rng.category_runs``) then pick the arc holding lambda =
+    2pi * u from the same uniforms u that drawing lambda on [0, 2pi) would use.
 
     With the default bob_sign = -1 (singlet-like anticorrelation at equal
     angles), E(a, b) = (2/pi) * d(a, b) - 1 where d is the angular distance

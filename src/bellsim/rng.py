@@ -12,9 +12,9 @@ prefix once, and ``default_rngs`` runs numpy's seeding (``SeedSequence`` pool
 mixing and ``generate_state``, then PCG64's seeding step) for a whole block of
 seeds at once and loads each result into one reused generator.  Its streams
 are bitwise those of ``default_rng``; the tests compare the two, so a change in
-how numpy seeds cannot move a stream unnoticed.  ``CategoryRuns`` counts the
-draws of ``categorical`` that land in chosen categories from the same uniforms
-and edges, without drawing the categories.
+how numpy seeds cannot move a stream unnoticed.  ``categorical`` is the
+reference draw; the samplers read its uniforms against only the edges where a
+per-category code changes (``category_runs``), with no ``searchsorted`` and no gather.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 
 __all__ = [
     "CategoryRuns",
@@ -195,10 +195,10 @@ def categorical(rng: np.random.Generator, probs: np.ndarray, size: int) -> np.nd
 
 
 class CategoryRuns(NamedTuple):
-    """How many draws of ``categorical(rng, probs, size)`` land in a chosen set of categories.
+    """The codes of the draws of ``categorical(rng, probs, size)``, read off its uniforms u.
 
-    ``count(rng.random(size))`` reads it off the uniforms that ``categorical``
-    draws: ``full * size`` plus the signed numbers of uniforms below ``edges``.
+    A draw's code is ``full`` plus the signs of the edges above its uniform:
+    ``codes(u)`` gives them one per draw, ``count(u)`` their sum.
     """
 
     full: int
@@ -207,21 +207,30 @@ class CategoryRuns(NamedTuple):
     def count(self, u: np.ndarray) -> int:
         return self.full * u.size + sum(sign * int(np.count_nonzero(u < edge)) for edge, sign in self.edges)
 
+    def codes(self, u: np.ndarray) -> np.ndarray:
+        """Each uniform's code as uint8: one comparison and one add per run edge, wrapping mod 256."""
+        codes = np.full(u.size, self.full, dtype=np.uint8)  # the code above every edge, in 0..255
+        for edge, sign in self.edges:
+            codes += np.uint8(sign % 256) * (u < edge).view(np.uint8)
+        return codes
 
-def category_runs(probs: np.ndarray, chosen: Sequence[bool]) -> CategoryRuns:
-    """The ``CategoryRuns`` of the chosen categories of ``probs``.
 
-    ``categorical`` puts u in category k when edge[k-1] <= u < edge[k], so the
-    chosen draws number sum_k chosen[k] * (#(u < edge[k]) - #(u < edge[k-1])),
-    which is sum_k (chosen[k] - chosen[k+1]) * #(u < edge[k]): only the ends of
-    runs of chosen categories count.  Every u lies in [0, 1), so an edge at or
-    above 1 (the top edge is 1.0) counts all ``size`` draws and one at or below
-    0 none; equal edges count alike and are merged.  A law of m categories with
-    r runs costs at most 2r comparisons per uniform, however large m is.
+def category_runs(probs: np.ndarray, codes: Sequence[int]) -> CategoryRuns:
+    """The ``CategoryRuns`` of ``probs`` with category k coded ``codes[k]``, an integer in 0..255 or a bool.
+
+    ``categorical`` puts u in category k when edge[k-1] <= u < edge[k], so a
+    draw's code is sum_k (codes[k] - codes[k+1]) * [u < edge[k]], with codes[m]
+    = 0: only the edges where the code changes count.  Every u lies in [0, 1),
+    so an edge at or above 1 (the top edge is 1.0) holds for all draws and one
+    at or below 0 for none; equal edges are merged.  With r such run edges a
+    draw costs r comparisons, however many categories the law has: less than
+    ``searchsorted`` and a gather up to a few hundred; built-in laws have <= 8.
     """
-    chosen = [bool(c) for c in chosen]
+    codes = [int(c) for c in codes]
+    if not all(0 <= c <= 255 for c in codes):
+        raise DomainError(f"category codes must be integers in 0..255, got {min(codes)} to {max(codes)}")
     signs: Counter[float] = Counter()
-    for edge, here, after in zip(_edges(probs).tolist(), chosen, [*chosen[1:], False], strict=True):
+    for edge, here, after in zip(_edges(probs).tolist(), codes, [*codes[1:], 0], strict=True):
         signs[edge] += here - after
     full = sum(sign for edge, sign in signs.items() if edge >= 1.0)
     return CategoryRuns(full, tuple((e, s) for e, s in signs.items() if s and 0.0 < e < 1.0))

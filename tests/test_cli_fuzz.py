@@ -10,8 +10,15 @@ The file fuzz keeps the command line valid and draws the contents of the file
 given to --bundle, --behavior, --model, --rho or --spec: a seed file with up to
 three lines inserted, deleted or given a value from ``scalars.SCALARS``, or raw
 bytes.  A study spec that asks for more than the argv grammar's sizes is skipped.
+Most such edits break a behavior file (a copied line is a repeated key, a new
+value breaks its row's sum), so a behavior file may instead get up to three
+edits that keep it valid: one context's four cells permuted together with its
+counts, a counts line scaled by an integer, or two contexts' lines swapped.
+Those files reach the feasibility LPs, their certificates, the slack system,
+the integer reshuffle and the behavior generator.
 """
 
+import itertools
 import re
 
 import numpy as np
@@ -177,6 +184,7 @@ FILE_FLAGS = {
     ]),
     "--behavior": (["counts.behavior", "probs.behavior", "box.behavior"], [
         ["feasibility", "--behavior", "{file}"],
+        ["feasibility", "--behavior", "{file}", "--level", "counts"],
         ["feasibility", "--behavior", "{file}", "--level", "counts", "--slack", "3"],
         ["violation-curve", "--generator", "behavior", "--behavior", "{file}", *CURVE_SIZES],
     ]),
@@ -197,19 +205,53 @@ EDITS = st.tuples(
               st.sampled_from([" ", ",", " = "])),
 )
 
+# An edit that keeps a behavior file valid: (kind, context index, argument), where the argument is
+# the permutation of the four cells, the integer that scales the counts, or the other context's index.
+KEEPING = st.one_of(
+    st.tuples(st.just("permute"), st.integers(0, 3), st.sampled_from(list(itertools.permutations(range(4))))),
+    st.tuples(st.just("scale"), st.integers(0, 3), st.sampled_from([0, 2, 3, 1000, 10**15])),
+    st.tuples(st.just("swap"), st.integers(0, 3), st.integers(0, 3)),
+)
+BEHAVIOR_LINE = re.compile(r"(context|counts) ([12]) ([12]) = (\S+) (\S+) (\S+) (\S+)")
+
 
 @st.composite
 def file_cases(draw):
     """(argv with "{file}", contents): raw bytes, or (seed file name, edits) applied by ``edited``."""
-    seeds, commands = FILE_FLAGS[draw(st.sampled_from(sorted(FILE_FLAGS)))]
+    flag = draw(st.sampled_from(sorted(FILE_FLAGS)))
+    seeds, commands = FILE_FLAGS[flag]
     contents = st.binary(max_size=200) | st.tuples(st.sampled_from(seeds), st.lists(EDITS, max_size=3))
+    if flag == "--behavior":
+        contents |= st.tuples(st.sampled_from(seeds), st.lists(KEEPING, min_size=1, max_size=3))
     return draw(st.sampled_from(commands)), draw(contents)
 
 
+def kept_valid(lines, kind, index, arg):
+    """Behavior-file lines with context ``index`` (0-3) permuted, its counts scaled, or swapped with context ``arg``."""
+    for at, line in enumerate(lines):
+        match = BEHAVIOR_LINE.fullmatch(line)
+        if not match:
+            continue
+        key, i, j, *cells = match.groups()
+        here = (int(i) - 1) * 2 + int(j) - 1
+        if kind == "swap" and here in (index, arg):
+            i, j = (str(k + 1) for k in divmod(index + arg - here, 2))  # the other context's labels
+        elif kind == "permute" and here == index:
+            cells = [cells[k] for k in arg]
+        elif kind == "scale" and here == index and key == "counts" and all(c.isdigit() for c in cells):
+            cells = [str(int(c) * arg) for c in cells]
+        lines[at] = f"{key} {i} {j} = {' '.join(cells)}"
+    return lines
+
+
 def edited(data, edits):
-    """The lines of ``data`` with each edit applied: a line copied, inserted or deleted, or a token replaced."""
+    """The lines of ``data`` with each edit applied: a line copied, inserted or deleted, a token replaced, or kept valid."""
     lines = data.decode().splitlines()
-    for kind, at, token, text in edits:
+    for kind, at, *rest in edits:
+        if kind in ("permute", "scale", "swap"):
+            lines = kept_valid(lines, kind, at, *rest)
+            continue
+        token, text = rest
         where = at % (len(lines) + 1)
         if kind == "insert":
             lines.insert(where, text)

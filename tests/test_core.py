@@ -221,6 +221,34 @@ class TestPerContextSampler:
                 assert dataset.context == context
                 assert np.array_equal(dataset.pairs, pairs[draws])
 
+    def test_pairs_that_are_not_c_contiguous_draw_alike(self):
+        # model_laws slices the strategy columns, which gives Fortran-ordered pairs
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            laws, n, seed = random_laws(rng), int(rng.integers(1, 300)), int(rng.integers(2**63))
+            strided = [(probs, np.repeat(pairs, 2, axis=1)[:, ::2]) for probs, pairs in laws]
+            fortran = [(probs, np.asfortranarray(pairs)) for probs, pairs in laws]
+            assert not any(pairs.flags.c_contiguous for _, pairs in strided)
+            expected = sample_contexts(laws, n, seed, "test-context")
+            assert sample_contexts(strided, n, seed, "test-context") == expected
+            assert sample_contexts(fortran, n, seed, "test-context") == expected
+
+    def test_samplers_do_not_search_the_edges(self, monkeypatch):
+        # every sampler reads its draws off run edges; categorical (searchsorted) is the tests' reference only
+        from bellsim.behaviors import pr_box, sample_bundle_from_behavior
+        from bellsim.lhv import sample_bundle, sample_counterfactual_table, sign_cosine_model
+        from bellsim.quantum import TSIRELSON_ANGLES, sample_bundle_quantum, singlet
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sampler called np.searchsorted")
+
+        monkeypatch.setattr(np, "searchsorted", refuse)
+        model = sign_cosine_model(0.2, 1.1, -0.5, 2.5)
+        sample_bundle(model, 50, 1)
+        sample_counterfactual_table(model, 50, 1)
+        sample_bundle_quantum(singlet(), TSIRELSON_ANGLES, 50, 1)
+        sample_bundle_from_behavior(pr_box(), 50, 1)
+
     def test_counts_are_the_bundle_plus_counts(self):
         rng = np.random.default_rng(12)
         for _ in range(40):

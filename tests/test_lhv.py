@@ -280,7 +280,7 @@ class TestValidation:
 
 
 class TestValueSemantics:
-    """Models hold plain tuples and numbers, so they compare and hash by value."""
+    """Models hold read-only arrays and compare and hash by their data (``ArrayValue``)."""
 
     def test_equal_builds_compare_equal(self):
         assert boundary_mixture_model() == boundary_mixture_model()

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellsim.errors import ConfigError
-from bellsim.rng import categorical, category_runs, default_rngs, derive_seed, derive_seeds, spawn_rng
+from bellsim.errors import ConfigError, DomainError
+from bellsim.rng import _edges, categorical, category_runs, default_rngs, derive_seed, derive_seeds, spawn_rng
 
 
 def test_derivation_is_deterministic():
@@ -58,6 +58,39 @@ def test_category_runs_count_bincount_of_categorical(masses, size, seed, data):
     patterns.append(np.array(data.draw(st.lists(st.booleans(), min_size=len(probs), max_size=len(probs)))))
     for chosen in patterns:
         assert category_runs(probs, chosen).count(u) == int(counts[chosen].sum())
+
+
+@st.composite
+def coded_laws(draw):
+    """(probs, codes): 1-300 categories, zero masses among them, coded 0-15 in long runs that cycle through 1-4 codes."""
+    cycle = draw(st.lists(st.integers(0, 15), min_size=1, max_size=4))
+    lengths = draw(st.lists(st.integers(1, 60), min_size=1, max_size=40))
+    codes = np.repeat([cycle[k % len(cycle)] for k in range(len(lengths))], lengths)[:300]
+    masses = draw(st.lists(st.sampled_from([0.0, 0.0, 1e-9, 0.1, 0.25, 1.0, 7.0]),
+                           min_size=codes.size, max_size=codes.size).filter(lambda m: sum(m) > 0))
+    return np.array(masses) / sum(masses), codes
+
+
+@settings(max_examples=200, deadline=None)
+@given(law=coded_laws(), size=st.integers(0, 500), seed=st.integers(0, 2**64 - 1))
+def test_category_codes_are_the_codes_of_categorical_draws(law, size, seed):
+    probs, codes = law
+    edges = _edges(probs)
+    # every edge, the float just below it and 0.0 (as uniforms: in [0, 1)), then random uniforms
+    u = np.concatenate([edges, np.nextafter(edges, 0.0), [0.0], np.random.default_rng(seed).random(size)])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    expected = codes[np.searchsorted(edges, u, side="right")]
+    runs = category_runs(probs, codes)
+    drawn = runs.codes(u)
+    assert drawn.dtype == np.uint8
+    assert np.array_equal(drawn, expected)
+    assert runs.count(u) == int(expected.sum())
+
+
+@pytest.mark.parametrize("codes", [[0, 256], [-1, 3]], ids=["256", "negative"])
+def test_category_codes_must_fit_a_byte(codes):
+    with pytest.raises(DomainError, match="category codes must be integers in 0..255"):
+        category_runs(np.array([0.5, 0.5]), codes)
 
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]

@@ -7,7 +7,9 @@ or numbers the field's dtype cannot hold exactly) is a DomainError, raised
 before any warning; a model's arrays are its specification, so there it is a
 ConfigError.  ``CASES`` holds one valid-instance factory per array field; a
 guard fails when a dataclass in ``bellsim`` gains an array field that is not in
-the table.
+the table.  ``GUARDS`` builds each value type's own checks (a negative deficit,
+weights off the simplex, a result with a bad status, a bundle of three
+datasets, a CI that excludes its frequency) directly and expects its message.
 """
 
 import dataclasses
@@ -24,12 +26,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as nph
 
 import bellsim
-from bellsim.behaviors import Behavior, pr_box
-from bellsim.core import ArrayValue, Context, ContextDataset, CounterfactualTable
+from bellsim.behaviors import Behavior, SignalingReport, pr_box
+from bellsim.core import CANONICAL_CONTEXTS, ArrayValue, Context, ContextDataset, CounterfactualTable, ExperimentBundle
 from bellsim.errors import ConfigError, DomainError
-from bellsim.feasibility import PROJECTION, FeasibilityResult, JointDistribution, ReshuffleProblem
+from bellsim.feasibility import PROJECTION, Certificate, FeasibilityResult, JointDistribution, ReshuffleProblem
 from bellsim.lhv import MixtureModel
 from bellsim.quantum import DensityMatrix, singlet
+from bellsim.stats import StudyRow
 from bellsim.weak import PointerConfig, PointerRun, per_pair_b_values_calibrated
 
 
@@ -255,3 +258,34 @@ def test_pointer_runs_compare_by_value(readings, data):
     changed.flat[data.draw(st.integers(0, readings.size - 1))] += 1.0
     assert run != PointerRun(changed, config, "test")
     assert run != PointerRun(readings, PointerConfig(2.0, 0.0), "test")
+
+
+CHSH_CERTIFICATE = Certificate("chsh", 2.5, (1, 1, 1, -1))
+# value type's check -> (a build that fails it, the start of its message)
+GUARDS = {
+    "SignalingReport-negative-deficit": (lambda: SignalingReport(0.0, -0.25), "signaling deficits cannot be negative"),
+    "JointDistribution-negative-weight": (
+        lambda: JointDistribution([-0.25, 1.25] + [0.0] * 14), "negative weight -2.500e-01"),
+    "JointDistribution-bad-sum": (lambda: JointDistribution(np.full(16, 0.125)), "weights sum to"),
+    "FeasibilityResult-bad-status": (
+        lambda: FeasibilityResult("unknown", 0.0, witness=UNIFORM_JOINT), "status must be feasible|infeasible"),
+    "FeasibilityResult-witness-and-certificate": (
+        lambda: FeasibilityResult("feasible", 0.0, witness=UNIFORM_JOINT, certificate=CHSH_CERTIFICATE),
+        "exactly one of witness/certificate"),
+    "FeasibilityResult-neither": (lambda: FeasibilityResult("infeasible", 0.0), "exactly one of witness/certificate"),
+    "FeasibilityResult-feasible-residual": (
+        lambda: FeasibilityResult("feasible", 0.5, witness=UNIFORM_JOINT), "feasible result with residual 5.000e-01"),
+    "ExperimentBundle-three-datasets": (
+        lambda: ExperimentBundle(tuple(ContextDataset(c, [[1, 1]]) for c in CANONICAL_CONTEXTS[:3])),
+        "a bundle needs exactly 4 datasets, got 3"),
+    "StudyRow-CI-excludes-frequency": (
+        lambda: StudyRow(n=10, trials=20, frequency=0.5, ci_lo=0.55, ci_hi=0.9, mean_s=2.1, sd_s=0.3, z=0.3),
+        "CI (0.55, 0.9) must contain frequency 0.5"),
+}
+
+
+@pytest.mark.parametrize("build, message", GUARDS.values(), ids=GUARDS)
+def test_value_guards_raise_their_message(build, message):
+    with pytest.raises(DomainError) as raised:
+        build()
+    assert str(raised.value).startswith(message)
