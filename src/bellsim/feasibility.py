@@ -86,7 +86,7 @@ class JointDistribution(ArrayValue):
         if w.min() < -1e-12:
             raise DomainError(f"negative weight {w.min():.3e}")
         if abs(float(w.sum()) - 1.0) > 1e-10:
-            raise DomainError(f"weights sum to {w.sum()!r}, not 1 within 1e-10")
+            raise DomainError(f"weights sum to {float(w.sum())}, not 1 within 1e-10")
         clipped = np.clip(w, 0.0, None)  # drops the tolerated round-off below 0
         object.__setattr__(self, "weights", frozen_array(clipped, np.float64, (16,), "weights"))
 
@@ -102,6 +102,14 @@ class Certificate:
     kind: str  # "chsh" | "marginal-inconsistency"
     value: float
     signs: tuple[int, int, int, int] | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("chsh", "marginal-inconsistency"):
+            raise DomainError(f"certificate kind must be chsh|marginal-inconsistency, got {self.kind!r}")
+        if self.kind == "chsh" and not (isinstance(self.signs, tuple) and self.signs in CHSH_SIGN_PATTERNS):
+            raise DomainError(f"chsh certificate signs must be one of the 8 CHSH sign patterns, got {self.signs!r}")
+        if self.kind == "marginal-inconsistency" and self.signs is not None:
+            raise DomainError(f"marginal-inconsistency certificate with signs {self.signs!r}")
 
     def describe(self) -> str:
         if self.kind == "chsh":
@@ -129,6 +137,8 @@ class FeasibilityResult(ArrayValue):
             raise DomainError(f"status must be feasible|infeasible, got {self.status!r}")
         if (self.witness is None) == (self.certificate is None):
             raise DomainError("exactly one of witness/certificate must be present")
+        if (self.status == "feasible") != (self.witness is not None):
+            raise DomainError(f"{self.status} result with a {'certificate' if self.witness is None else 'witness'}")
         if self.status == "feasible" and self.residual > WITNESS_TOL:
             raise DomainError(f"feasible result with residual {self.residual:.3e} > {WITNESS_TOL}")
         if self.witness_counts is not None:

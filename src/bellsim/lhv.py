@@ -88,7 +88,7 @@ def validate_model(model: MixtureModel) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(over="ignore"):  # masses near float64's limit sum to inf, which fails the check
         total = weights.sum()
     if not abs(float(total) - 1.0) <= MASS_TOL:  # NaN masses fail too
-        raise ConfigError(f"model {model.name!r}: masses sum to {total!r}, not 1 within {MASS_TOL}")
+        raise ConfigError(f"model {model.name!r}: masses sum to {float(total)}, not 1 within {MASS_TOL}")
     return table, weights
 
 

@@ -149,7 +149,7 @@ def born_probabilities(rho: DensityMatrix, alice_angle: float, bob_angle: float)
         probs[k] = _local_trace(rho, (IDENTITY_2 + sa * a) / 2.0, (IDENTITY_2 + sb * b) / 2.0, "Born probability")
     if probs.min() < -1e-12 or abs(probs.sum() - 1.0) > 1e-12:
         raise DomainError(
-            f"Born probabilities invalid: min {probs.min():.3e}, sum {probs.sum()!r}"
+            f"Born probabilities invalid: min {probs.min():.3e}, sum {float(probs.sum())}"
         )
     return probs
 

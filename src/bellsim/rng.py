@@ -8,9 +8,10 @@ its path, never on draw order elsewhere.
 ``spawn_rng`` is the reference stream of a path: ``np.random.default_rng`` of
 its ``derive_seed``.  Violation trials need thousands of streams per study row,
 so they take the same streams in bulk: ``derive_seeds`` hashes a shared path
-prefix once, and ``default_rngs`` runs numpy's seeding (``SeedSequence`` pool
-mixing and ``generate_state``, then PCG64's seeding step) for a whole block of
-seeds at once and loads each result into one reused generator.  Its streams
+prefix once, and ``default_rngs`` transcribes numpy's seeding (``SeedSequence``'s
+``mix_entropy`` and ``generate_state``, then PCG64's seeding step) line for line
+onto uint32 arrays with one entry per seed, which wrap mod 2**32 as numpy's C
+code does, and loads each result into one reused generator.  Its streams
 are bitwise those of ``default_rng``; the tests compare the two, so a change in
 how numpy seeds cannot move a stream unnoticed.  ``categorical`` is the
 reference draw; the samplers read its uniforms against only the edges where a
@@ -22,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import numbers
 from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -96,9 +97,9 @@ def spawn_rng(master: int, *path: object) -> np.random.Generator:
     return np.random.default_rng(derive_seed(master, *path))
 
 
-# numpy's SeedSequence (NEP 19) on 32-bit words: a 4-word pool, hashed with
-# multiplier chains started at INIT_A (mixing) and INIT_B (generate_state)
-_MASK32 = 0xFFFFFFFF
+# numpy's SeedSequence (NEP 19, numpy/random/bit_generator.pyx) and PCG64's
+# seeding (_pcg64.pyx), transcribed onto uint32 arrays, which wrap mod 2**32 as
+# numpy's C code does: one array entry per seed, hashed as the C code hashes one word
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
@@ -106,55 +107,18 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's default 128-bit LCG mu
 _MASK128 = (1 << 128) - 1
 
 
-def _hash_chain(init: int, mult: int, count: int) -> list[tuple[int, int]]:
-    """(constant, next constant) of ``count`` successive hashes; the chain depends on no data."""
-    chain = [init]
-    for _ in range(count):
-        chain.append(chain[-1] * mult & _MASK32)
-    return list(zip(chain, chain[1:]))
+def _hashmix(init: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
+    """numpy's ``hashmix`` with its running constant: started at ``init``, stepped by ``mult`` at each call."""
+    hash_const = np.array([init], dtype=np.uint32)
 
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * np.uint32(mult)
+        value = value * hash_const
+        return value ^ value >> np.uint32(16)
 
-def _hash(value: np.ndarray, constants: tuple[int, int]) -> np.ndarray:
-    # xor with the chain's constant, multiply by the next, xor the high 16 bits into the low
-    value = (value ^ np.uint64(constants[0])) * np.uint64(constants[1]) & np.uint64(_MASK32)
-    return value ^ value >> np.uint64(16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    value = (np.uint64(_MIX_MULT_L) * x - np.uint64(_MIX_MULT_R) * y) & np.uint64(_MASK32)
-    return value ^ value >> np.uint64(16)
-
-
-# a 64-bit seed is at most two entropy words, two below the pool size, so the
-# pool is filled by 4 hashes and mixed by 12; generate_state(4, uint64) is 8 words
-_MIX_CHAIN = _hash_chain(_INIT_A, _MULT_A, 16)
-_STATE_CHAIN = _hash_chain(_INIT_B, _MULT_B, 8)
-
-
-def _pcg64_states(seeds: Sequence[int]) -> list[tuple[int, int]]:
-    """(state, inc) of ``PCG64(s)`` for each 64-bit seed s, seeded in one pass of array arithmetic.
-
-    A seed below 2**32 is one entropy word, the rest two; the missing words are
-    hashed as 0, so every seed mixes as (low word, high word).  Products of two
-    32-bit words fit in uint64, and each step is reduced to 32 bits.
-    """
-    words = np.array(seeds, dtype=np.uint64)
-    zero = np.zeros_like(words)
-    mixes = iter(_MIX_CHAIN)
-    pool = [_hash(w, next(mixes)) for w in (words & np.uint64(_MASK32), words >> np.uint64(32), zero, zero)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], next(mixes)))
-    # generate_state cycles through the pool; word pairs are the halves of uint64 values
-    w = [_hash(pool[k % 4], constants).tolist() for k, constants in enumerate(_STATE_CHAIN)]
-    states = []
-    for w0, w1, w2, w3, w4, w5, w6, w7 in zip(*w):
-        initstate = w1 << 96 | w0 << 64 | w3 << 32 | w2
-        inc = (w5 << 96 | w4 << 64 | w7 << 32 | w6) << 1 & _MASK128 | 1
-        # PCG64's seeding: state 0, step, add initstate, step
-        states.append((((inc + initstate) * _PCG64_MULT + inc) & _MASK128, inc))
-    return states
+    return hashmix
 
 
 def default_rngs(seeds: Sequence[int]) -> Iterator[np.random.Generator]:
@@ -163,11 +127,27 @@ def default_rngs(seeds: Sequence[int]) -> Iterator[np.random.Generator]:
     Every stream's bits equal ``default_rng(s)``'s.  The same generator object is
     yielded each time, so draw from one stream before asking for the next.
     """
+    # SeedSequence(s).mix_entropy: s is its little-endian uint32 words, one for a
+    # seed below 2**32, and pool words past them hash 0, so every s mixes as (low, high, 0, 0)
+    low, high = np.array(seeds, dtype="<u8").view("<u4").reshape(-1, 2).T
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in (low, high, np.zeros_like(low), np.zeros_like(low))]
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                mixed = _MIX_MULT_L * pool[i_dst] - _MIX_MULT_R * hashmix(pool[i_src])
+                pool[i_dst] = mixed ^ mixed >> np.uint32(16)
+    # generate_state(4, np.uint64): 8 words cycled from the pool, read as 4 little-endian uint64
+    hashmix = _hashmix(_INIT_B, _MULT_B)
+    state = np.stack([hashmix(pool[k % 4]) for k in range(8)], axis=1).astype("<u4").view("<u8")
     bit_generator = np.random.PCG64(0)  # any fixed seed: every stream sets the whole state
     rng = np.random.Generator(bit_generator)
     words: dict[str, int] = {}
     spec = {"bit_generator": "PCG64", "state": words, "has_uint32": 0, "uinteger": 0}
-    for words["state"], words["inc"] in _pcg64_states(seeds):
+    for s0, s1, i0, i1 in state.tolist():
+        # pcg64_set_seed, then pcg_setseq_128_srandom_r: state 0, step, add initstate, step
+        inc = (i0 << 64 | i1) << 1 & _MASK128 | 1
+        words["state"], words["inc"] = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128, inc
         bit_generator.state = spec
         yield rng
 

@@ -8,8 +8,10 @@ before any warning; a model's arrays are its specification, so there it is a
 ConfigError.  ``CASES`` holds one valid-instance factory per array field; a
 guard fails when a dataclass in ``bellsim`` gains an array field that is not in
 the table.  ``GUARDS`` builds each value type's own checks (a negative deficit,
-weights off the simplex, a result with a bad status, a bundle of three
-datasets, a CI that excludes its frequency) directly and expects its message.
+weights off the simplex, a result with a bad status or one whose status
+contradicts what it carries, a certificate of an unknown kind or with signs
+that do not fit its kind, a bundle of three datasets, a CI that excludes its
+frequency) directly and expects its whole message, or its start.
 """
 
 import dataclasses
@@ -266,13 +268,28 @@ GUARDS = {
     "SignalingReport-negative-deficit": (lambda: SignalingReport(0.0, -0.25), "signaling deficits cannot be negative"),
     "JointDistribution-negative-weight": (
         lambda: JointDistribution([-0.25, 1.25] + [0.0] * 14), "negative weight -2.500e-01"),
-    "JointDistribution-bad-sum": (lambda: JointDistribution(np.full(16, 0.125)), "weights sum to"),
+    "JointDistribution-bad-sum": (
+        lambda: JointDistribution(np.full(16, 0.125)), "weights sum to 2.0, not 1 within 1e-10"),
+    "Certificate-unknown-kind": (
+        lambda: Certificate("bogus", 1.0), "certificate kind must be chsh|marginal-inconsistency, got 'bogus'"),
+    "Certificate-chsh-without-signs": (
+        lambda: Certificate("chsh", 2.5), "chsh certificate signs must be one of the 8 CHSH sign patterns, got None"),
+    "Certificate-chsh-not-a-pattern": (
+        lambda: Certificate("chsh", 2.5, (1, 1, 1, 1)),
+        "chsh certificate signs must be one of the 8 CHSH sign patterns, got (1, 1, 1, 1)"),
+    "Certificate-marginal-with-signs": (
+        lambda: Certificate("marginal-inconsistency", 0.5, (1, 1, 1, -1)),
+        "marginal-inconsistency certificate with signs (1, 1, 1, -1)"),
     "FeasibilityResult-bad-status": (
         lambda: FeasibilityResult("unknown", 0.0, witness=UNIFORM_JOINT), "status must be feasible|infeasible"),
     "FeasibilityResult-witness-and-certificate": (
         lambda: FeasibilityResult("feasible", 0.0, witness=UNIFORM_JOINT, certificate=CHSH_CERTIFICATE),
         "exactly one of witness/certificate"),
     "FeasibilityResult-neither": (lambda: FeasibilityResult("infeasible", 0.0), "exactly one of witness/certificate"),
+    "FeasibilityResult-infeasible-with-witness": (
+        lambda: FeasibilityResult("infeasible", 0.0, witness=UNIFORM_JOINT), "infeasible result with a witness"),
+    "FeasibilityResult-feasible-with-certificate": (
+        lambda: FeasibilityResult("feasible", 0.0, certificate=CHSH_CERTIFICATE), "feasible result with a certificate"),
     "FeasibilityResult-feasible-residual": (
         lambda: FeasibilityResult("feasible", 0.5, witness=UNIFORM_JOINT), "feasible result with residual 5.000e-01"),
     "ExperimentBundle-three-datasets": (
