@@ -123,6 +123,7 @@ def per_pair_b_values_calibrated(
     n = sample_size(n, "n")
     if not finite_real(target_s):
         raise ConfigError(f"target_s must be finite, got {target_s}")
+    target_s = float(target_s)  # abs() of a numpy integer at its type's minimum overflows
     rng = spawn_rng(seed, "weak-calibrated")
     g, sigma = config.coupling, config.noise_sd
     a = math.sqrt(abs(target_s) / 2.0)

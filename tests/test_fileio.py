@@ -10,7 +10,15 @@ from bellsim.core import (
     project_bundle,
 )
 from bellsim.errors import ConfigError, DomainError
-from bellsim.fileio import read_behavior, read_bundle_csv, read_density, read_model, write_behavior, write_bundle_csv
+from bellsim.fileio import (
+    _canonical_rows,
+    read_behavior,
+    read_bundle_csv,
+    read_density,
+    read_model,
+    write_behavior,
+    write_bundle_csv,
+)
 from bellsim.lhv import exact_lhv_s
 from bellsim.quantum import maximally_mixed, singlet
 
@@ -57,6 +65,19 @@ def test_csv_header_required(tmp_path):
 def test_csv_malformed_body(tmp_path):
     path = tmp_path / "bundle.csv"
     path.write_text("trial,context_i,context_j,a,b\n0,1,1,x,1\n")
+    with pytest.raises(ConfigError, match="malformed"):
+        read_bundle_csv(path)
+
+
+@pytest.mark.parametrize("at", [1, 3, 5, 7], ids=["trial-i", "i-j", "j-a", "a-b"])
+def test_csv_comma_moved_into_a_trial_field(tmp_path, at):
+    # one row's comma turned digit and a spare comma in the next row's trial field: still four commas
+    # a row, so only the check of that comma's position keeps the block off the fast reader
+    row = "0,1,2,1,1\n"
+    body = row[:at] + "1" + row[at + 1:] + "1,2,1,2,1,1\n"
+    assert body.count(",") == 8 and _canonical_rows(body.encode()) is None
+    path = tmp_path / "bundle.csv"
+    path.write_text("trial,context_i,context_j,a,b\n" + body)
     with pytest.raises(ConfigError, match="malformed"):
         read_bundle_csv(path)
 

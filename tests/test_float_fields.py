@@ -113,6 +113,26 @@ def test_a_million_seeded_values():
         ]))
 
 
+# Short reprs planted in one kernel call of block size: the search for j runs over the whole
+# call until no value has a multiple of the next power of ten, so one short value keeps every
+# other value in the search.  1e15 needs all 16 powers.
+SHORT = [0.5, 1.25, 0.0001, 123.456, 1e15]
+
+
+def test_a_block_with_a_few_short_values_is_repr():
+    readings = np.random.default_rng(9).normal(1.19, 1.0, WRITE_ROWS)
+    rows = [0, 1, WRITE_ROWS // 2, WRITE_ROWS - 2, WRITE_ROWS - 1]
+    readings[rows] = SHORT
+    readings[[7, 8]] = [-1e15, -0.5]
+    assert_fields_are_repr(readings)
+
+
+def test_a_block_of_short_values_is_repr():
+    # at most three decimals each, at magnitudes 0.1 to 1000: the search runs far for every value
+    scales = 10.0 ** np.arange(-1, 4).repeat(WRITE_ROWS // 5)
+    assert_fields_are_repr(np.round(np.random.default_rng(10).normal(1.19, 1.0, WRITE_ROWS) * scales, 3))
+
+
 def per_row_write_records_csv(path, run, preamble=None):
     """The per-row f-string records writer that the block writer replaced, kept as the reference."""
     lines = [f"# {key}: {value}" for key, value in (preamble or {}).items()] + [RECORDS_HEADER]

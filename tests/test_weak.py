@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binomtest
 
@@ -92,6 +92,17 @@ class TestCalibratedSource:
         with pytest.raises(ConfigError):
             per_pair_b_values_calibrated(math.nan, PointerConfig(), 10, seed=1)
 
+    @pytest.mark.parametrize(
+        "target",
+        [np.int64(-(2**63)), np.int32(-(2**31)), np.int8(-128), np.int64(-(2**63) + 1)],
+        ids=["int64-min", "int32-min", "int8-min", "int64-min+1"],
+    )
+    def test_numpy_integer_target_gives_the_float_run(self, target):
+        # abs() of a numpy integer at its type's minimum overflowed: a RuntimeWarning under -W error
+        run, expected = (per_pair_b_values_calibrated(t, PointerConfig(), 20, 5) for t in (target, float(target)))
+        assert np.array_equal(run.readings, expected.readings)
+        assert run.description == expected.description
+
 
 class TestRecordsAndConfig:
     def test_config_validation(self):
@@ -170,6 +181,8 @@ SIZES = SCALARS.filter(lambda n: not (isinstance(n, (int, np.integer)) and n > 5
 @settings(max_examples=500, deadline=None)
 @given(coupling=SCALARS, noise_sd=SCALARS, target_s=SCALARS, n=SIZES, seed=SCALARS,
        values=st.lists(SCALARS, max_size=4) | SCALARS, threshold=SCALARS)
+# abs() of the int64 minimum overflowed: a RuntimeWarning, or "math domain error" from math.sqrt
+@example(coupling=1.0, noise_sd=1.0, target_s=np.int64(-(2**63)), n=3, seed=1, values=[], threshold=0.0)
 def test_bare_scalar_inputs_raise_only_bellsim_errors(coupling, noise_sd, target_s, n, seed, values, threshold):
     table = CounterfactualTable(np.ones((3, 4)))
     calls = [
