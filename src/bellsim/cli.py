@@ -447,6 +447,9 @@ def main(argv: list[str] | None = None) -> int:
     except (NumericError, BellSimError) as exc:
         print(f"bellsim: runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except MemoryError as exc:  # an n within sample_size's bound can still exceed memory
+        print(f"bellsim: runtime error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_RUNTIME
     except OSError as exc:
         print(f"bellsim: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -38,6 +38,7 @@ from .rng import category_runs, default_rngs, derive_seeds, sample_size, spawn_r
 
 __all__ = [
     "ArrayValue",
+    "BLOCK_VALUES",
     "CANONICAL_CONTEXTS",
     "CHSH_SIGNS",
     "Context",
@@ -365,6 +366,9 @@ def sample_contexts(laws: Iterable[ContextLaw], n: int, seed: int, label: str) -
 # (n, seeds) -> per seed, the four plus counts in canonical context order
 PlusCounts = Callable[[int, Sequence[int]], list[tuple[int, int, int, int]]]
 
+# uniforms per block of streams that ``context_plus_counts`` draws and counts at once: 1 MiB of float64
+BLOCK_VALUES = 2**17
+
 
 def context_plus_counts(laws: Iterable[ContextLaw], label: str) -> PlusCounts:
     """The per-context plus counts (pairs with a == b) of ``sample_contexts(laws, n, seed, label)``, many seeds at once.
@@ -374,8 +378,10 @@ def context_plus_counts(laws: Iterable[ContextLaw], label: str) -> PlusCounts:
     uniforms and the same edges, but no datasets.  The plus categories' run
     edges (``category_runs``) are found here, once; a call derives all its
     context seeds and generator states in bulk (``derive_seeds``,
-    ``default_rngs``), so its memory grows with ``len(seeds)``, and reuses one
-    buffer of n uniforms.
+    ``default_rngs``), so its memory grows with ``len(seeds)``.  It reuses one
+    block buffer of at most ``BLOCK_VALUES`` uniforms (1 MiB), or of one
+    stream if n is larger: each row holds one seed's stream of one context, and
+    a block is counted with one comparison per run edge (``CategoryRuns.count``).
     """
     runs = [
         category_runs(probs, pairs[:, 0] == pairs[:, 1])
@@ -387,8 +393,20 @@ def context_plus_counts(laws: Iterable[ContextLaw], label: str) -> PlusCounts:
 
     def plus_counts(n: int, seeds: Sequence[int]) -> list[tuple[int, int, int, int]]:
         n = sample_size(n)
-        rngs = default_rngs(derive_seeds(seeds, (label,), drawn))
-        u = np.empty(n)
-        return [tuple(r.count(next(rngs).random(out=u)) if r.edges else r.full * n for r in runs) for _ in seeds]
+        counts = np.empty((len(runs), len(seeds)), dtype=np.int64)
+        counts[:] = [[r.full * n] for r in runs]  # the undrawn contexts' counts
+        # derive_seeds gives each seed's contexts in turn; the blocks take each context's seeds in turn
+        by_seed = np.array(derive_seeds(seeds, (label,), drawn), dtype=np.uint64)
+        rngs = default_rngs(by_seed.reshape(len(seeds), len(drawn)).T.ravel())
+        rows = max(1, min(len(seeds), BLOCK_VALUES // n))
+        block = np.empty((rows, n))
+        for index in drawn:
+            for start in range(0, len(seeds), rows):
+                part = block[: len(seeds) - start]  # the last block may be partial
+                for row in part:
+                    next(rngs).random(out=row)
+                # a lone row is counted as 1-D: count_nonzero beats an axis sum on one stream
+                counts[index, start : start + rows] = runs[index].count(part[0] if len(part) == 1 else part)
+        return list(zip(*counts.tolist()))
 
     return plus_counts

@@ -32,6 +32,7 @@ from .errors import ConfigError, DomainError
 
 __all__ = [
     "CategoryRuns",
+    "MAX_SAMPLE_SIZE",
     "categorical",
     "category_runs",
     "default_rngs",
@@ -152,10 +153,21 @@ def default_rngs(seeds: Sequence[int]) -> Iterator[np.random.Generator]:
         yield rng
 
 
+# the largest n whose (n, 4) float64 array numpy can represent: 2**58 - 1 where intp has 64 bits
+MAX_SAMPLE_SIZE = int(np.iinfo(np.intp).max) // 32
+
+
 def sample_size(n: object, name: str = "n_per_context") -> int:
-    """``n`` as a draw count: an integer of any integer type, at least 1."""
+    """``n`` as a draw count: an integer of any integer type, from 1 to ``MAX_SAMPLE_SIZE``.
+
+    Above that bound numpy cannot represent an (n, 4) float64 array at all, so
+    such an n is a ConfigError, not numpy's bare ``ValueError``.  An n below it
+    may still ask for more memory than there is; that ends in a MemoryError.
+    """
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
         raise ConfigError(f"{name} must be an integer >= 1, got {n!r}")
+    if n > MAX_SAMPLE_SIZE:
+        raise ConfigError(f"{name} must be at most {MAX_SAMPLE_SIZE} (an n x 4 float64 array's limit), got {n!r}")
     return int(n)
 
 
@@ -178,14 +190,26 @@ class CategoryRuns(NamedTuple):
     """The codes of the draws of ``categorical(rng, probs, size)``, read off its uniforms u.
 
     A draw's code is ``full`` plus the signs of the edges above its uniform:
-    ``codes(u)`` gives them one per draw, ``count(u)`` their sum.
+    ``codes(u)`` gives them one per draw, ``count(u)`` their sum along u's last
+    axis, so one call counts a single stream or a block of streams, one per row.
     """
 
     full: int
     edges: tuple[tuple[float, int], ...]  # (edge, sign)
 
-    def count(self, u: np.ndarray) -> int:
-        return self.full * u.size + sum(sign * int(np.count_nonzero(u < edge)) for edge, sign in self.edges)
+    def count(self, u: np.ndarray) -> Any:
+        """The sum of the codes along u's last axis: an int for 1-D u, else an int64 array of u's other axes.
+
+        One comparison per run edge over all of u.  1-D u is counted by
+        ``count_nonzero``, the fastest count of one stream; more axes by summing
+        the comparison's bytes per row in uint32, exact for rows shorter than 2**32.
+        """
+        if u.ndim == 1:
+            return self.full * u.size + sum(sign * int(np.count_nonzero(u < edge)) for edge, sign in self.edges)
+        total = np.full(u.shape[:-1], self.full * u.shape[-1], dtype=np.int64)
+        for edge, sign in self.edges:
+            total += sign * (u < edge).view(np.uint8).sum(axis=-1, dtype=np.uint32).astype(np.int64)
+        return total
 
     def codes(self, u: np.ndarray) -> np.ndarray:
         """Each uniform's code as uint8: one comparison and one add per run edge, wrapping mod 256."""

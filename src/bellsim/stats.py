@@ -19,8 +19,11 @@ Per-trial seeds derive from (master seed, "trial", trial index) and
 per-context seeds from the trial seed, so results are identical under any
 parallel schedule.  A row runs its trials in blocks of ``TRIAL_BLOCK``: one
 ``plus_counts`` call seeds and counts a whole block (see ``bellsim.rng`` for
-the bulk seeding, bitwise that of ``derive_seed`` and ``default_rng``), and
-the row's S-hats and exact margins are computed from all its counts at once.
+the bulk seeding, bitwise that of ``derive_seed`` and ``default_rng``).  It
+draws one context's streams into the rows of a reused buffer of at most 1 MiB
+(``core.BLOCK_VALUES``) and counts each run edge once per buffer, so the
+streams and the counts are those of the per-trial bundles.  The row's S-hats
+and exact margins are computed from all its counts at once.
 Violation counting is sign-resolved by default: the estimate is compared on
 the side of the generator's exact S (S-hat > 2 for positive exact S,
 -S-hat > 2 for negative); "absolute" mode uses |S-hat| instead.  The
@@ -195,7 +198,8 @@ def standard_error_s(bundle: ExperimentBundle) -> float:
     return math.sqrt(total)
 
 
-# trials seeded and counted per plus_counts call; bounds a row's seed and state lists
+# trials seeded and counted per plus_counts call; bounds a row's seed and state lists,
+# while core.BLOCK_VALUES bounds the uniforms each call holds at once
 TRIAL_BLOCK = 256
 
 

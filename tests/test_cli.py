@@ -11,6 +11,7 @@ from bellsim.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_RUNTIME, mai
 from bellsim.core import CounterfactualTable, project_bundle
 from bellsim.fileio import read_bundle_csv, write_behavior, write_bundle_csv
 from bellsim.quantum import TSIRELSON_BOUND, random_density_matrix, singlet
+from bellsim.rng import MAX_SAMPLE_SIZE
 
 
 def digest_tree(root):
@@ -216,7 +217,7 @@ class TestFeasibility:
 
 
 class TestRuntimeExit:
-    """A NumericError, and an OSError from the output directory, end the run with exit 1."""
+    """A NumericError, an OSError from the output directory and a MemoryError end the run with exit 1."""
 
     def test_unresolved_counts_are_runtime_error(self, tmp_path, capsys):
         # N = 10**16 per context: float64 no longer resolves the counts, so the rounded vertex misses them
@@ -241,6 +242,42 @@ class TestRuntimeExit:
                      "--n", "5", "--seed", "1", "--out", str(out)])
         assert code == EXIT_RUNTIME
         assert "File exists" in capsys.readouterr().err
+
+    # 2**50 pairs need 8 PiB of uniforms, beyond any x86-64 address space, so the
+    # allocation fails at once and touches no memory; numpy cannot even represent
+    # an (n, 4) float64 array of 2**62 rows, so that n is a configuration error
+    @pytest.mark.parametrize("n", [2**50, 2**62])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["violation-curve", "--generator", "boundary_mixture", "--trials", "3"],
+            ["simulate-lhv", "--variant", "boundary_mixture"],
+            ["simulate-quantum", "--state", "singlet"],
+            ["weak-bvalues", "--source", "calibrated", "--target-s", "2.5"],
+        ],
+        ids=["violation-curve", "simulate-lhv", "simulate-quantum", "weak-bvalues"],
+    )
+    def test_n_beyond_memory_is_one_line(self, tmp_path, capsys, command, n):
+        out = tmp_path / "out"
+        code = main([*command, "--n", str(n), "--seed", "1", "--out", str(out)])
+        err = capsys.readouterr().err
+        if n <= MAX_SAMPLE_SIZE:
+            assert code == EXIT_RUNTIME
+            assert err.startswith("bellsim: runtime error: ")
+        else:
+            assert code == EXIT_CONFIG
+            assert err.startswith("bellsim: configuration error: ") and f"at most {MAX_SAMPLE_SIZE}" in err
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not out.exists()
+
+    def test_memory_error_without_message(self, tmp_path, monkeypatch, capsys):
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "cmd_simulate_lhv", exhausted)
+        argv = ["simulate-lhv", "--variant", "boundary_mixture", "--n", "5", "--seed", "1", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_RUNTIME
+        assert capsys.readouterr().err == "bellsim: runtime error: out of memory\n"
 
 
 class TestViolationCurve:

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as nph
 
+from bellsim.behaviors import Behavior, behavior_from_quantum, behavior_laws
 from bellsim.core import (
+    BLOCK_VALUES,
     CANONICAL_CONTEXTS,
     Context,
     ContextDataset,
@@ -23,7 +25,9 @@ from bellsim.core import (
     sample_contexts,
 )
 from bellsim.errors import DomainError
-from bellsim.rng import categorical, spawn_rng
+from bellsim.lhv import boundary_mixture_model, deterministic_model, model_laws, sign_cosine_model
+from bellsim.quantum import TSIRELSON_ANGLES, AngleQuadruple, singlet
+from bellsim.rng import categorical, category_runs, derive_seeds, spawn_rng
 
 
 def tables(max_rows=200):
@@ -256,3 +260,50 @@ class TestPerContextSampler:
             bundle = sample_contexts(laws, n, seed, "test-context")
             expected = tuple(plus_count(dataset) for dataset in bundle.datasets)
             assert context_plus_counts(laws, "test-context")(n, [seed]) == [expected]
+
+
+# (name, laws): 0, 1, 2, 2 and 4 drawn contexts.  Every LHV or singlet law draws an even
+# number: each strategy's four products multiply to +1, so three fixed contexts fix the fourth.
+# A behavior does not: half PR box, half the box with a = b everywhere, has E = (1, 1, 1, 0).
+BLOCK_LAWS = [
+    ("deterministic", model_laws(deterministic_model(1, -1, 1, 1))),
+    ("one-drawn-behavior", behavior_laws(Behavior([[0.5, 0, 0, 0.5]] * 3 + [[0.25] * 4]))),
+    ("boundary-mixture", model_laws(boundary_mixture_model())),
+    ("singlet-two-drawn", behavior_laws(behavior_from_quantum(singlet(), AngleQuadruple(0, np.pi / 2, 0, np.pi / 2)))),
+    ("singlet", behavior_laws(behavior_from_quantum(singlet(), TSIRELSON_ANGLES))),
+    ("sign-cosine", model_laws(sign_cosine_model(0.1, 1.7, 0.9, -0.8, bob_sign=-1))),
+]
+
+
+class TestBlockPath:
+    """``plus_counts`` fills a buffer with a block of streams; every count is still its own bundle's."""
+
+    def test_laws_draw_the_named_number_of_contexts(self):
+        drawn = [
+            sum(bool(category_runs(probs, pairs[:, 0] == pairs[:, 1]).edges) for probs, pairs in laws)
+            for _, laws in BLOCK_LAWS
+        ]
+        assert drawn == [0, 1, 2, 2, 4, 4]
+
+    @pytest.mark.parametrize(
+        "n,seeds",
+        [
+            (1, 5),  # one block of five rows
+            (1000, 2 * (BLOCK_VALUES // 1000) + 1),  # 131 rows a block, the last block one row
+            (BLOCK_VALUES // 3, 8),  # three rows a block, the last block two rows
+            (BLOCK_VALUES // 2, 5),  # two rows a block, the last block one row
+            (BLOCK_VALUES // 2 + 1, 3),  # one row a block from here on
+            (BLOCK_VALUES, 3),
+            (BLOCK_VALUES + 1, 2),
+        ],
+    )
+    @pytest.mark.parametrize("name,laws", BLOCK_LAWS, ids=[name for name, _ in BLOCK_LAWS])
+    def test_counts_are_each_seeds_bundle_plus_counts(self, name, laws, n, seeds):
+        seeds = derive_seeds([n], ("block",), range(seeds))
+        expected = [
+            tuple(plus_count(d) for d in sample_contexts(laws, n, seed, "block-context").datasets) for seed in seeds
+        ]
+        assert context_plus_counts(laws, "block-context")(n, seeds) == expected
+
+    def test_no_seeds(self):
+        assert context_plus_counts(model_laws(boundary_mixture_model()), "block-context")(10, []) == []

@@ -4,7 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellsim.errors import ConfigError, DomainError
-from bellsim.rng import _edges, categorical, category_runs, default_rngs, derive_seed, derive_seeds, spawn_rng
+from bellsim.rng import (
+    MAX_SAMPLE_SIZE,
+    _edges,
+    categorical,
+    category_runs,
+    default_rngs,
+    derive_seed,
+    derive_seeds,
+    sample_size,
+    spawn_rng,
+)
 
 
 def test_derivation_is_deterministic():
@@ -56,8 +66,13 @@ def test_category_runs_count_bincount_of_categorical(masses, size, seed, data):
     # every category alone, so each per-category count is checked, and a random plus pattern
     patterns = [np.arange(len(probs)) == k for k in range(len(probs))]
     patterns.append(np.array(data.draw(st.lists(st.booleans(), min_size=len(probs), max_size=len(probs)))))
+    # a block of streams, one per row, is counted along its last axis: row by row the 1-D count
+    block = np.random.default_rng(seed).random((data.draw(st.integers(0, 4)), size))
     for chosen in patterns:
-        assert category_runs(probs, chosen).count(u) == int(counts[chosen].sum())
+        runs = category_runs(probs, chosen)
+        assert runs.count(u) == int(counts[chosen].sum())
+        assert runs.count(block).dtype == np.int64
+        assert runs.count(block).tolist() == [runs.count(row) for row in block]
 
 
 @st.composite
@@ -170,3 +185,13 @@ def test_master_seed_must_be_an_integer(master):
     for derive in (derive_seed, spawn_rng, lambda m: derive_seeds([m], ("x",), [1])):
         with pytest.raises(ConfigError, match="seed must be an integer"):
             derive(master)
+
+
+def test_sample_size_stops_at_the_largest_representable_table():
+    # an (n, 4) float64 array has 32 n bytes, and numpy sizes arrays in intp
+    assert MAX_SAMPLE_SIZE == np.iinfo(np.intp).max // 32
+    assert sample_size(MAX_SAMPLE_SIZE) == MAX_SAMPLE_SIZE
+    assert sample_size(np.uint64(MAX_SAMPLE_SIZE)) == MAX_SAMPLE_SIZE
+    for n in (MAX_SAMPLE_SIZE + 1, np.uint64(2**62), 2**62, 10**30):
+        with pytest.raises(ConfigError, match=f"^n must be at most {MAX_SAMPLE_SIZE} "):
+            sample_size(n, "n")
