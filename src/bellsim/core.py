@@ -380,8 +380,11 @@ def context_plus_counts(laws: Iterable[ContextLaw], label: str) -> PlusCounts:
     context seeds and generator states in bulk (``derive_seeds``,
     ``default_rngs``), so its memory grows with ``len(seeds)``.  It reuses one
     block buffer of at most ``BLOCK_VALUES`` uniforms (1 MiB), or of one
-    stream if n is larger: each row holds one seed's stream of one context, and
-    a block is counted with one comparison per run edge (``CategoryRuns.count``).
+    stream if n is larger: each row holds one seed's stream of one context.
+    ``CategoryRuns.count`` counts a block with one comparison per run edge:
+    plus codes are 0 or 1, so a multi-row block's comparisons are XORed into
+    each draw's code and summed once per row; a one-row block is counted by
+    ``count_nonzero``, one sum per run edge.
     """
     runs = [
         category_runs(probs, pairs[:, 0] == pairs[:, 1])

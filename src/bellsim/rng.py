@@ -8,11 +8,11 @@ its path, never on draw order elsewhere.
 ``spawn_rng`` is the reference stream of a path: ``np.random.default_rng`` of
 its ``derive_seed``.  Violation trials need thousands of streams per study row,
 so they take the same streams in bulk: ``derive_seeds`` hashes a shared path
-prefix once, and ``default_rngs`` transcribes numpy's seeding (``SeedSequence``'s
-``mix_entropy`` and ``generate_state``, then PCG64's seeding step) line for line
-onto uint32 arrays with one entry per seed, which wrap mod 2**32 as numpy's C
-code does, and loads each result into one reused generator.  Its streams
-are bitwise those of ``default_rng``; the tests compare the two, so a change in
+prefix once, and ``default_rngs`` computes the seeds' ``SeedSequence`` states
+at once (``mix_entropy`` and ``generate_state`` transcribed line for line onto
+uint32 arrays with one entry per seed, which wrap mod 2**32 as numpy's C code
+does) and hands each state to numpy's own ``PCG64``.  Its streams are bitwise
+those of ``default_rng``; the tests compare the two, so a change in
 how numpy seeds cannot move a stream unnoticed.  ``categorical`` is the
 reference draw; the samplers read its uniforms against only the edges where a
 per-category code changes (``category_runs``), with no ``searchsorted`` and no gather.
@@ -20,10 +20,12 @@ per-category code changes (``category_runs``), with no ``searchsorted`` and no g
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import numbers
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from itertools import accumulate
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -98,14 +100,12 @@ def spawn_rng(master: int, *path: object) -> np.random.Generator:
     return np.random.default_rng(derive_seed(master, *path))
 
 
-# numpy's SeedSequence (NEP 19, numpy/random/bit_generator.pyx) and PCG64's
-# seeding (_pcg64.pyx), transcribed onto uint32 arrays, which wrap mod 2**32 as
-# numpy's C code does: one array entry per seed, hashed as the C code hashes one word
+# numpy's SeedSequence (NEP 19, numpy/random/bit_generator.pyx) transcribed onto
+# uint32 arrays, which wrap mod 2**32 as numpy's C code does: one array entry per
+# seed, hashed as the C code hashes one word
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's default 128-bit LCG multiplier
-_MASK128 = (1 << 128) - 1
 
 
 def _hashmix(init: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -122,15 +122,57 @@ def _hashmix(init: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
     return hashmix
 
 
-def default_rngs(seeds: Sequence[int]) -> Iterator[np.random.Generator]:
-    """``np.random.default_rng(s)`` for each 64-bit seed s, as one generator reset to each stream in turn.
+@functools.cache
+def _state_words() -> type:
+    """An ``ISeedSequence`` that gives ``PCG64`` the state words it was made with.
 
-    Every stream's bits equal ``default_rng(s)``'s.  The same generator object is
-    yielded each time, so draw from one stream before asking for the next.
+    ``PCG64`` asks for ``generate_state(4, np.uint64)`` and reads the answer
+    raw, so the words must be four native-order, contiguous uint64.  numpy 2
+    loads ``numpy.random`` lazily, so the import waits for the first call and
+    ``import bellsim.cli`` does not load it.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateWords(ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype: Any = np.uint32) -> np.ndarray:
+            if (n_words, dtype) != (4, np.uint64):  # the answer is read raw: serve no other request
+                raise DomainError(f"the state words are 4 uint64, not {n_words} {np.dtype(dtype)}")
+            return self.words
+
+    return StateWords
+
+
+def _seed_words(seeds: Sequence[int]) -> np.ndarray:
+    """``seeds`` as little-endian uint64; ConfigError unless each is an integer in [0, 2**64), not a ``bool``.
+
+    A 1-D integer ndarray is checked by its least entry; any other sequence
+    seed by seed, as ``derive_seed`` checks a master, since numpy reads a list
+    of ints as float64 when some are at or above 2**63 and some are not.
+    """
+    if isinstance(seeds, np.ndarray) and seeds.ndim == 1 and seeds.dtype.kind in "iu":
+        bad = [least] if (least := seeds.min(initial=0)) < 0 else []
+    else:
+        # int(s) first: numpy 1.x compares a uint64 with 2**64 in float64
+        bad = [s for s in seeds
+               if isinstance(s, bool) or not isinstance(s, numbers.Integral) or not 0 <= int(s) < 2**64]
+    if bad:
+        raise ConfigError(f"seeds must be integers in [0, 2**64), got {bad[0]!r}")
+    return np.array(seeds, dtype="<u8")
+
+
+def default_rngs(seeds: Sequence[int]) -> Iterator[np.random.Generator]:
+    """``np.random.default_rng(s)`` for each seed s, an integer in [0, 2**64): one fresh generator per seed.
+
+    Every stream's bits equal ``default_rng(s)``'s.  The seeds' ``SeedSequence``
+    states are computed at once, on arrays, and each is handed to numpy's own
+    ``PCG64``; the seeds are checked when this is called, not when a stream is drawn.
     """
     # SeedSequence(s).mix_entropy: s is its little-endian uint32 words, one for a
     # seed below 2**32, and pool words past them hash 0, so every s mixes as (low, high, 0, 0)
-    low, high = np.array(seeds, dtype="<u8").view("<u4").reshape(-1, 2).T
+    low, high = _seed_words(seeds).view("<u4").reshape(-1, 2).T
     hashmix = _hashmix(_INIT_A, _MULT_A)
     pool = [hashmix(word) for word in (low, high, np.zeros_like(low), np.zeros_like(low))]
     for i_src in range(4):
@@ -141,16 +183,9 @@ def default_rngs(seeds: Sequence[int]) -> Iterator[np.random.Generator]:
     # generate_state(4, np.uint64): 8 words cycled from the pool, read as 4 little-endian uint64
     hashmix = _hashmix(_INIT_B, _MULT_B)
     state = np.stack([hashmix(pool[k % 4]) for k in range(8)], axis=1).astype("<u4").view("<u8")
-    bit_generator = np.random.PCG64(0)  # any fixed seed: every stream sets the whole state
-    rng = np.random.Generator(bit_generator)
-    words: dict[str, int] = {}
-    spec = {"bit_generator": "PCG64", "state": words, "has_uint32": 0, "uinteger": 0}
-    for s0, s1, i0, i1 in state.tolist():
-        # pcg64_set_seed, then pcg_setseq_128_srandom_r: state 0, step, add initstate, step
-        inc = (i0 << 64 | i1) << 1 & _MASK128 | 1
-        words["state"], words["inc"] = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128, inc
-        bit_generator.state = spec
-        yield rng
+    # PCG64 reads each row raw, so the rows are handed over as native-order uint64
+    state_words, pcg64, generator = _state_words(), np.random.PCG64, np.random.Generator
+    return (generator(pcg64(state_words(row))) for row in state.astype(np.uint64, copy=False))
 
 
 # the largest n whose (n, 4) float64 array numpy can represent: 2**58 - 1 where intp has 64 bits
@@ -200,16 +235,23 @@ class CategoryRuns(NamedTuple):
     def count(self, u: np.ndarray) -> Any:
         """The sum of the codes along u's last axis: an int for 1-D u, else an int64 array of u's other axes.
 
-        One comparison per run edge over all of u.  1-D u is counted by
-        ``count_nonzero``, the fastest count of one stream; more axes by summing
-        the comparison's bytes per row in uint32, exact for rows shorter than 2**32.
+        1-D u is counted by ``count_nonzero``, one comparison per run edge, the
+        fastest count of one stream.  More axes are counted by parity, for
+        codes 0 and 1 only (else DomainError): each run edge flips the code, so
+        a draw's code is ``full`` XOR the parity of the edges above its uniform.
+        The comparisons are XORed into one bool array, and its bytes summed
+        once per row in uint32, exact for rows shorter than 2**32.
         """
         if u.ndim == 1:
             return self.full * u.size + sum(sign * int(np.count_nonzero(u < edge)) for edge, sign in self.edges)
-        total = np.full(u.shape[:-1], self.full * u.shape[-1], dtype=np.int64)
-        for edge, sign in self.edges:
-            total += sign * (u < edge).view(np.uint8).sum(axis=-1, dtype=np.uint32).astype(np.int64)
-        return total
+        if not set(accumulate((sign for _, sign in reversed(self.edges)), initial=self.full)) <= {0, 1}:
+            raise DomainError("a block of streams is counted by parity, so its codes must be 0 and 1")
+        (first, _), *above = self.edges or [(0.0, 0)]  # no u in [0, 1) lies below 0.0
+        odd = u < first
+        for edge, _ in above:
+            odd ^= u < edge
+        plus = odd.view(np.uint8).sum(axis=-1, dtype=np.uint32).astype(np.int64)
+        return u.shape[-1] - plus if self.full else plus
 
     def codes(self, u: np.ndarray) -> np.ndarray:
         """Each uniform's code as uint8: one comparison and one add per run edge, wrapping mod 256."""

@@ -21,7 +21,7 @@ parallel schedule.  A row runs its trials in blocks of ``TRIAL_BLOCK``: one
 ``plus_counts`` call seeds and counts a whole block (see ``bellsim.rng`` for
 the bulk seeding, bitwise that of ``derive_seed`` and ``default_rng``).  It
 draws one context's streams into the rows of a reused buffer of at most 1 MiB
-(``core.BLOCK_VALUES``) and counts each run edge once per buffer, so the
+(``core.BLOCK_VALUES``) and compares each run edge once per buffer, so the
 streams and the counts are those of the per-trial bundles.  The row's S-hats
 and exact margins are computed from all its counts at once.
 Violation counting is sign-resolved by default: the estimate is compared on

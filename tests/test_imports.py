@@ -3,10 +3,14 @@
 So a deletion cannot leave a dead import, a dead private helper or a dead
 constant behind.  A constant (an UPPER_CASE name) listed in ``__all__`` is
 public and exempt; reads in tests do not count.  ``__init__.py`` is exempt
-from the import check: its imports are the package's re-exports.
+from the import check: its imports are the package's re-exports.  And
+``import bellsim.cli`` loads no ``numpy`` module that ``import numpy`` does not.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -162,3 +166,18 @@ def test_every_constant_is_read(path):
 def test_unread_constants_cases(sources, unread):
     package = [ast.parse(source) for source in sources]
     assert unread_constants(package[0], package) == unread
+
+
+def loaded_numpy_modules(statement: str) -> set[str]:
+    """The ``numpy`` modules a fresh interpreter has loaded after running ``statement``."""
+    script = f"import sys\n{statement}\nprint(*sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    src = str(Path(bellsim.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    return set(out.split())
+
+
+def test_cli_import_loads_no_more_of_numpy_than_numpy_does():
+    # numpy 2 loads numpy.random and the rest on first use; import bellsim.cli
+    # is the set-up of every run, so it defers them too
+    assert loaded_numpy_modules("import bellsim.cli") - loaded_numpy_modules("import numpy") == set()

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellsim.errors import ConfigError, DomainError
 from bellsim.rng import (
     MAX_SAMPLE_SIZE,
     _edges,
+    _state_words,
     categorical,
     category_runs,
     default_rngs,
@@ -51,6 +52,16 @@ def test_categorical_degenerate_vector():
     assert (draws == 1).all()
 
 
+class _Answers:
+    """Stands in for ``st.data()`` in an explicit example: ``draw`` returns the given values in turn."""
+
+    def __init__(self, *values):
+        self._values = iter(values)
+
+    def draw(self, strategy):
+        return next(self._values)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     masses=st.lists(st.sampled_from([0.0, 0.0, 1e-9, 0.1, 0.25, 0.3, 1.0, 7.0]), min_size=1, max_size=16)
@@ -58,6 +69,16 @@ def test_categorical_degenerate_vector():
     size=st.one_of(st.just(1), st.integers(1, 3000)),
     seed=st.integers(0, 2**64 - 1),
     data=st.data(),
+)
+# masses 0, then the gaps between the sorted first six uniforms of default_rng(0),
+# then 0: the alternating plus pattern has six run edges, each exactly on a
+# uniform of the block's first row, and full = 1
+@example(
+    masses=[0.0, 0.016527635528529094, 0.024445888407665595, 0.22881318982767562, 0.367174973557584,
+            0.1763085518788181, 0.0994853380774493, 0.08724442272227828, 0.0],
+    size=8,
+    seed=0,
+    data=_Answers([False, True] * 4 + [False], 3),
 )
 def test_category_runs_count_bincount_of_categorical(masses, size, seed, data):
     probs = np.array(masses) / sum(masses)  # zero-mass categories included
@@ -102,6 +123,23 @@ def test_category_codes_are_the_codes_of_categorical_draws(law, size, seed):
     assert runs.count(u) == int(expected.sum())
 
 
+@settings(max_examples=50, deadline=None)
+@given(law=coded_laws(), seed=st.integers(0, 2**64 - 1))
+def test_block_count_needs_codes_0_and_1(law, seed):
+    # a block is counted by parity, which only 0/1 codes allow
+    probs, codes = law
+    runs = category_runs(probs, codes)
+    block = np.random.default_rng(seed).random((2, 50))
+    # every category that uniforms in [0, 1) reach starts at 0.0 or at an edge below 1
+    edges = _edges(probs)
+    drawn = set(codes[np.searchsorted(edges, np.append(edges[edges < 1.0], 0.0), side="right")].tolist())
+    if drawn <= {0, 1}:
+        assert runs.count(block).tolist() == [runs.count(row) for row in block]
+    else:
+        with pytest.raises(DomainError, match="codes must be 0 and 1"):
+            runs.count(block)
+
+
 @pytest.mark.parametrize("codes", [[0, 256], [-1, 3]], ids=["256", "negative"])
 def test_category_codes_must_fit_a_byte(codes):
     with pytest.raises(DomainError, match="category codes must be integers in 0..255"):
@@ -131,6 +169,47 @@ def test_default_rngs_match_spawn_rng_on_derived_seeds():
     seeds = derive_seeds(range(8), ("ctx",), range(4))
     draws = [rng.random(7).tolist() for rng in default_rngs(seeds)]
     assert draws == [spawn_rng(m, "ctx", c).random(7).tolist() for m in range(8) for c in range(4)]
+
+
+def test_default_rngs_streams_are_independent():
+    # every seed has its own generator: draws interleaved across streams are still default_rng's
+    first, second = default_rngs([3, 2**64 - 1])
+    draws = [first.random(2), second.random(3), first.random(4), second.random(1)]
+    one, two = np.random.default_rng(3), np.random.default_rng(2**64 - 1)
+    expected = [one.random(2), two.random(3), one.random(4), two.random(1)]
+    assert [d.tolist() for d in draws] == [e.tolist() for e in expected]
+
+
+@pytest.mark.parametrize(
+    "seeds",
+    [[1.5], ["3"], [True], [np.bool_(True)], [None], [-1], [2**64], [7, 2**64 + 7], np.array([1.5]),
+     np.array([True]), np.array([-1, 5]), np.array([[1, 2]])],
+    ids=["float", "str", "bool", "np-bool", "none", "negative", "2**64", "one-of-two", "float-array", "bool-array",
+         "negative-array", "2-d-array"],
+)
+def test_default_rngs_seeds_must_be_64_bit_integers(seeds):
+    # default_rng refuses each, or takes it as other than a 64-bit seed (True, 2**64); the check runs at the call
+    with pytest.raises(ConfigError, match=r"seeds must be integers in \[0, 2\*\*64\)"):
+        default_rngs(seeds)
+
+
+def test_state_words_refuse_any_request_but_pcg64s():
+    # PCG64 reads the words raw, so a request for more of them must not be served
+    words = _state_words()(np.arange(4, dtype=np.uint64))
+    state = words.generate_state(4, np.uint64)
+    assert state.dtype == np.uint64 and state.flags.c_contiguous and state.tolist() == [0, 1, 2, 3]
+    for request in [(8,), (8, np.uint32), (2, np.uint64), (4, np.uint32)]:
+        with pytest.raises(DomainError, match="the state words are 4 uint64"):
+            words.generate_state(*request)
+
+
+def test_default_rngs_integer_types_give_one_stream():
+    expected = np.random.default_rng(2**63 + 5).random(3).tolist()
+    for seeds in ([2**63 + 5], [np.uint64(2**63 + 5)], np.array([2**63 + 5], dtype=np.uint64)):
+        assert [rng.random(3).tolist() for rng in default_rngs(seeds)] == [expected]
+    expected = np.random.default_rng(5).random(3).tolist()
+    for seeds in ([5], [np.int64(5)], [np.uint64(5)], [np.uint8(5)], np.array([5]), np.array([5], dtype=np.uint8)):
+        assert [rng.random(3).tolist() for rng in default_rngs(seeds)] == [expected]
 
 
 integer_seeds = st.one_of(
