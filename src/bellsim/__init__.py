@@ -6,9 +6,9 @@ existing outcomes (bounded by 2 in every finite sample), and the four-context
 sum S estimated from four incompatible experiments (bounded by 4 a priori,
 2*sqrt(2) quantum-mechanically, and able to exceed 2 by chance at the local
 boundary).  Includes local-hidden-variable and quantum samplers, behavior
-objects with no-signaling diagnostics, joint-distribution feasibility via a
-small exact LP, violation-frequency studies, and a Gaussian-pointer model of
-per-pair weak "B-values".
+objects with no-signaling diagnostics, joint-distribution feasibility by an
+exact closed-form construction, violation-frequency studies, and a
+Gaussian-pointer model of per-pair weak "B-values".
 """
 
 from .core import (

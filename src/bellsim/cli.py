@@ -211,7 +211,7 @@ def _feasibility_payload(result: FeasibilityResult) -> dict[str, Any]:
     if result.witness is not None:
         payload["witness_weights"] = [float(w) for w in result.witness.weights]
     if result.witness_counts is not None:
-        payload["witness_counts"] = [float(w) for w in result.witness_counts]
+        payload["witness_counts"] = result.witness_counts.tolist()  # JSON ints for an integer witness
     if result.integrality is not None:
         payload["integrality"] = result.integrality
     if result.certificate is not None:

@@ -5,28 +5,39 @@ the sixteen deterministic assignments (a1, a2, b1, b2) in {+1,-1}^4 whose four
 pairwise marginals reproduce the observed context distributions.  This module
 decides that question exactly:
 
-  * ``fine_feasible_lp`` -- phase-1 LP over the 16 assignment weights with
-    3 independent probabilities per context plus total mass (13 equality
-    rows; the 4th outcome of each context is implied).  Feasible results
-    carry a witness joint distribution; infeasible ones carry the maximal
-    violated CHSH form, or a marginal-inconsistency certificate when the
-    input signals (possible off the no-signaling set, where the CHSH
-    criterion is not exhaustive).
+  * ``fine_feasible_lp`` -- over the 16 assignment weights.  Feasible
+    results carry a witness joint distribution; infeasible ones carry the
+    phase-1 LP's residual (3 independent probabilities per context plus
+    total mass: 13 equality rows, the 4th outcome of each context implied)
+    and the maximal violated CHSH form, or a marginal-inconsistency
+    certificate when the input signals (possible off the no-signaling set,
+    where the CHSH criterion is not exhaustive).
   * ``chsh_certificate`` -- the analytic route: maximum of the 8 signed CHSH
     forms; for no-signaling behaviors, feasibility holds iff it is <= 2.
   * ``reshuffle_feasible`` -- the count-level variant: can four N x 2 data
-    tables be reordered into N consistent quadruples?  Solved by the same LP
-    on count tables (optional per-context L1 slack).  At slack 0 a feasible
-    answer is an exact integer reshuffle: the marginal system is
-    unimodular (every basis of its 9 independent rows has determinant +-1),
-    so each vertex of {w >= 0 : P w = counts} is integral (Veinott & Dantzig,
-    SIAM Rev. 10, 371 (1968)).  The phase-1 simplex stops at a vertex, so
-    rounding its witness removes only float noise, and the rounded witness
-    is checked exactly against the counts.  That holds while float64
-    resolves the counts (N up to ~10^15).  Past that the check raises
-    ``NumericError`` for most feasible tables at N = 10^16 and for all
-    tested ones from N = 10^17; it never returns a wrong witness or
-    verdict.  ROADMAP item 2 plans an exact integer construction.
+    tables be reordered into N consistent quadruples (optional per-context
+    L1 slack)?  At slack 0 a feasible answer is an exact integer reshuffle.
+
+Both try a closed-form construction first.  x = #(a1 = +, a2 = +), the
+chord a1-a2, takes the lower end of its interval, which the pairwise bounds
+of the triangles (a1, a2, b1) and (a1, a2, b2) cut; each triangle's one free
+cell t = #(a1 = +, a2 = +, b = +) takes its lower end too, and the two
+triangles are glued in each (a1, a2) cell by a 2 x 2 north-west-corner
+coupling.  For a no-signaling input the interval is nonempty iff every cell
+so built is >= 0, and then the cells are a witness.
+
+  * On counts the construction runs in Python ints, so its witness is exact
+    for any count int64 holds; it is still checked exactly against the
+    counts.  Signaling counts are infeasible at once.  The marginal system
+    is unimodular (every basis of its 9 independent rows has determinant
+    +-1), so a table with a real witness has an integer one (Veinott &
+    Dantzig, SIAM Rev. 10, 371 (1968)): the integer verdict is the LP's.
+  * On probabilities the verdict is no-signaling within ``LP_TOL`` and every
+    CHSH form <= 2 + ``LP_TOL``; the witness is the construction in floats,
+    its cells within round-off of 0 clipped.
+
+The phase-1 simplex runs only where the construction finds no witness, for
+the infeasibility residual and the certificate, and for slack > 0.
 """
 
 from __future__ import annotations
@@ -73,6 +84,7 @@ PROJECTION = frozen_array(
     (4, 4, 16),
     "projection",
 )
+PROJECTION_INT = frozen_array(PROJECTION.reshape(16, 16), np.int64, (16, 16), "integer projection")
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,14 +135,14 @@ class Certificate:
 
 @dataclass(frozen=True, eq=False)
 class FeasibilityResult(ArrayValue):
-    """LP outcome: a witness joint distribution, or an infeasibility certificate."""
+    """Feasibility outcome: a witness joint distribution, or an infeasibility certificate."""
 
     status: str  # "feasible" | "infeasible"
     residual: float
     witness: JointDistribution | None = None
     certificate: Certificate | None = None
     witness_counts: np.ndarray | None = None
-    integrality: str | None = None  # "integer" for slack-0 count problems, else None
+    integrality: str | None = None  # "integer" for slack-0 count problems (int64 witness counts), else None
 
     def __post_init__(self) -> None:
         if self.status not in ("feasible", "infeasible"):
@@ -142,7 +154,8 @@ class FeasibilityResult(ArrayValue):
         if self.status == "feasible" and self.residual > WITNESS_TOL:
             raise DomainError(f"feasible result with residual {self.residual:.3e} > {WITNESS_TOL}")
         if self.witness_counts is not None:
-            counts = frozen_array(self.witness_counts, np.float64, (16,), "witness counts")
+            dtype = np.int64 if self.integrality == "integer" else np.float64
+            counts = frozen_array(self.witness_counts, dtype, (16,), "witness counts")
             object.__setattr__(self, "witness_counts", counts)
 
     @property
@@ -174,25 +187,72 @@ def _max_marginal_violation(weights: np.ndarray, targets: np.ndarray) -> float:
     return float(np.abs(projected - targets).max())
 
 
+def _signaling(rows: list[list]) -> float:
+    """Largest gap between one party's P(+) (or count of +) in its two contexts; 0 without signaling."""
+    c11, c12, c21, c22 = rows
+    return max(
+        abs(c11[0] + c11[1] - c12[0] - c12[1]),  # a1
+        abs(c21[0] + c21[1] - c22[0] - c22[1]),  # a2
+        abs(c11[0] + c11[2] - c21[0] - c21[2]),  # b1
+        abs(c12[0] + c12[2] - c22[0] - c22[2]),  # b2
+    )
+
+
+def _chord_witness(rows: list[list], total: float) -> list:
+    """The 16 assignment cells the chord construction builds (module docstring) from four context rows.
+
+    ``rows`` are the context tables (counts or probabilities) of a
+    no-signaling input with ``total`` per context.  Every cell is >= 0 iff
+    the input is feasible, and then the cells reproduce every table; the
+    arithmetic is the input's own, so int rows give exact int cells.
+    """
+    c11, c12, c21, c22 = rows
+    a1 = c11[0] + c11[1]
+    a2 = c21[0] + c21[1]
+    overlap = a1 + a2 - total  # the chord's (-,-) cell is x - overlap
+    triangles = ((c11, c21), (c12, c22))  # the (a1, b) and (a2, b) tables, b = b1 then b2
+    x = max(0, overlap, *(bound for p, q in triangles for bound in (q[0] - p[2], overlap - q[0] + p[2])))
+    chord = (x, a1 - x, a2 - x, x - overlap)  # (a1, a2) = (+,+), (+,-), (-,+), (-,-)
+    plus = []  # per triangle: #(a1, a2, b = +) in each chord cell
+    for p, q in triangles:
+        t = max(0, p[0] - a1 + x, q[0] - a2 + x, q[0] - p[2])
+        plus.append((t, p[0] - t, q[0] - t, p[2] - q[0] + t))
+    cells = []
+    for m, b1, b2 in zip(chord, *plus):
+        both = min(b1, b2)  # north-west corner: (b1, b2) = (+,+), (+,-), (-,+), (-,-)
+        cells += [both, b1 - both, b2 - both, m - b1 - b2 + both]
+    return cells
+
+
 def fine_feasible_lp(behavior: Behavior) -> FeasibilityResult:
-    """Decide whether one joint distribution reproduces all four context distributions."""
-    a_eq, b_eq = _marginal_system(behavior.probs, 1.0)
-    infeasibility, x = phase1_solve(a_eq, b_eq, tol=LP_TOL)
-    if infeasibility <= LP_TOL:
-        weights = np.clip(x, 0.0, None)
-        weights /= weights.sum()
-        witness = JointDistribution(weights)
-        residual = _max_marginal_violation(witness.weights, behavior.probs)
+    """Decide whether one joint distribution reproduces all four context distributions.
+
+    Feasible iff no-signaling within ``LP_TOL`` and every CHSH form <= 2 + ``LP_TOL``
+    (Fine); the phase-1 simplex gives an infeasible verdict its residual.
+    """
+    probs = behavior.probs
+    rows = probs.tolist()
+    chsh = chsh_certificate_detail(behavior)
+    signaling = _signaling(rows) > LP_TOL
+    if not signaling and chsh[0] <= 2.0 + LP_TOL:
+        weights = np.clip(_chord_witness(rows, 1.0), 0.0, None)  # cells within round-off below 0 go to 0
+        witness = JointDistribution(weights / weights.sum())
+        residual = _max_marginal_violation(witness.weights, probs)
         return FeasibilityResult("feasible", residual=residual, witness=witness)
-    return _infeasible(behavior, infeasibility, infeasibility)
+    infeasibility, _ = phase1_solve(*_marginal_system(probs, 1.0), tol=LP_TOL)
+    return _infeasible(chsh, signaling, infeasibility, infeasibility)
 
 
 def _infeasible(
-    behavior: Behavior, infeasibility: float, violation_mass: float
+    chsh: tuple[float, tuple[int, int, int, int]], signaling: bool, infeasibility: float, violation_mass: float
 ) -> FeasibilityResult:
-    """Infeasible verdict: the violated CHSH form, else inconsistent marginals."""
-    value, signs = chsh_certificate_detail(behavior)
-    if value > 2.0 + LP_TOL:
+    """Infeasible verdict certified by the maximal CHSH form (``chsh_certificate_detail``).
+
+    A signaling input whose forms are all <= 2 + ``LP_TOL`` is certified by
+    its inconsistent marginals instead.
+    """
+    value, signs = chsh
+    if value > 2.0 + LP_TOL or not signaling:
         certificate = Certificate("chsh", value, signs)
     else:
         certificate = Certificate("marginal-inconsistency", violation_mass)
@@ -212,6 +272,9 @@ class ReshuffleProblem(ArrayValue):
             raise DomainError("counts must be nonnegative")
         if not (finite_real(self.slack) and self.slack >= 0.0):
             raise DomainError(f"slack must be finite and >= 0, got {self.slack}")
+        largest = max(sum(row) for row in counts.tolist())  # Python ints: no wraparound
+        if largest >= 2**63:
+            raise DomainError(f"a context's counts must total at most 2**63 - 1, got {largest}")
         object.__setattr__(self, "counts", counts)
 
     @property
@@ -252,44 +315,50 @@ def reshuffle_feasible(problem: ReshuffleProblem) -> FeasibilityResult:
     """Decide whether the four count tables can be reshuffled into consistent quadruples.
 
     The exact variant (slack 0, equal totals) asks for assignment counts whose
-    projections reproduce every table; a feasible answer carries an integer
-    witness, labeled "integer", or raises ``NumericError`` where float64
-    cannot resolve the counts (N >= ~10^16; see the module docstring).  With
-    slack > 0 each context table may deviate by up to ``slack`` in L1, and the
-    witness is the LP's real-valued one.
+    projections reproduce every table; a feasible answer carries the chord
+    construction's integer witness (module docstring), labeled "integer".
+    With slack > 0 each context table may deviate by up to ``slack`` in L1,
+    and the witness is the LP's real-valued one.
     """
     counts = problem.counts
-    totals = problem.totals
-    if counts.sum() == 0:
+    totals = problem.totals.tolist()
+    if not counts.any():
         raise DomainError("reshuffling undefined for all-empty count tables")
-    for context, total in zip(CANONICAL_CONTEXTS, totals.tolist()):
+    for context, total in zip(CANONICAL_CONTEXTS, totals):
         if total == 0:
             raise DomainError(f"reshuffling undefined: empty count table in context {context}")
-    if problem.slack == 0.0 and len(set(totals.tolist())) != 1:
+    if problem.slack == 0.0 and len(set(totals)) != 1:
         raise DomainError(
-            f"exact reshuffling needs equal context totals, got {totals.tolist()}; "
+            f"exact reshuffling needs equal context totals, got {totals}; "
             "set slack > 0 to allow deviations"
         )
-    scale = float(counts.sum())
+    frequencies = counts / problem.totals[:, None]
+    scale = float(sum(totals))
     if problem.slack == 0.0:
-        a_eq, b_eq = _marginal_system(counts / scale, totals[0] / scale)
-    else:
-        mass = float(np.rint(totals.mean()))
-        a_eq, b_eq = _slack_system(counts, problem.slack, mass, scale)
-    infeasibility, x = phase1_solve(a_eq, b_eq, tol=LP_TOL)
-    frequencies = counts / totals[:, None]
-    if infeasibility > LP_TOL:
-        return _infeasible(Behavior(frequencies), infeasibility, infeasibility * scale)
-    if problem.slack > 0.0:
-        witness_counts = x[:16] * scale
-        witness = JointDistribution(np.clip(witness_counts, 0.0, None) / witness_counts.sum())
-        return FeasibilityResult(
-            "feasible", residual=infeasibility, witness=witness, witness_counts=witness_counts
-        )
-    integral = np.rint(x * scale).astype(np.int64)
-    projected = PROJECTION.reshape(16, 16).astype(np.int64) @ integral
-    if integral.min() < 0 or not np.array_equal(projected, counts.reshape(16)):
-        raise NumericError("rounded LP vertex does not reproduce the count tables")
+        rows = counts.tolist()
+        signaling = _signaling(rows) > 0
+        if not signaling:
+            cells = _chord_witness(rows, totals[0])
+            if min(cells) >= 0:
+                return _integer_result(cells, counts, frequencies)
+        # no-signaling counts without a witness break a CHSH form exactly (Fine), however close to 2 in floats
+        infeasibility, _ = phase1_solve(*_marginal_system(counts / scale, totals[0] / scale), tol=LP_TOL)
+        return _infeasible(chsh_certificate_detail(Behavior(frequencies)), signaling, infeasibility, infeasibility * scale)
+    mass = float(np.rint(problem.totals.mean()))
+    infeasibility, x = phase1_solve(*_slack_system(counts, problem.slack, mass, scale), tol=LP_TOL)
+    if infeasibility > LP_TOL:  # slack tables may deviate anywhere, so only a violated form is a CHSH certificate
+        return _infeasible(chsh_certificate_detail(Behavior(frequencies)), True, infeasibility, infeasibility * scale)
+    witness_counts = x[:16] * scale
+    witness = JointDistribution(np.clip(witness_counts, 0.0, None) / witness_counts.sum())
+    return FeasibilityResult("feasible", residual=infeasibility, witness=witness, witness_counts=witness_counts)
+
+
+def _integer_result(cells: list[int], counts: np.ndarray, frequencies: np.ndarray) -> FeasibilityResult:
+    """Feasible result with nonnegative integer cells as its witness; NumericError if they miss the counts."""
+    # cells >= 0 summing to a context total fit int64, and so does every projected sum
+    if sum(cells) != sum(counts[0].tolist()) or not np.array_equal(PROJECTION_INT @ cells, counts.reshape(16)):
+        raise NumericError("integer witness does not reproduce the count tables")
+    integral = np.array(cells, np.int64)
     witness = JointDistribution(integral / integral.sum())
     return FeasibilityResult(
         "feasible",

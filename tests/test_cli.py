@@ -9,6 +9,8 @@ from bellsim import cli
 from bellsim.behaviors import Behavior, pr_box
 from bellsim.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_RUNTIME, main
 from bellsim.core import CounterfactualTable, project_bundle
+from bellsim.errors import NumericError
+from bellsim.feasibility import ASSIGNMENTS
 from bellsim.fileio import read_bundle_csv, write_behavior, write_bundle_csv
 from bellsim.quantum import TSIRELSON_BOUND, random_density_matrix, singlet
 from bellsim.rng import MAX_SAMPLE_SIZE
@@ -204,6 +206,22 @@ class TestFeasibility:
         assert code == EXIT_OK
         assert "integrality" not in json.loads((out / "result.json").read_text())
 
+    def test_counts_totalling_past_int64_are_config_error(self, tmp_path, capsys):
+        # 2**61 in every cell: each context totals 2**63, and the whole table's int64 sum wraps to 0
+        behavior_file = tmp_path / "huge.behavior"
+        behavior_file.write_text("".join(
+            f"context {i} {j} = 0.25 0.25 0.25 0.25\ncounts {i} {j} = {' '.join([str(2**61)] * 4)}\n"
+            for i in (1, 2) for j in (1, 2)
+        ))
+        out = tmp_path / "out"
+        code = main(["feasibility", "--behavior", str(behavior_file), "--level", "counts", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "bellsim: configuration error: a context's counts must total at most 2**63 - 1, "
+            "got 9223372036854775808\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("slack", ["3", "20"])
     def test_empty_context_count_table_is_config_error(self, tmp_path, capsys, slack):
         behavior_file = tmp_path / "empty.behavior"
@@ -219,8 +237,8 @@ class TestFeasibility:
 class TestRuntimeExit:
     """A NumericError, an OSError from the output directory and a MemoryError end the run with exit 1."""
 
-    def test_unresolved_counts_are_runtime_error(self, tmp_path, capsys):
-        # N = 10**16 per context: float64 no longer resolves the counts, so the rounded vertex misses them
+    def test_counts_past_float64_exit_0_with_an_exact_witness(self, tmp_path):
+        # N = 10**16 per context: float64 no longer resolves the counts, which once ended in exit 1
         counts = np.array([
             [6784289675738202, 518988682217997, 1567727383978802, 1128994258064999],
             [6312058455973871, 991219901982328, 1323832876503324, 1372888765540477],
@@ -229,11 +247,27 @@ class TestRuntimeExit:
         ])
         behavior_file = tmp_path / "big.behavior"
         write_behavior(behavior_file, Behavior(counts / counts.sum(axis=1, keepdims=True), counts))
-        code = main(["feasibility", "--behavior", str(behavior_file), "--level", "counts",
-                     "--out", str(tmp_path / "out")])
+        out = tmp_path / "out"
+        code = main(["feasibility", "--behavior", str(behavior_file), "--level", "counts", "--out", str(out)])
+        assert code == EXIT_OK
+        result = json.loads((out / "result.json").read_text())
+        assert result["integrality"] == "integer"
+        witness = result["witness_counts"]
+        assert all(type(w) is int and w >= 0 for w in witness)  # JSON ints, read back exactly
+        projected = [[sum(w for w, row in zip(witness, ASSIGNMENTS) if (row[i - 1], row[1 + j]) == pair)
+                      for pair in ((1, 1), (1, -1), (-1, 1), (-1, -1))] for i, j in ((1, 1), (1, 2), (2, 1), (2, 2))]
+        assert projected == counts.tolist()
+
+    def test_numeric_error_in_a_subcommand_is_runtime_error(self, tmp_path, monkeypatch, capsys):
+        def unresolved(args):
+            raise NumericError("counts not resolved")
+
+        monkeypatch.setattr(cli, "cmd_feasibility", unresolved)
+        code = main(["feasibility", "--behavior", "any.behavior", "--out", str(tmp_path / "out")])
         assert code == EXIT_RUNTIME
-        err = capsys.readouterr().err
-        assert err == "bellsim: runtime error: rounded LP vertex does not reproduce the count tables\n"
+        captured = capsys.readouterr()
+        assert captured.err == "bellsim: runtime error: counts not resolved\n"
+        assert captured.out == ""
 
     def test_out_naming_a_file_is_runtime_error(self, tmp_path, capsys):
         out = tmp_path / "taken"

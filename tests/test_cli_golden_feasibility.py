@@ -1,6 +1,6 @@
 """Golden digests of ``feasibility`` output, with the exit code of each case.
 
-The cases cover both LP routes (``--level distribution`` on a behavior or a
+The cases cover both routes (``--level distribution`` on a behavior or a
 bundle, ``--level counts`` on a bundle or a behavior file with counts), each
 verdict (feasible, a CHSH certificate, a marginal-inconsistency certificate)
 and the slack variant.  Every count problem here has N <= 10^4 per context.
@@ -73,10 +73,10 @@ CASES = {
 DIGESTS: dict[str, str] = {
     "behavior-counts-pr-box": "07d246bb56567fab55e8cbd508b710c39f09e414116d36efda75c4ae524efc2c",
     "behavior-counts-slack": "a5ec116b41c5f6835b535d2936dca12814a74d3e7dd3258806c57ab345be8676",
-    "behavior-feasible": "9f3ffebb4e4d42ade6f896e7058c84ad455a5da669b3d798d44060eff24cc31c",
+    "behavior-feasible": "4b774c79f4a0c31316e56a44db65db0fd212e7464de021a04b138d0d13bb67ff",
     "behavior-pr-box": "0cce4ae7ba831ce8288c1d3cfd63dca9c95dfc83be8b9b0778efec509b2e7326",
-    "bundle-projected": "295397fa0dc41fc152b02c16526e43a3b7481854192ff913b7d5bab84b5e04e0",
-    "bundle-projected-distribution": "c7b2c76f6cc50fc32bba60cd826d05b3f31687a32291247e0745c102bc54399e",
+    "bundle-projected": "94b620f204bd765bc5ed7fe4add8fe693fd81c8eb8de3e74a52df7114c352e2a",
+    "bundle-projected-distribution": "8d6a39b4acc35373b3953e1fce2e1ccf923efc7d2ef6866484fc539a0a1455fc",
     "bundle-signaling": "1e59e9f0458c3079baa65272a33e66228468457d502f50dce0a3ba7f859f5447",
     "bundle-signaling-distribution": "6e573a9da906cc612b4d7b2c31d99c6c12941031ba9a8c67a49152af46b09118",
     "bundle-signaling-slack": "5959176a801bdc0e6dbc3e3d3ee6c6367d0fe7652c8945c075ab40cc54cf50f1",

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellsim import feasibility
@@ -231,7 +231,7 @@ class TestReshuffle:
 
 
 class TestIntegerReshuffle:
-    """Slack-0 count problems get an exact integer reshuffle, or a NumericError past float64."""
+    """Slack-0 count problems get an exact integer reshuffle, at every N that int64 holds."""
 
     def test_marginal_system_is_unimodular(self):
         a_eq, _ = feasibility._marginal_system(np.zeros((4, 4)), 0.0)
@@ -280,30 +280,154 @@ class TestIntegerReshuffle:
         st.sampled_from([0.05, 1.0]),
         st.integers(1, 16),
     )
-    def test_past_float64_an_exact_witness_or_numeric_error(self, seed, n, alpha, support):
+    def test_past_float64_an_exact_witness(self, seed, n, alpha, support):
         rng = np.random.default_rng(seed)
         weights = np.zeros(16)
         weights[rng.choice(16, size=support, replace=False)] = rng.dirichlet(np.full(support, alpha))
         assignment_counts = rng.multinomial(n, weights / weights.sum())
         counts = PROJECTION.astype(np.int64) @ assignment_counts
-        try:
-            result = reshuffle_feasible(ReshuffleProblem(counts))
-        except NumericError:
-            return
+        result = reshuffle_feasible(ReshuffleProblem(counts))
         assert result.feasible and result.integrality == "integer"
-        witness = result.witness_counts.astype(np.int64)
-        assert np.array_equal(witness, result.witness_counts)
+        witness = result.witness_counts
+        assert witness.dtype == np.int64
         assert witness.min() >= 0 and np.array_equal(PROJECTION.astype(np.int64) @ witness, counts)
 
     def test_witness_off_the_counts_raises_instead_of_relabeling(self, monkeypatch):
-        def all_on_first_assignment(a_eq, b_eq, tol):
-            infeasibility, x = phase1_solve(a_eq, b_eq, tol=tol)
-            return infeasibility, np.eye(16)[0] * x.sum()
+        def all_on_first_assignment(rows, total):
+            return [total] + [0] * 15
 
-        monkeypatch.setattr(feasibility, "phase1_solve", all_on_first_assignment)
+        monkeypatch.setattr(feasibility, "_chord_witness", all_on_first_assignment)
         problem = reshuffle_problem_from_table(CounterfactualTable(np.array(ASSIGNMENTS)))
         with pytest.raises(NumericError, match="does not reproduce"):
             reshuffle_feasible(problem)
+
+    def test_totals_past_int64_are_rejected_not_wrapped(self):
+        # 4 * 2**61 = 2**63 per context: an int64 sum wraps to -2**63, and the whole table's to 0
+        with pytest.raises(DomainError, match=r"must total at most 2\*\*63 - 1, got 9223372036854775808"):
+            ReshuffleProblem(np.full((4, 4), 2**61))
+        largest = np.full((4, 4), (2**63 - 1) // 4)
+        largest[:, 0] += (2**63 - 1) % 4
+        result = reshuffle_feasible(ReshuffleProblem(largest))  # 2**63 - 1 per context; 4x that overall
+        assert result.feasible and np.array_equal(PROJECTION.astype(np.int64) @ result.witness_counts, largest)
+
+
+def exact_no_signaling(counts):
+    """Each party's count of + is the same in both of its contexts."""
+    c11, c12, c21, c22 = counts.tolist()
+    return (c11[0] + c11[1] == c12[0] + c12[1] and c21[0] + c21[1] == c22[0] + c22[1]
+            and c11[0] + c11[2] == c21[0] + c21[2] and c12[0] + c12[2] == c22[0] + c22[2])
+
+
+def exact_fine_verdict(counts):
+    """Fine's criterion in Python ints: no-signaling counts, and N * (every CHSH form) <= 2 N."""
+    if not exact_no_signaling(counts):
+        return False
+    c11, c12, c21, c22 = counts.tolist()
+    correlations = [c[0] - c[1] - c[2] + c[3] for c in (c11, c12, c21, c22)]
+    forms = [sum(s * e for s, e in zip(signs, correlations)) for signs in CHSH_SIGN_PATTERNS]
+    return max(forms) <= 2 * sum(c11)
+
+
+def simplex_verdict(counts):
+    """The phase-1 simplex on the slack-0 marginal system, scaled as ``reshuffle_feasible`` scales it."""
+    scale = float(counts.sum())
+    a_eq, b_eq = feasibility._marginal_system(counts / scale, counts[0].sum() / scale)
+    return phase1_solve(a_eq, b_eq, tol=feasibility.LP_TOL)[0] <= feasibility.LP_TOL
+
+
+# Count tables projected from random assignment counts, some then perturbed: k of one context's
+# (+,+), (-,-) pairs turned into (+,-), (-,+) pairs or back, which keeps every marginal, or k
+# pairs moved between two cells of one context, which signals.
+PERTURBATIONS = st.sampled_from([None, "correlation", "cells"])
+
+
+class TestChordConstruction:
+    """The chord construction against exact Fine and the phase-1 simplex."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.one_of(st.integers(1, 2000), st.integers(1, 10**12), st.integers(1, 10**18)),
+        st.integers(1, 16),
+        PERTURBATIONS,
+        st.integers(-3, 3),
+    )
+    def test_count_witnesses_are_exact_and_verdicts_are_fines(self, seed, n, support, perturbation, k):
+        rng = np.random.default_rng(seed)
+        weights = np.zeros(16)
+        weights[rng.choice(16, size=support, replace=False)] = rng.dirichlet(np.ones(support))
+        counts = (PROJECTION.astype(np.int64) @ rng.multinomial(n, weights)).reshape(4, 4)
+        context = rng.integers(4)
+        if perturbation == "correlation":
+            counts[context] += k * np.array([1, -1, -1, 1])
+        elif perturbation == "cells":
+            counts[context, :2] += [k, -k]
+        if counts.min() < 0:
+            return
+        result = reshuffle_feasible(ReshuffleProblem(counts))
+        assert result.feasible == exact_fine_verdict(counts)
+        if result.feasible:
+            witness = result.witness_counts
+            assert result.integrality == "integer" and witness.dtype == np.int64 and witness.min() >= 0
+            assert np.array_equal(PROJECTION.astype(np.int64) @ witness, counts)
+        elif exact_no_signaling(counts):
+            assert result.certificate.kind == "chsh"
+        # The simplex's infeasibility is tolerated up to LP_TOL of the table's 4N counts, so past
+        # N ~ 10^8 it calls a table one count off feasible; below that it resolves every count.
+        if n <= 10**7 or (perturbation is None and n <= 10**12):
+            assert result.feasible == simplex_verdict(counts)
+
+    @settings(max_examples=300, deadline=None)
+    @example(seed=0, delta=5e-10, mode=0)
+    @example(seed=0, delta=2e-9, mode=0)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.one_of(st.sampled_from([0.0, 5e-10, 1e-9, 1.5e-9, 2e-9, -1e-9]), st.floats(-1e-6, 1e-6)),
+        st.integers(0, 7),
+    )
+    def test_near_the_bound_the_verdict_is_chsh_within_lp_tol(self, seed, delta, mode):
+        # no-signaling behaviors p(a, b) = (1 + a m_i + b n_j + a b E_ij) / 4 whose sign pattern
+        # number ``mode`` sums to 2 + delta
+        rng = np.random.default_rng(seed)
+        signs = np.array(CHSH_SIGN_PATTERNS[mode])
+        correlations = signs * (2.0 + delta) / 4 + rng.uniform(-0.05, 0.05, 4) * np.array([1, 1, 1, -3]) / 3
+        correlations *= (2.0 + delta) / float(signs @ correlations)
+        room = 1.0 - np.abs(correlations).max()
+        alice, bob = rng.uniform(-room / 2, room / 2, (2, 2))
+        probs = np.array([
+            [(1 + a * alice[c.alice - 1] + b * bob[c.bob - 1] + a * b * e) / 4
+             for a, b in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+            for c, e in zip(CANONICAL_CONTEXTS, correlations)
+        ])
+        behavior = Behavior(probs)
+        result = fine_feasible_lp(behavior)
+        assert result.feasible == (chsh_certificate(behavior) <= 2.0 + feasibility.LP_TOL)
+        if result.feasible:
+            assert result.residual <= feasibility.WITNESS_TOL
+
+    def test_counts_breaking_chsh_by_less_than_lp_tol_get_a_chsh_certificate(self):
+        # N = 10**12 on four strategies with C = +2, then E22 lowered by 4 counts: N * S = 2N + 4, which the
+        # simplex tolerates (its infeasibility, 2.5e-13, is under LP_TOL) and which once ended in NumericError
+        strategies = [ASSIGNMENTS.index(a) for a in [(1, 1, 1, 1), (-1, -1, -1, -1), (1, -1, 1, 1), (-1, 1, -1, -1)]]
+        assignment_counts = np.zeros(16, dtype=np.int64)
+        assignment_counts[strategies] = 10**12 // 4
+        counts = PROJECTION.astype(np.int64) @ assignment_counts
+        counts[3] += [-1, 1, 1, -1]
+        result = reshuffle_feasible(ReshuffleProblem(counts))
+        assert not result.feasible
+        assert result.certificate.kind == "chsh" and result.certificate.signs == (1, 1, 1, -1)
+        assert result.certificate.value == pytest.approx(2.0 + 4e-12, rel=0, abs=1e-15)
+
+    def test_feasible_problems_never_reach_the_simplex(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("phase1_solve called on a feasible problem")
+
+        problem = reshuffle_problem_from_table(random_table(5, n=500))
+        behavior = random_no_signaling_behavior(np.random.default_rng(5))
+        assert chsh_certificate(behavior) <= 2.0
+        monkeypatch.setattr(feasibility, "phase1_solve", refuse)
+        assert reshuffle_feasible(problem).integrality == "integer"
+        assert fine_feasible_lp(behavior).feasible
 
 
 def reference_marginal_system(targets, mass):

@@ -112,7 +112,19 @@ CASES = {
         _move_mass, np.float64, ConfigError,
     ),
 }
-IDS = [f"{cls.__name__}.{name}" for cls, name in CASES]
+# A field whose stored dtype follows another field has one more case per dtype: witness counts
+# are int64 for an integer witness, float64 otherwise.
+INTEGER_WITNESS_COUNTS = Case(
+    lambda a: FeasibilityResult("feasible", 0.0, witness=UNIFORM_JOINT, witness_counts=a, integrality="integer"),
+    lambda: np.array([2, 0] * 8),
+    _add_one,
+    np.int64,
+)
+FIELD_CASES = [  # (test id, field, case)
+    *((f"{cls.__name__}.{name}", name, case) for (cls, name), case in CASES.items()),
+    ("FeasibilityResult.witness_counts-integer", "witness_counts", INTEGER_WITNESS_COUNTS),
+]
+PARAMS = [pytest.param(name, case, id=case_id) for case_id, name, case in FIELD_CASES]
 
 
 def _array_fields():
@@ -134,9 +146,8 @@ def test_every_array_field_is_in_the_table():
     assert all(issubclass(cls, ArrayValue) for cls, _ in CASES)
 
 
-@pytest.mark.parametrize(("cls", "name"), list(CASES), ids=IDS)
-def test_equal_inputs_are_equal_with_equal_hashes(cls, name):
-    case = CASES[cls, name]
+@pytest.mark.parametrize(("name", "case"), PARAMS)
+def test_equal_inputs_are_equal_with_equal_hashes(name, case):
     value = case.build(case.valid())
     assert value == case.build(case.valid())
     assert hash(value) == hash(case.build(case.valid()))
@@ -146,25 +157,22 @@ def test_equal_inputs_are_equal_with_equal_hashes(cls, name):
     assert hash(value) == hash(case.build(negative_zeros))
 
 
-@pytest.mark.parametrize(("cls", "name"), list(CASES), ids=IDS)
-def test_a_changed_entry_breaks_equality(cls, name):
-    case = CASES[cls, name]
+@pytest.mark.parametrize(("name", "case"), PARAMS)
+def test_a_changed_entry_breaks_equality(name, case):
     changed = case.valid()
     case.change(changed)
     assert case.build(case.valid()) != case.build(changed)
 
 
-@pytest.mark.parametrize(("cls", "name"), list(CASES), ids=IDS)
-def test_other_objects_are_not_equal(cls, name):
-    case = CASES[cls, name]
+@pytest.mark.parametrize(("name", "case"), PARAMS)
+def test_other_objects_are_not_equal(name, case):
     value = case.build(case.valid())
     assert (value == object()) is False
     assert value != object()
 
 
-@pytest.mark.parametrize(("cls", "name"), list(CASES), ids=IDS)
-def test_the_field_is_a_read_only_copy(cls, name):
-    case = CASES[cls, name]
+@pytest.mark.parametrize(("name", "case"), PARAMS)
+def test_the_field_is_a_read_only_copy(name, case):
     caller = case.valid()
     stored = getattr(case.build(caller), name)
     assert stored.dtype == case.dtype
@@ -198,8 +206,8 @@ BAD_INTEGER = {
     "int8-overflow": (_with_first(300, np.int64), (np.int8,)),
 }
 BAD_CASES = [
-    pytest.param(key, make, id=f"{key[0].__name__}.{key[1]}-{bad}")
-    for key, case in CASES.items()
+    pytest.param(case, make, id=f"{case_id}-{bad}")
+    for case_id, _, case in FIELD_CASES
     for bad, make in [
         *BAD.items(),
         *((bad, make) for bad, (make, dtypes) in BAD_INTEGER.items() if case.dtype in dtypes),
@@ -207,9 +215,8 @@ BAD_CASES = [
 ]
 
 
-@pytest.mark.parametrize(("key", "make"), BAD_CASES)
-def test_bad_arrays_are_domain_errors_without_warnings(key, make):
-    case = CASES[key]
+@pytest.mark.parametrize(("case", "make"), BAD_CASES)
+def test_bad_arrays_are_domain_errors_without_warnings(case, make):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(case.error):
