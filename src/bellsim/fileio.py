@@ -52,7 +52,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from dataclasses import astuple
+from dataclasses import astuple, fields
 from pathlib import Path
 from typing import Any, BinaryIO
 
@@ -63,7 +63,7 @@ from .core import CANONICAL_CONTEXTS, OUTCOME_PAIRS, Context, ContextDataset, Ex
 from .errors import ConfigError
 from .lhv import MixtureModel, model_from_mapping
 from .quantum import DensityMatrix
-from .stats import StudyResult
+from .stats import StudyResult, StudyRow
 from .weak import PointerRun
 
 __all__ = [
@@ -83,7 +83,7 @@ __all__ = [
 
 BUNDLE_HEADER = "trial,context_i,context_j,a,b"
 RECORDS_HEADER = "trial,rA1,rA2,rB1,rB2,bvalue"
-CURVE_HEADER = "n,trials,frequency,ci_lo,ci_hi,mean_s,sd_s,z"  # StudyRow's fields, in order
+CURVE_HEADER = ",".join(field.name for field in fields(StudyRow))  # the curve columns: StudyRow's fields, in order
 
 def _data_lines(path: Path) -> list[str]:
     """The stripped lines that are neither blank nor comments, broken at ``\\n``, ``\\r\\n`` and ``\\r`` only."""

@@ -1,42 +1,40 @@
 """Finite-sample violation studies: how often does S-hat exceed the bound?
 
-Repeats bundle generation many times under a fixed generator, counts how
-often the S estimate strictly exceeds a threshold (default 2), and reports
-the frequency with a Wilson interval plus the z-score (mean - threshold) / sd
-of the per-trial estimates.  At the local boundary (exact S = 2 with nonzero
-estimator variance) the violation frequency sits at one half up to the tie
-atom of the discrete estimator; below the boundary it decays to zero as the
-per-context sample size grows; for quantum generators above the bound the
-z-score grows like sqrt(n).
+One ``ViolationStudy`` describes one row: a generator with a known exact S,
+the per-context sample size n, the trial count, the seed, the threshold
+(default 2) and the mode.  Its construction checks every setting but the seed.
+``violation_frequency`` runs one study; ``significance_curve`` runs one per n,
+on the seed (seed, "curve-n", n).  A row reports how often S-hat strictly
+exceeds the threshold, with a Wilson interval, and the z-score
+(mean - threshold) / sd of the per-trial estimates.  At the local boundary
+(exact S = 2, nonzero estimator variance) the frequency sits at one half up to
+the tie atom of the discrete estimator; below it the frequency decays to zero
+as n grows; for quantum generators above the bound the z-score grows like
+sqrt(n).
 
-A trial's S-hat depends only on four integers, the per-context counts K_c of
-pairs with a*b = +1: S-hat = sum of sign_c * (2 K_c - n) / n.  So a trial
-draws those counts from the same per-context streams its source's bundle
-sampler draws, without building the pairs, and the S-hat is bitwise the
-``s_statistic`` of that bundle.
+A trial's S-hat depends only on the four per-context counts K_c of pairs with
+a*b = +1: S-hat = sum of sign_c * (2 K_c - n) / n.  A trial draws those counts
+on the per-context streams of its source's bundle sampler, without building
+the pairs, so its S-hat is bitwise the ``s_statistic`` of that bundle.  Trial
+seeds derive from (study seed, "trial", index) and per-context seeds from the
+trial seed, so results are identical under any schedule.  A row seeds and
+counts ``TRIAL_BLOCK`` trials per ``plus_counts`` call (bitwise the per-trial
+streams: see ``bellsim.rng`` and ``core.BLOCK_VALUES``), then computes its
+S-hats and exact margins from all its counts at once.
 
-Per-trial seeds derive from (master seed, "trial", trial index) and
-per-context seeds from the trial seed, so results are identical under any
-parallel schedule.  A row runs its trials in blocks of ``TRIAL_BLOCK``: one
-``plus_counts`` call seeds and counts a whole block (see ``bellsim.rng`` for
-the bulk seeding, bitwise that of ``derive_seed`` and ``default_rng``).  It
-draws one context's streams into the rows of a reused buffer of at most 1 MiB
-(``core.BLOCK_VALUES``) and compares each run edge once per buffer, so the
-streams and the counts are those of the per-trial bundles.  The row's S-hats
-and exact margins are computed from all its counts at once.
-Violation counting is sign-resolved by default: the estimate is compared on
-the side of the generator's exact S (S-hat > 2 for positive exact S,
--S-hat > 2 for negative); "absolute" mode uses |S-hat| instead.  The
+Counting is sign-resolved by default: S-hat is compared on the side of the
+exact S (-S-hat for negative exact S); "absolute" mode uses |S-hat|.  The
 comparison is exact: n * S-hat = 2 (K_11 + K_12 + K_21 - K_22) - 2n is an
 integer, and a trial violates iff it exceeds floor(threshold * n), so a tie
-(S-hat equal to the threshold) never counts, however the float S-hat rounds.
-The mean, sd and z-score are computed from the float S-hat.
+never counts, however the float S-hat rounds.  The mean, sd and z-score use
+the float S-hat.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -64,7 +62,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BundleGenerator:
-    """A named source of four-context experiments with a known exact S.
+    """A source of four-context experiments with a known exact S.
 
     A trial needs only its four counts of pairs with a*b = +1 per context, in
     canonical order, of the bundle the source's sampler would draw from the
@@ -73,7 +71,6 @@ class BundleGenerator:
     them for a block of trials at once, one 4-tuple per seed.
     """
 
-    label: str
     exact_s: float
     plus_counts: PlusCounts
 
@@ -81,25 +78,25 @@ class BundleGenerator:
 def generator_from_lhv(model: MixtureModel) -> BundleGenerator:
     """Trials on the streams of ``sample_bundle(model, ...)``; the laws are built once per generator."""
     plus_counts = context_plus_counts(model_laws(model), "lhv-context")
-    return BundleGenerator(f"lhv:{model.name}", exact_lhv_s(model), plus_counts)
+    return BundleGenerator(exact_lhv_s(model), plus_counts)
 
 
 def generator_from_quantum(rho: DensityMatrix, angles: AngleQuadruple) -> BundleGenerator:
     """Born sampling at the given angles, on the streams of ``sample_bundle_quantum``."""
     laws = behavior_laws(behavior_from_quantum(rho, angles))
     plus_counts = context_plus_counts(laws, "quantum-context")
-    return BundleGenerator("quantum", s_quantum(rho, angles), plus_counts)
+    return BundleGenerator(s_quantum(rho, angles), plus_counts)
 
 
 def generator_from_behavior(behavior: Behavior) -> BundleGenerator:
     """Trials on the streams of ``sample_bundle_from_behavior(behavior, ...)``."""
     plus_counts = context_plus_counts(behavior_laws(behavior), "behavior-context")
-    return BundleGenerator("behavior", behavior_s(behavior), plus_counts)
+    return BundleGenerator(behavior_s(behavior), plus_counts)
 
 
 @dataclass(frozen=True)
 class ViolationStudy:
-    """Specification of one violation-frequency experiment."""
+    """One violation-frequency experiment, a row of a study; checks n, threshold, mode and trials, in that order."""
 
     generator: BundleGenerator
     n_per_context: int
@@ -110,16 +107,11 @@ class ViolationStudy:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_per_context", sample_size(self.n_per_context))
-        object.__setattr__(self, "trials", _check_study(self.trials, self.threshold, self.mode))
-
-
-def _check_study(trials: int, threshold: float, mode: str) -> int:
-    """Check the settings a study and a curve share; returns trials as a Python int."""
-    if not (finite_real(threshold) and threshold > 0):
-        raise ConfigError(f"threshold must be finite and positive, got {threshold}")
-    if mode not in ("signed", "absolute"):
-        raise ConfigError(f"mode must be 'signed' or 'absolute', got {mode!r}")
-    return sample_size(trials, "trials")
+        if not (finite_real(self.threshold) and self.threshold > 0):
+            raise ConfigError(f"threshold must be finite and positive, got {self.threshold}")
+        if self.mode not in ("signed", "absolute"):
+            raise ConfigError(f"mode must be 'signed' or 'absolute', got {self.mode!r}")
+        object.__setattr__(self, "trials", sample_size(self.trials, "trials"))
 
 
 @dataclass(frozen=True)
@@ -166,7 +158,9 @@ class StudyResult:
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
-    """Wilson score interval (95%) for a binomial proportion."""
+    """Wilson score interval (95%) for a binomial proportion; both counts are integers of any integer type."""
+    if not all(isinstance(k, numbers.Integral) and not isinstance(k, bool) for k in (successes, trials)):
+        raise DomainError(f"successes and trials must be integers, got {successes!r} and {trials!r}")
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     if not 0 <= successes <= trials:
@@ -209,29 +203,21 @@ def _signed_values(s_values: np.ndarray, exact_s: float, mode: str) -> np.ndarra
     return s_values if exact_s >= 0 else -s_values
 
 
-def _run_row(
-    generator: BundleGenerator,
-    n_per_context: int,
-    trials: int,
-    threshold: float,
-    seed: int,
-    mode: str,
-) -> StudyRow:
+def _run_row(study: ViolationStudy) -> StudyRow:
+    n, trials, threshold, exact_s = study.n_per_context, study.trials, study.threshold, study.generator.exact_s
     plus = np.empty((trials, 4), dtype=np.int64)
     for start in range(0, trials, TRIAL_BLOCK):
-        seeds = derive_seeds([seed], ("trial",), range(start, min(start + TRIAL_BLOCK, trials)))
-        plus[start : start + len(seeds)] = generator.plus_counts(n_per_context, seeds)
-    s_values = s_from_counts(zip(plus.T, (n_per_context,) * 4))
-    margins = 2 * chsh_sum(plus.T) - 2 * n_per_context  # n * S-hat, an exact integer
+        seeds = derive_seeds([study.seed], ("trial",), range(start, min(start + TRIAL_BLOCK, trials)))
+        plus[start : start + len(seeds)] = study.generator.plus_counts(n, seeds)
+    s_values = s_from_counts(zip(plus.T, (n,) * 4))
+    margins = 2 * chsh_sum(plus.T) - 2 * n  # n * S-hat, an exact integer
     # n * S-hat > n * threshold, decided in integers so that a tie never counts,
     # however the float S-hat rounds: with threshold = num / den exactly, the
     # limit is floor(num * n / den); |n * S-hat| <= 4n bounds it
     num, den = float(threshold).as_integer_ratio()
-    limit = min(num * n_per_context // den, 4 * n_per_context)
-    violations = int((_signed_values(margins, generator.exact_s, mode) > limit).sum())
-    resolved = _signed_values(s_values, generator.exact_s, mode)
-    frequency = violations / trials
-    ci_lo, ci_hi = wilson_interval(violations, trials)
+    limit = min(num * n // den, 4 * n)
+    violations = int((_signed_values(margins, exact_s, study.mode) > limit).sum())
+    resolved = _signed_values(s_values, exact_s, study.mode)
     mean_s = float(resolved.mean())
     sd_s = float(resolved.std(ddof=1)) if trials > 1 else 0.0
     if sd_s > 0:
@@ -240,20 +226,12 @@ def _run_row(
         z = 0.0
     else:
         z = math.copysign(math.inf, mean_s - threshold)
-    return StudyRow(n_per_context, trials, frequency, ci_lo, ci_hi, mean_s, sd_s, float(z))
+    return StudyRow(n, trials, violations / trials, *wilson_interval(violations, trials), mean_s, sd_s, float(z))
 
 
 def violation_frequency(study: ViolationStudy) -> StudyResult:
     """Fraction of trials whose sign-resolved S-hat strictly exceeds the threshold; ties never count."""
-    row = _run_row(
-        study.generator,
-        study.n_per_context,
-        study.trials,
-        study.threshold,
-        study.seed,
-        study.mode,
-    )
-    return StudyResult((row,))
+    return StudyResult((_run_row(study),))
 
 
 def significance_curve(
@@ -264,18 +242,17 @@ def significance_curve(
     threshold: float = 2.0,
     mode: str = "signed",
 ) -> StudyResult:
-    """Violation frequency and z-score per sample size; n_values must ascend.
-
-    The result's summary properties read the largest n (the last row).
-    """
-    n_values = [sample_size(n, "each n") for n in n_values]
+    """Violation frequency and z-score per sample size; n_values must ascend, and the summary reads the last row."""
+    try:
+        n_values = [sample_size(n, "each n") for n in n_values]
+    except TypeError:  # not iterable; sample_size raises only ConfigError
+        raise ConfigError(f"n_values must be a sequence of integers, got {type(n_values).__name__}") from None
     if not n_values:
         raise ConfigError("n_values must be nonempty")
     if n_values != sorted(n_values) or len(set(n_values)) != len(n_values):
         raise ConfigError(f"n_values must be strictly ascending, got {n_values}")
-    trials = _check_study(trials, threshold, mode)
-    rows = tuple(
-        _run_row(generator, n, trials, threshold, derive_seed(seed, "curve-n", n), mode)
-        for n in n_values
+    # one study per n, on the seed (seed, "curve-n", n); the first n's study checks the settings before the seed
+    study = ViolationStudy(generator, n_values[0], trials, seed, threshold, mode)
+    return StudyResult(
+        tuple(_run_row(replace(study, n_per_context=n, seed=derive_seed(seed, "curve-n", n))) for n in n_values)
     )
-    return StudyResult(rows)

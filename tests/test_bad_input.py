@@ -204,6 +204,48 @@ def test_significance_curve_rejects_unknown_mode():
         significance_curve(generator_from_lhv(MODEL), [10], 5, 1, mode="sideways")
 
 
+@pytest.mark.parametrize(
+    ("n_values", "trials", "seed", "threshold", "mode", "message"),
+    [
+        ([10], 5, "x", 2.0, "signed", "seed must be an integer"),
+        ([10], 5, "x", -1.0, "signed", "threshold must be finite and positive"),
+        ([10], 0, "x", 2.0, "signed", "trials must be an integer >= 1"),
+        ([10], 5, None, 2.0, "sideways", "mode must be 'signed' or 'absolute'"),
+        ([10], 0, 1, float("nan"), "sideways", "threshold must be finite and positive"),
+        ([10], 2.5, 1, 2.0, "sideways", "mode must be 'signed' or 'absolute'"),
+        ([10, 0], 0, "x", -1.0, "sideways", "each n must be an integer >= 1"),
+        ([], 0, "x", -1.0, "sideways", "n_values must be nonempty"),
+        ([20, 10], 0, True, -1.0, "signed", "n_values must be strictly ascending"),
+        (10, 0, "x", -1.0, "signed", "n_values must be a sequence of integers"),
+        (None, 5, 1, 2.0, "signed", "n_values must be a sequence of integers"),
+    ],
+    ids=["seed", "seed-threshold", "seed-trials", "seed-mode", "threshold-mode-trials", "mode-trials",
+         "n-and-all", "empty-and-all", "descending-and-all", "scalar-and-all", "none"],
+)
+def test_curve_reports_the_first_bad_setting(n_values, trials, seed, threshold, mode, message):
+    # n values first, then threshold, mode and trials, and the seed last
+    with pytest.raises(ConfigError, match=message):
+        significance_curve(generator_from_lhv(MODEL), n_values, trials, seed, threshold, mode)
+
+
+@pytest.mark.parametrize(
+    ("n", "trials", "threshold", "mode", "message"),
+    [
+        (0, 0, -1.0, "sideways", "n_per_context must be an integer >= 1"),
+        (10, 0, -1.0, "sideways", "threshold must be finite and positive"),
+        (10, 0, 2.0, "sideways", "mode must be 'signed' or 'absolute'"),
+        (10, 0, 2.0, "signed", "trials must be an integer >= 1"),
+    ],
+    ids=["n-and-all", "threshold-mode-trials", "mode-trials", "trials"],
+)
+def test_study_reports_the_first_bad_setting_and_the_seed_when_run(n, trials, threshold, mode, message):
+    generator = generator_from_lhv(MODEL)
+    with pytest.raises(ConfigError, match=message):
+        ViolationStudy(generator, n, trials, "x", threshold, mode)
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        violation_frequency(ViolationStudy(generator, 10, 5, "x"))
+
+
 BEHAVIOR_LINES = ["context 1 1 = 0.5 0 0 0.5", "context 1 2 = 0.5 0 0 0.5",
                   "context 2 1 = 0.5 0 0 0.5", "context 2 2 = 0 0.5 0.5 0"]
 COUNT_LINES = ["counts 1 1 = 5 0 0 5", "counts 1 2 = 5 0 0 5",

@@ -5,6 +5,9 @@ constant behind.  A constant (an UPPER_CASE name) listed in ``__all__`` is
 public and exempt; reads in tests do not count.  ``__init__.py`` is exempt
 from the import check: its imports are the package's re-exports.  And
 ``import bellsim.cli`` loads no ``numpy`` module that ``import numpy`` does not.
+
+Every dataclass field is read as well: its name is loaded as an attribute, or
+its class is named in a ``fields(...)`` call.
 """
 
 import ast
@@ -166,6 +169,62 @@ def test_every_constant_is_read(path):
 def test_unread_constants_cases(sources, unread):
     package = [ast.parse(source) for source in sources]
     assert unread_constants(package[0], package) == unread
+
+
+def _is_named(node: ast.expr, name: str) -> bool:
+    """Whether an expression is ``name`` or an attribute ``name`` of anything."""
+    return isinstance(node, ast.Name) and node.id == name or isinstance(node, ast.Attribute) and node.attr == name
+
+
+def dataclass_fields(tree: ast.Module) -> set[tuple[str, str]]:
+    """(class, field) for each annotated field of each top-level class decorated with ``dataclass``."""
+    return {(node.name, item.target.id) for node in tree.body if isinstance(node, ast.ClassDef)
+            and any(_is_named(d.func if isinstance(d, ast.Call) else d, "dataclass") for d in node.decorator_list)
+            for item in node.body if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)}
+
+
+def unread_fields(tree: ast.Module, package: list[ast.Module]) -> list[str]:
+    """The module's dataclass fields, as ``Class.field``, that no module of the package reads.
+
+    A field is read when its name is loaded as an attribute, or when its class
+    is named in a ``fields(...)`` call; reads outside the package do not count.
+    """
+    nodes = [node for module in package for node in ast.walk(module)]
+    attributes = {node.attr for node in nodes if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    classes = {node.args[0].id for node in nodes if isinstance(node, ast.Call) and _is_named(node.func, "fields")
+               and node.args and isinstance(node.args[0], ast.Name)}
+    return sorted(f"{cls}.{field}" for cls, field in dataclass_fields(tree)
+                  if field not in attributes and cls not in classes)
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_every_field_is_read(path):
+    package = [ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE]
+    assert unread_fields(package[PACKAGE.index(path)], package) == []
+
+
+DATACLASS = "from dataclasses import dataclass\n@dataclass(frozen=True)\nclass Row:\n    n: int\n    z: float = 0.0\n"
+
+
+@pytest.mark.parametrize(
+    ("sources", "unread"),
+    [
+        ([DATACLASS], ["Row.n", "Row.z"]),
+        (["import dataclasses\n@dataclasses.dataclass\nclass Row:\n    n: int\n"], ["Row.n"]),
+        ([DATACLASS, "row.n = 1\nz = 2\nprint(z)\n"], ["Row.n", "Row.z"]),
+        ([DATACLASS, "def f(row):\n    return row.n\n"], ["Row.z"]),
+        ([DATACLASS + "    def g(self):\n        return self.z\n", "from . import a\na.Row(1).n\n"], []),
+        ([DATACLASS, "from dataclasses import fields\nfields(Row)\n"], []),
+        ([DATACLASS, "import dataclasses\ndataclasses.fields(Row)\n"], []),
+        ([DATACLASS, "from dataclasses import fields\nfields(row)\n"], ["Row.n", "Row.z"]),
+        (["class Plain:\n    n: int\ndef f():\n    @dataclass\n    class Local:\n        n: int\n"], []),
+    ],
+    ids=["unread", "module-attribute-decorator", "stored-or-name-only", "one-read", "read-in-method-and-module",
+         "fields-call", "dataclasses-fields-call", "fields-of-another-name", "not-a-top-level-dataclass"],
+)
+def test_unread_fields_cases(sources, unread):
+    package = [ast.parse(source) for source in sources]
+    assert unread_fields(package[0], package) == unread
 
 
 def loaded_numpy_modules(statement: str) -> set[str]:

@@ -79,6 +79,17 @@ class TestWilson:
         with pytest.raises(DomainError):
             wilson_interval(11, 10)
 
+    @pytest.mark.parametrize(
+        "successes,trials", [(1.5, 3), (True, 3), ("1", 3), (1, 3.0), (1, True), (None, 3)],
+        ids=["float", "bool", "text", "float-trials", "bool-trials", "none"],
+    )
+    def test_counts_must_be_integers(self, successes, trials):
+        with pytest.raises(DomainError, match="successes and trials must be integers"):
+            wilson_interval(successes, trials)
+
+    def test_numpy_integer_counts_match_python_ints(self):
+        assert wilson_interval(np.int64(1), np.int32(3)) == wilson_interval(1, 3)
+
 
 class TestStandardError:
     def test_zero_correlation_four_contexts(self):
@@ -205,6 +216,9 @@ class TestSignificanceCurve:
             significance_curve(BOUNDARY, [100, 50], trials=10, seed=1)
         with pytest.raises(ConfigError):
             significance_curve(BOUNDARY, [100, 100], trials=10, seed=1)
+        for n_values in (10, None):
+            with pytest.raises(ConfigError, match="n_values must be a sequence of integers"):
+                significance_curve(BOUNDARY, n_values, trials=10, seed=1)
 
 
 def random_mixture(rng):
@@ -292,7 +306,7 @@ class TestCountPath:
             (2.0, "absolute", lambda n, seeds: [(0, k_of[s], 0, k_of[s]) for s in seeds], n + 1, 0.0),
         ]
         for exact_s, mode, plus_counts, trials, frequency in cases:
-            study = ViolationStudy(BundleGenerator("tie", exact_s, plus_counts), n, trials, 7, mode=mode)
+            study = ViolationStudy(BundleGenerator(exact_s, plus_counts), n, trials, 7, mode=mode)
             assert violation_frequency(study).violation_frequency == frequency
 
     def test_some_float_ties_round_above_the_threshold(self):
@@ -340,6 +354,23 @@ class TestTrialBlocks:
             expected = StudyRow(n, trials, violations / trials, *wilson_interval(violations, trials), mean_s, sd_s, z)
             result = significance_curve(generator, [n], trials, seed, threshold, mode)
             assert result.rows == (expected,)
+
+
+class TestOneStudyPerRow:
+    """A curve runs one ViolationStudy per n, on the seed (seed, "curve-n", n)."""
+
+    @pytest.mark.parametrize("mode", ["signed", "absolute"])
+    @pytest.mark.parametrize(
+        "generator",
+        [BOUNDARY, generator_from_lhv(NINE_ARCS), SINGLET, generator_from_behavior(pr_box())],
+        ids=["lhv", "lhv-negative", "quantum", "behavior"],
+    )
+    def test_each_row_is_one_violation_study(self, generator, mode):
+        n_values, trials, seed, threshold = [7, 30, 120], 40, 11, 1.5
+        result = significance_curve(generator, n_values, trials, seed, threshold, mode)
+        studies = [ViolationStudy(generator, n, trials, derive_seed(seed, "curve-n", n), threshold, mode)
+                   for n in n_values]
+        assert result.rows == tuple(violation_frequency(study).rows[0] for study in studies)
 
 
 class TestWilsonCoverage:
