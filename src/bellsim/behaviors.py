@@ -17,7 +17,7 @@ import numpy as np
 from .core import CANONICAL_CONTEXTS, OUTCOME_PAIRS, PAIR_PRODUCTS, Context, ContextLaw, ExperimentBundle
 from .core import ArrayValue, chsh_sum, fixed_sum, frozen_array, outcome_codes, sample_contexts
 from .errors import DomainError
-from .quantum import AngleQuadruple, DensityMatrix, born_probabilities
+from .quantum import AngleQuadruple, DensityMatrix, context_born_probabilities
 
 __all__ = [
     "Behavior",
@@ -103,11 +103,7 @@ def no_signaling(behavior: Behavior) -> SignalingReport:
 
 def behavior_from_quantum(rho: DensityMatrix, angles: AngleQuadruple) -> Behavior:
     """Born distributions of the four contexts at the given setting angles."""
-    rows = [
-        born_probabilities(rho, angles.alice(context.alice), angles.bob(context.bob))
-        for context in CANONICAL_CONTEXTS
-    ]
-    return Behavior(np.clip(np.vstack(rows), 0.0, None))
+    return Behavior(np.clip(context_born_probabilities(rho, angles), 0.0, None))
 
 
 def behavior_from_bundle(bundle: ExperimentBundle) -> Behavior:

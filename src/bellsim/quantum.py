@@ -3,9 +3,9 @@
 Every angle here is a Bloch-sphere (spin) angle in the z-x plane:
 A(theta) = cos(theta) sigma_z + sin(theta) sigma_x, with eigenvalues +/-1.
 A photon polarizer angle is half its Bloch angle, so the CLI doubles photon
-(polarizer) angles before they reach this module.  Per-context expectations
-are trace values Tr(rho A_i x B_j); S composes four of them with the
-canonical signs.
+(polarizer) angles first.  Expectations and Born probabilities are traces
+Tr(rho A x B), and each call evaluates its traces as one stack, in one
+matmul; S composes four expectations with the canonical signs.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ __all__ = [
     "TSIRELSON_ANGLES",
     "TSIRELSON_BOUND",
     "born_probabilities",
+    "context_born_probabilities",
     "correlation_block",
     "expectation",
     "observable",
@@ -42,7 +43,6 @@ TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-IDENTITY_2 = np.eye(2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,9 +62,7 @@ class DensityMatrix(ArrayValue):
             raise DomainError(f"trace must be 1, got {trace!r}")
         eigenvalues = np.linalg.eigvalsh(m)
         if float(eigenvalues.min()) < PSD_TOL:
-            raise DomainError(
-                f"matrix is not positive semidefinite: min eigenvalue {eigenvalues.min():.3e}"
-            )
+            raise DomainError(f"matrix is not positive semidefinite: min eigenvalue {eigenvalues.min():.3e}")
         hermitian = (m + m.conj().T) / 2  # the drift HERMITIAN_TOL admits would make traces complex
         hermitian.setflags(write=False)
         object.__setattr__(self, "matrix", hermitian)
@@ -127,38 +125,52 @@ def observable(angle: float) -> np.ndarray:
     return math.cos(angle) * SIGMA_Z + math.sin(angle) * SIGMA_X
 
 
-def _local_trace(rho: DensityMatrix, a: np.ndarray, b: np.ndarray, name: str) -> float:
-    """Tr(rho a x b) for Hermitian 2x2 a and b; an imaginary residue over 1e-12 is a DomainError naming ``name``."""
-    value = complex(np.trace(rho.matrix @ np.kron(a, b)))
-    if abs(value.imag) > 1e-12:
-        raise DomainError(f"{name} has imaginary residue {value.imag:.3e}")
-    return value.real
+def _traces(rho: DensityMatrix, a: np.ndarray, b: np.ndarray, name: str) -> np.ndarray:
+    """Tr(rho a x b) over broadcast (..., 2, 2) stacks of Hermitian a and b, as one stacked matmul.
+
+    An imaginary residue over 1e-12 anywhere in the stack is a DomainError naming ``name``.
+    """
+    outer = a[..., :, None, :, None] * b[..., None, :, None, :]  # entry (i, k, j, l) is the single product a_ij b_kl
+    values = np.trace(rho.matrix @ outer.reshape(*outer.shape[:-4], 4, 4), axis1=-2, axis2=-1)
+    if (residue := np.abs(values.imag)).max() > 1e-12:
+        raise DomainError(f"{name} has imaginary residue {values.imag.flat[residue.argmax()]:.3e}")
+    return values.real.copy()  # contiguous, so the SVD and matmuls that read it take their contiguous-input kernels
+
+
+def _born(rho: DensityMatrix, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Born rows over ``OUTCOME_PAIRS`` for stacks of observables a and b, from the projectors (I + s A) / 2."""
+    alice, bob = ((np.eye(2) + s[:, None, None] * m[..., None, :, :]) / 2.0 for s, m in zip(OUTCOME_PAIRS.T, (a, b)))
+    probs = _traces(rho, alice, bob, "Born probability")
+    for row in probs.reshape(-1, 4):  # the first invalid row raises
+        if row.min() < -1e-12 or abs(row.sum() - 1.0) > 1e-12:
+            raise DomainError(f"Born probabilities invalid: min {row.min():.3e}, sum {float(row.sum())}")
+    return probs
+
+
+def _context_observables(angles: AngleQuadruple) -> np.ndarray:
+    """The (4, 2, 2) stacks of A and of B in canonical context order, as one (2, 4, 2, 2) array."""
+    alice, bob = [observable(angles.a1), observable(angles.a2)], [observable(angles.b1), observable(angles.b2)]
+    return np.array([[alice[c.alice - 1], bob[c.bob - 1]] for c in CANONICAL_CONTEXTS]).swapaxes(0, 1)
 
 
 def expectation(rho: DensityMatrix, alice_angle: float, bob_angle: float) -> float:
     """Tr(rho A(alice_angle) x B(bob_angle)); real, in [-1, 1]."""
-    return _local_trace(rho, observable(alice_angle), observable(bob_angle), "expectation")
+    return float(_traces(rho, observable(alice_angle), observable(bob_angle), "expectation"))
 
 
 def born_probabilities(rho: DensityMatrix, alice_angle: float, bob_angle: float) -> np.ndarray:
     """Outcome-pair probabilities over (+,+), (+,-), (-,+), (-,-)."""
-    a = observable(alice_angle)
-    b = observable(bob_angle)
-    probs = np.empty(4)
-    for k, (sa, sb) in enumerate(OUTCOME_PAIRS):
-        probs[k] = _local_trace(rho, (IDENTITY_2 + sa * a) / 2.0, (IDENTITY_2 + sb * b) / 2.0, "Born probability")
-    if probs.min() < -1e-12 or abs(probs.sum() - 1.0) > 1e-12:
-        raise DomainError(
-            f"Born probabilities invalid: min {probs.min():.3e}, sum {float(probs.sum())}"
-        )
-    return probs
+    return _born(rho, observable(alice_angle), observable(bob_angle))
+
+
+def context_born_probabilities(rho: DensityMatrix, angles: AngleQuadruple) -> np.ndarray:
+    """``born_probabilities`` of the four canonical contexts as (4, 4) rows; the first invalid context raises."""
+    return _born(rho, *_context_observables(angles))
 
 
 def s_quantum(rho: DensityMatrix, angles: AngleQuadruple) -> float:
     """S = E(a1,b1) + E(a1,b2) + E(a2,b1) - E(a2,b2) for the quantum coupling."""
-    total = chsh_sum(
-        [expectation(rho, angles.alice(c.alice), angles.bob(c.bob)) for c in CANONICAL_CONTEXTS]
-    ) + 0.0
+    total = chsh_sum(_traces(rho, *_context_observables(angles), "expectation").tolist()) + 0.0
     if abs(total) > TSIRELSON_BOUND + 1e-9:
         raise DomainError(f"|S| = {abs(total)!r} exceeds 2*sqrt(2); state is invalid")
     return total
@@ -170,8 +182,7 @@ def sample_bundle_quantum(
     """Per-context i.i.d. draws from the Born distribution; deterministic given seed."""
     from .behaviors import behavior_from_quantum, sample_bundle_from_behavior  # imports this module
 
-    behavior = behavior_from_quantum(rho, angles)
-    return sample_bundle_from_behavior(behavior, n_per_context, seed, "quantum-context")
+    return sample_bundle_from_behavior(behavior_from_quantum(rho, angles), n_per_context, seed, "quantum-context")
 
 
 def correlation_block(rho: DensityMatrix) -> np.ndarray:
@@ -180,8 +191,8 @@ def correlation_block(rho: DensityMatrix) -> np.ndarray:
     E(a, b) = [cos a, sin a] T [cos b, sin b]^T, so S over the four angles is a
     bilinear form in unit vectors, maximized in closed form from T's SVD.
     """
-    paulis = (SIGMA_Z, SIGMA_X)
-    return np.array([[_local_trace(rho, sp, sq, "correlation") for sq in paulis] for sp in paulis])
+    paulis = np.array([SIGMA_Z, SIGMA_X])
+    return _traces(rho, paulis[:, None], paulis[None, :], "correlation")
 
 
 def optimize_angles(

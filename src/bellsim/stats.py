@@ -96,7 +96,7 @@ def generator_from_behavior(behavior: Behavior) -> BundleGenerator:
 
 @dataclass(frozen=True)
 class ViolationStudy:
-    """One violation-frequency experiment, a row of a study; checks n, threshold, mode and trials, in that order."""
+    """One violation-frequency experiment, a row of a study; checks n, threshold, mode, trials, then generator."""
 
     generator: BundleGenerator
     n_per_context: int
@@ -112,6 +112,8 @@ class ViolationStudy:
         if self.mode not in ("signed", "absolute"):
             raise ConfigError(f"mode must be 'signed' or 'absolute', got {self.mode!r}")
         object.__setattr__(self, "trials", sample_size(self.trials, "trials"))
+        if not isinstance(self.generator, BundleGenerator):
+            raise ConfigError(f"generator must be a BundleGenerator, got {type(self.generator).__name__}")
 
 
 @dataclass(frozen=True)

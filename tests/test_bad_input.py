@@ -357,6 +357,27 @@ def test_study_trials_must_be_a_positive_integer(trials):
         significance_curve(generator, [10], trials, 1)
 
 
+@pytest.mark.parametrize(
+    ("run", "message"),
+    [
+        (lambda: significance_curve(None, [10], 5, 1), "got NoneType"),
+        (lambda: violation_frequency(ViolationStudy("x", 10, 5, 1)), "got str"),
+    ],
+    ids=["curve", "study"],
+)
+def test_generator_must_be_a_bundle_generator(run, message):
+    with pytest.raises(ConfigError, match=f"generator must be a BundleGenerator, {message}"):
+        run()
+
+
+def test_generator_is_checked_after_the_other_settings():
+    # after n, threshold, mode and trials, so the error-order tests above keep their messages
+    with pytest.raises(ConfigError, match="trials must be an integer >= 1"):
+        ViolationStudy(None, 10, 0, 1)
+    with pytest.raises(ConfigError, match="each n must be an integer >= 1"):
+        significance_curve(None, [0], 5, 1)
+
+
 @pytest.mark.parametrize("threshold", ["2", None, [2.0], complex(2.0, 0.0)])
 def test_study_threshold_must_be_a_number(threshold):
     generator = generator_from_lhv(MODEL)

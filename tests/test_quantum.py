@@ -1,11 +1,14 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellsim.core import CANONICAL_CONTEXTS, CHSH_SIGNS, s_statistic
+from bellsim import quantum
+from bellsim.behaviors import behavior_from_quantum
+from bellsim.core import CANONICAL_CONTEXTS, CHSH_SIGNS, OUTCOME_PAIRS, chsh_sum, s_statistic
 from bellsim.errors import ConfigError, DomainError
 from bellsim.quantum import (
     TSIRELSON_ANGLES,
@@ -311,3 +314,96 @@ def test_born_sampling_matches_the_per_context_reference():
             assert np.array_equal(dataset.pairs, OUTCOME_PAIRS[draws])
         from_generator = generator_from_quantum(rho, angles).plus_counts(n, [seed])
         assert from_generator == [tuple(plus_count(d) for d in bundle.datasets)]
+
+
+# The per-trace code that the stacked traces replaced: one np.kron, one 2-D matmul and one trace per value.
+def reference_trace(rho, a, b):
+    value = complex(np.trace(rho.matrix @ np.kron(a, b)))
+    assert abs(value.imag) <= 1e-12
+    return value.real
+
+
+def reference_born(rho, alice_angle, bob_angle):
+    a, b = observable(alice_angle), observable(bob_angle)
+    probs = np.empty(4)
+    for k, (sa, sb) in enumerate(OUTCOME_PAIRS):
+        probs[k] = reference_trace(rho, (np.eye(2) + sa * a) / 2.0, (np.eye(2) + sb * b) / 2.0)
+    return probs
+
+
+def reference_context_born(rho, angles):
+    return [reference_born(rho, angles.alice(c.alice), angles.bob(c.bob)) for c in CANONICAL_CONTEXTS]
+
+
+def assert_same_bits(actual, expected):
+    actual, expected = np.asarray(actual, dtype=np.float64), np.asarray(expected, dtype=np.float64)
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual.view(np.uint64), expected.view(np.uint64)), (actual, expected)  # -0.0 != 0.0
+
+
+STATES = st.one_of(
+    st.integers(0, 2**32 - 1).map(lambda seed: random_density_matrix(np.random.default_rng(seed))),
+    st.sampled_from([singlet(), maximally_mixed(), product_state(0.7, 2.1)]),
+)
+ORACLE_ANGLE = st.one_of(st.sampled_from([0.0, -0.0, math.pi, -math.pi, 1e6, -1e6]), st.floats(-7.0, 7.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(STATES, ORACLE_ANGLE, ORACLE_ANGLE, ORACLE_ANGLE, ORACLE_ANGLE)
+def test_stacked_traces_match_the_per_trace_reference_bit_for_bit(rho, a1, a2, b1, b2):
+    angles = AngleQuadruple(a1, a2, b1, b2)
+    rows = reference_context_born(rho, angles)
+    assert_same_bits(born_probabilities(rho, a1, b2), reference_born(rho, a1, b2))
+    assert_same_bits(behavior_from_quantum(rho, angles).probs, np.clip(np.vstack(rows), 0.0, None))
+    observables = [(observable(angles.alice(c.alice)), observable(angles.bob(c.bob))) for c in CANONICAL_CONTEXTS]
+    correlations = [reference_trace(rho, a, b) for a, b in observables]
+    assert type(expectation(rho, a2, b1)) is float
+    assert_same_bits(expectation(rho, a2, b1), correlations[2])
+    assert type(s_quantum(rho, angles)) is float
+    assert_same_bits(s_quantum(rho, angles), chsh_sum(correlations) + 0.0)
+    paulis = (np.array([[1.0, 0.0], [0.0, -1.0]]), np.array([[0.0, 1.0], [1.0, 0.0]]))
+    block = np.array([[reference_trace(rho, p, q) for q in paulis] for p in paulis])
+    assert_same_bits(correlation_block(rho), block)
+    # the SVD and matmuls of optimize_angles give the same bits on the stacked block as on the per-trace one
+    with mock.patch.object(quantum, "correlation_block", lambda _: block):
+        expected_angles, expected_value = optimize_angles(rho)
+    found_angles, found_value = optimize_angles(rho)
+    assert_same_bits(found_angles.as_tuple(), expected_angles.as_tuple())
+    assert_same_bits(found_value, expected_value)
+
+
+def forged_state(matrix):
+    """A DensityMatrix holding ``matrix`` unchecked: no valid state reaches the trace guards."""
+    rho = object.__new__(DensityMatrix)
+    object.__setattr__(rho, "matrix", np.asarray(matrix, dtype=np.complex128))
+    return rho
+
+
+def test_an_imaginary_residue_in_one_stacked_trace_raises():
+    # Im Tr(M K) = 1e-6 K[1, 0], which is nonzero in sigma_z x sigma_x only, and in A(0) x B(+/-pi/4) only
+    matrix = np.eye(4, dtype=np.complex128) / 4
+    matrix[0, 1] = 1e-6j
+    rho = forged_state(matrix)
+    with pytest.raises(DomainError, match=r"^correlation has imaginary residue 1\.000e-06$"):
+        correlation_block(rho)
+    with pytest.raises(DomainError, match=r"^expectation has imaginary residue 1\.000e-06$"):
+        expectation(rho, 0.0, math.pi / 2)
+    with pytest.raises(DomainError, match=r"^expectation has imaginary residue 7\.071e-07$"):
+        s_quantum(rho, TSIRELSON_ANGLES)
+
+
+def test_the_first_invalid_born_context_raises():
+    rho = forged_state(np.diag([0.7, 0.4, -0.25, 0.15]))  # Hermitian, unit trace, not positive
+    angles = AngleQuadruple(0.0, 0.5, 0.3, 1.2)
+    messages = [
+        f"Born probabilities invalid: min {row.min():.3e}, sum {float(row.sum())}"
+        for row in reference_context_born(rho, angles)
+        if row.min() < -1e-12 or abs(row.sum() - 1.0) > 1e-12
+    ]
+    assert len(set(messages)) > 1  # the first invalid context is told apart from the last
+    with pytest.raises(DomainError) as caught:
+        behavior_from_quantum(rho, angles)
+    assert str(caught.value) == messages[0]
+    with pytest.raises(DomainError) as caught:
+        born_probabilities(rho, angles.a2, angles.b2)
+    assert str(caught.value) == messages[-1]
