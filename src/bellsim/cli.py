@@ -42,7 +42,7 @@ from .fileio import (
     write_curve_csv,
     write_records_csv,
 )
-from .lhv import MixtureModel, exact_lhv_s, model_from_mapping, sample_bundle, sample_counterfactual_table
+from .lhv import ANGLE_KEYS, MixtureModel, exact_lhv_s, model_from_mapping, sample_bundle, sample_counterfactual_table
 from .quantum import (
     TSIRELSON_ANGLES,
     TSIRELSON_BOUND,
@@ -128,7 +128,7 @@ def _lhv_model(args: argparse.Namespace, name: str | None = None) -> MixtureMode
     if name == "deterministic":
         mapping["outcomes"] = args.outcomes
     if name == "sign_cosine":
-        mapping.update(zip(("a1", "a2", "b1", "b2"), args.angles or ()), bob_sign=args.bob_sign)
+        mapping.update(zip(ANGLE_KEYS, args.angles or ()), bob_sign=args.bob_sign)
     return model_from_mapping(mapping)
 
 

@@ -103,6 +103,9 @@ class Context:
 CANONICAL_CONTEXTS = (Context(1, 1), Context(1, 2), Context(2, 1), Context(2, 2))
 
 
+_END = object()  # what ``next`` gives past an iterator's end
+
+
 def chsh_sum(values: Iterable[Any]) -> Any:
     """v11 + v12 + v21 - v22 of four numbers or arrays in canonical context order, added left to right.
 
@@ -110,9 +113,14 @@ def chsh_sum(values: Iterable[Any]) -> Any:
     scalar S functions add 0.0 to the result, as a sum started from 0 does: exact-zero S is +0.0.
     """
     values = iter(values)
-    total = next(values) + next(values)  # a new object, so the in-place steps below touch no input
-    total += next(values)
-    total -= next(values)
+    try:
+        total = next(values) + next(values)  # a new object, so the in-place steps below touch no input
+        total += next(values)
+        total -= next(values)
+    except StopIteration:
+        raise DomainError("chsh_sum takes four values, one per context, got fewer") from None
+    if next(values, _END) is not _END:
+        raise DomainError("chsh_sum takes four values, one per context, got more")
     return total
 
 
@@ -331,7 +339,7 @@ def s_from_counts(counts: Iterable[tuple[Any, int]]) -> Any:
     result is then bitwise the S-hat of its trial's counts.
     """
     correlations = []
-    for context, (plus, n) in zip(CANONICAL_CONTEXTS, counts, strict=True):
+    for context, (plus, n) in _per_context(counts, "(plus, n) count"):
         if n == 0:
             raise DomainError(f"correlation undefined for empty dataset in context {context}")
         correlations.append(_count_correlation(plus, n))
@@ -343,8 +351,25 @@ def s_statistic(bundle: ExperimentBundle) -> float:
     return s_from_counts((plus_count(d), d.n_pairs) for d in bundle.datasets)
 
 
+def _per_context(items: Iterable[Any], what: str) -> Iterator[tuple[Context, Any]]:
+    """``items`` paired with the canonical contexts; a DomainError unless there is one ``what`` per context."""
+    items = tuple(items)
+    if len(items) != len(CANONICAL_CONTEXTS):
+        raise DomainError(f"expected one {what} per context (4), got {len(items)}")
+    return zip(CANONICAL_CONTEXTS, items)
+
+
 # One context's law: index k is drawn with probability probs[k] and records the pair pairs[k] = (a, b).
 ContextLaw = tuple[np.ndarray, np.ndarray]
+
+
+def _context_laws(laws: Iterable[ContextLaw]) -> tuple[tuple[Context, ContextLaw], ...]:
+    """The laws with their contexts; a DomainError unless there are four, each over +/-1 pairs."""
+    paired = tuple(_per_context(laws, "law"))
+    for context, (_, pairs) in paired:
+        if np.ndim(pairs) != 2 or np.shape(pairs)[1] != 2 or not (np.abs(pairs) == 1).all():
+            raise DomainError(f"context {context}: a law's outcome pairs must be an (m, 2) array of +/-1")
+    return paired
 
 
 def sample_contexts(laws: Iterable[ContextLaw], n: int, seed: int, label: str) -> ExperimentBundle:
@@ -357,7 +382,7 @@ def sample_contexts(laws: Iterable[ContextLaw], n: int, seed: int, label: str) -
     """
     n = sample_size(n)
     datasets = []
-    for context, (probs, pairs) in zip(CANONICAL_CONTEXTS, laws, strict=True):
+    for context, (probs, pairs) in _context_laws(laws):
         codes = category_runs(probs, outcome_codes(pairs)).codes(spawn_rng(seed, label, context.index).random(n))
         datasets.append(ContextDataset(context, rows_of_codes(codes, 2)))
     return ExperimentBundle(tuple(datasets))
@@ -388,7 +413,7 @@ def context_plus_counts(laws: Iterable[ContextLaw], label: str) -> PlusCounts:
     """
     runs = [
         category_runs(probs, pairs[:, 0] == pairs[:, 1])
-        for _, (probs, pairs) in zip(CANONICAL_CONTEXTS, laws, strict=True)
+        for _, (probs, pairs) in _context_laws(laws)
     ]
     # a law whose plus pairs have no edge inside (0, 1) has the count full * n
     # whatever its uniforms are, so its stream is neither seeded nor drawn

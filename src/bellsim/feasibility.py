@@ -109,22 +109,21 @@ class JointDistribution(ArrayValue):
 
 @dataclass(frozen=True)
 class Certificate:
-    """Why no joint distribution exists: a violated CHSH form, or inconsistent marginals."""
+    """Why no joint distribution exists: a violated CHSH form, or inconsistent marginals; the signs set the kind."""
 
-    kind: str  # "chsh" | "marginal-inconsistency"
     value: float
     signs: tuple[int, int, int, int] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("chsh", "marginal-inconsistency"):
-            raise DomainError(f"certificate kind must be chsh|marginal-inconsistency, got {self.kind!r}")
-        if self.kind == "chsh" and not (isinstance(self.signs, tuple) and self.signs in CHSH_SIGN_PATTERNS):
+        if self.signs is not None and not (isinstance(self.signs, tuple) and self.signs in CHSH_SIGN_PATTERNS):
             raise DomainError(f"chsh certificate signs must be one of the 8 CHSH sign patterns, got {self.signs!r}")
-        if self.kind == "marginal-inconsistency" and self.signs is not None:
-            raise DomainError(f"marginal-inconsistency certificate with signs {self.signs!r}")
+
+    @property
+    def kind(self) -> str:
+        return "marginal-inconsistency" if self.signs is None else "chsh"
 
     def describe(self) -> str:
-        if self.kind == "chsh":
+        if self.signs is not None:
             terms = "".join(
                 f"{'+' if s > 0 else '-'}E{c.alice}{c.bob}"
                 for s, c in zip(self.signs, CANONICAL_CONTEXTS)
@@ -135,9 +134,8 @@ class Certificate:
 
 @dataclass(frozen=True, eq=False)
 class FeasibilityResult(ArrayValue):
-    """Feasibility outcome: a witness joint distribution, or an infeasibility certificate."""
+    """Feasibility outcome; the status follows from the witness: feasible with one, infeasible with a certificate."""
 
-    status: str  # "feasible" | "infeasible"
     residual: float
     witness: JointDistribution | None = None
     certificate: Certificate | None = None
@@ -145,13 +143,9 @@ class FeasibilityResult(ArrayValue):
     integrality: str | None = None  # "integer" for slack-0 count problems (int64 witness counts), else None
 
     def __post_init__(self) -> None:
-        if self.status not in ("feasible", "infeasible"):
-            raise DomainError(f"status must be feasible|infeasible, got {self.status!r}")
         if (self.witness is None) == (self.certificate is None):
             raise DomainError("exactly one of witness/certificate must be present")
-        if (self.status == "feasible") != (self.witness is not None):
-            raise DomainError(f"{self.status} result with a {'certificate' if self.witness is None else 'witness'}")
-        if self.status == "feasible" and self.residual > WITNESS_TOL:
+        if self.feasible and self.residual > WITNESS_TOL:
             raise DomainError(f"feasible result with residual {self.residual:.3e} > {WITNESS_TOL}")
         if self.witness_counts is not None:
             dtype = np.int64 if self.integrality == "integer" else np.float64
@@ -160,7 +154,11 @@ class FeasibilityResult(ArrayValue):
 
     @property
     def feasible(self) -> bool:
-        return self.status == "feasible"
+        return self.witness is not None
+
+    @property
+    def status(self) -> str:
+        return "feasible" if self.feasible else "infeasible"
 
 
 def chsh_certificate_detail(behavior: Behavior) -> tuple[float, tuple[int, int, int, int]]:
@@ -238,7 +236,7 @@ def fine_feasible_lp(behavior: Behavior) -> FeasibilityResult:
         weights = np.clip(_chord_witness(rows, 1.0), 0.0, None)  # cells within round-off below 0 go to 0
         witness = JointDistribution(weights / weights.sum())
         residual = _max_marginal_violation(witness.weights, probs)
-        return FeasibilityResult("feasible", residual=residual, witness=witness)
+        return FeasibilityResult(residual=residual, witness=witness)
     infeasibility, _ = phase1_solve(*_marginal_system(probs, 1.0), tol=LP_TOL)
     return _infeasible(chsh, signaling, infeasibility, infeasibility)
 
@@ -253,10 +251,10 @@ def _infeasible(
     """
     value, signs = chsh
     if value > 2.0 + LP_TOL or not signaling:
-        certificate = Certificate("chsh", value, signs)
+        certificate = Certificate(value, signs)
     else:
-        certificate = Certificate("marginal-inconsistency", violation_mass)
-    return FeasibilityResult("infeasible", residual=infeasibility, certificate=certificate)
+        certificate = Certificate(violation_mass)
+    return FeasibilityResult(residual=infeasibility, certificate=certificate)
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,7 +348,7 @@ def reshuffle_feasible(problem: ReshuffleProblem) -> FeasibilityResult:
         return _infeasible(chsh_certificate_detail(Behavior(frequencies)), True, infeasibility, infeasibility * scale)
     witness_counts = x[:16] * scale
     witness = JointDistribution(np.clip(witness_counts, 0.0, None) / witness_counts.sum())
-    return FeasibilityResult("feasible", residual=infeasibility, witness=witness, witness_counts=witness_counts)
+    return FeasibilityResult(residual=infeasibility, witness=witness, witness_counts=witness_counts)
 
 
 def _integer_result(cells: list[int], counts: np.ndarray, frequencies: np.ndarray) -> FeasibilityResult:
@@ -361,7 +359,6 @@ def _integer_result(cells: list[int], counts: np.ndarray, frequencies: np.ndarra
     integral = np.array(cells, np.int64)
     witness = JointDistribution(integral / integral.sum())
     return FeasibilityResult(
-        "feasible",
         residual=_max_marginal_violation(witness.weights, frequencies),
         witness=witness,
         witness_counts=integral,

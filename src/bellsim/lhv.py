@@ -36,7 +36,7 @@ import numpy as np
 from .core import CANONICAL_CONTEXTS, ArrayValue, Context, ContextLaw, CounterfactualTable, ExperimentBundle
 from .core import chsh_sum, context_products, fixed_sum, frozen_array, outcome_codes, rows_of_codes, sample_contexts
 from .errors import ConfigError
-from .rng import category_runs, sample_size, spawn_rng
+from .rng import MASS_TOL, category_runs, sample_size, spawn_rng
 
 __all__ = [
     "MixtureModel",
@@ -52,7 +52,6 @@ __all__ = [
     "sign_cosine_model",
 ]
 
-MASS_TOL = 1e-9
 # Beyond 2**20 rad, angle +/- pi/2 rounds so coarsely (ulp over 2**-32) that the
 # sign-cosine arcs' cuts collapse and the arcs stop following the closed form.
 ANGLE_LIMIT = 2.0**20
@@ -152,19 +151,16 @@ def deterministic_model(a1: int, a2: int, b1: int, b2: int) -> MixtureModel:
 
 
 DEFAULT_BOUNDARY_STRATEGIES = ((1, 1, 1, 1), (1, 1, 1, -1))
-DEFAULT_BOUNDARY_WEIGHTS = (0.5, 0.5)
 
 
-def boundary_mixture_model(
-    strategies: object = DEFAULT_BOUNDARY_STRATEGIES,
-    weights: object = DEFAULT_BOUNDARY_WEIGHTS,
-) -> MixtureModel:
+def boundary_mixture_model(strategies: object = DEFAULT_BOUNDARY_STRATEGIES, weights: object = None) -> MixtureModel:
     """Mixture of C=+2 strategies: exact S = 2 with nonzero estimator variance.
 
-    The default mixes (1,1,1,1) and (1,1,1,-1) half-half, giving exact
-    correlations (1, 0, 1, 0).  A fully deterministic model would sit on the
-    boundary with zero variance and never show chance violations; this one
-    makes the 50% exceedance of S-hat > 2 observable.
+    Without weights the strategies are mixed uniformly, so the default mixes
+    (1,1,1,1) and (1,1,1,-1) half-half, giving exact correlations (1, 0, 1, 0).
+    A fully deterministic model would sit on the boundary with zero variance
+    and never show chance violations; this one makes the 50% exceedance of
+    S-hat > 2 observable.
     """
     table = _strategy_table(strategies)
     c_values = chsh_sum(context_products(table))
@@ -172,6 +168,8 @@ def boundary_mixture_model(
         raise ConfigError(
             f"boundary mixture requires strategies with C = +2, got C = {c_values.tolist()}"
         )
+    if weights is None:
+        weights = np.full(len(table), 1.0 / len(table))
     return mixture_model(table, weights, name="boundary_mixture")
 
 
@@ -201,11 +199,8 @@ def sign_cosine_model(
     cuts = np.array(sorted({0.0, TWO_PI, *flips.tolist()}))  # np.unique would import numpy.ma
     midpoints = (cuts[:-1] + cuts[1:]) / 2
     signs = np.where(np.cos(midpoints[:, None] - angles) >= 0.0, 1, -1) * np.array([1, 1, sign, sign])
-    return mixture_model(
-        signs,
-        np.diff(cuts) / TWO_PI,
-        name=f"sign_cosine(a1={a1!r},a2={a2!r},b1={b1!r},b2={b2!r},bob_sign={int(sign)})",
-    )
+    values = ",".join(f"{key}={angle!r}" for key, angle in zip(ANGLE_KEYS, angles.tolist()))
+    return mixture_model(signs, np.diff(cuts) / TWO_PI, name=f"sign_cosine({values},bob_sign={int(sign)})")
 
 
 _VARIANT_KEYS = {
@@ -223,8 +218,11 @@ def model_from_mapping(spec: Mapping[str, Any]) -> MixtureModel:
       sign_cosine:      a1 a2 b1 b2 (radians), optional bob_sign (+1 or -1)
       boundary_mixture: optional strategies (list of 4-tuples), weights
 
-    Unknown keys are rejected.
+    Only the keys are checked here: unknown keys are rejected, and the rest
+    are handed to the variant's builder, which parses, defaults and names them.
     """
+    if not isinstance(spec, Mapping):
+        raise ConfigError(f"model specification must be a mapping of keys to values, got {type(spec).__name__}")
     spec = dict(spec)
     variant = spec.pop("variant", None)
     if variant not in _VARIANT_KEYS:
@@ -241,12 +239,5 @@ def model_from_mapping(spec: Mapping[str, Any]) -> MixtureModel:
         missing = set(ANGLE_KEYS) - set(spec)
         if missing:
             raise ConfigError(f"sign_cosine variant missing keys: {sorted(missing)}")
-        a1, a2, b1, b2, bob_sign = (  # bob_sign defaults to -1
-            float(_numbers(key, spec.get(key, -1.0))) for key in (*ANGLE_KEYS, "bob_sign")
-        )
-        return sign_cosine_model(a1, a2, b1, b2, bob_sign=bob_sign)
-    table = _strategy_table(spec.get("strategies", DEFAULT_BOUNDARY_STRATEGIES))
-    weights = spec.get("weights")
-    if weights is None:
-        weights = np.full(len(table), 1.0 / len(table))
-    return boundary_mixture_model(table, weights)
+        return sign_cosine_model(**spec)
+    return boundary_mixture_model(**spec)

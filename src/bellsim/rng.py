@@ -206,6 +206,10 @@ def sample_size(n: object, name: str = "n_per_context") -> int:
     return int(n)
 
 
+# How far a law's (or a model's) probabilities may sum from 1.
+MASS_TOL = 1e-9
+
+
 def _edges(probs: np.ndarray) -> np.ndarray:
     edges = np.cumsum(probs)
     edges[-1] = 1.0  # guard the top edge against cumulative rounding
@@ -271,10 +275,19 @@ def category_runs(probs: np.ndarray, codes: Sequence[int]) -> CategoryRuns:
     at or below 0 for none; equal edges are merged.  With r such run edges a
     draw costs r comparisons, however many categories the law has: less than
     ``searchsorted`` and a gather up to a few hundred; built-in laws have <= 8.
+
+    ``probs`` must hold one probability per code, each in [0, 1], summing to 1
+    within ``MASS_TOL``; any other vector (NaN included) is a DomainError.
     """
     codes = [int(c) for c in codes]
     if not all(0 <= c <= 255 for c in codes):
         raise DomainError(f"category codes must be integers in 0..255, got {min(codes)} to {max(codes)}")
+    probs = np.asarray(probs, dtype=np.float64)
+    in_range = probs.shape == (len(codes),) and ((probs >= 0) & (probs <= 1)).all()
+    if not (in_range and abs(probs.sum() - 1.0) <= MASS_TOL):  # NaN fails too
+        raise DomainError(
+            f"a law needs {len(codes)} probabilities in [0, 1] summing to 1 within {MASS_TOL}, got {probs.tolist()}"
+        )
     signs: Counter[float] = Counter()
     for edge, here, after in zip(_edges(probs).tolist(), codes, [*codes[1:], 0], strict=True):
         signs[edge] += here - after

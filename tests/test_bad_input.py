@@ -5,19 +5,23 @@ type, files that are not UTF-8, non-finite behavior and state entries,
 repeated behavior-file lines, sample sizes that are not positive integers,
 study settings (trials, threshold, slack) out of range or of the wrong type,
 non-numeric angles and pointer settings, and b-values whose mean or sd
-overflows float64.  No JSON output holds NaN or an infinity.
+overflows float64.  No JSON output holds NaN or an infinity.  A context law
+that is not a probability vector over +/-1 pairs, a law count other than four,
+a CHSH sum of other than four values and a model specification that is not a
+mapping are BellSimErrors too.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bellsim.behaviors import Behavior, pr_box, sample_bundle_from_behavior
+from bellsim.behaviors import OUTCOME_PAIRS, Behavior, pr_box, sample_bundle_from_behavior
 from bellsim.cli import EXIT_CONFIG, EXIT_OK, _write_json, main
-from bellsim.core import CounterfactualTable, project_bundle
+from bellsim.core import CounterfactualTable, chsh_sum, context_plus_counts, project_bundle, s_from_counts, sample_contexts
 from bellsim.errors import BellSimError, ConfigError, DomainError, NumericError
 from bellsim.feasibility import ReshuffleProblem
 from bellsim.fileio import (
@@ -487,3 +491,56 @@ def test_json_outputs_reject_nan_and_infinities(tmp_path, value):
     with pytest.raises(NumericError, match="summary.json: Out of range float values"):
         _write_json(tmp_path / "summary.json", {"mean_b": value})
     assert not (tmp_path / "summary.json").exists()
+
+
+UNIFORM_LAW = (np.full(4, 0.25), OUTCOME_PAIRS)
+# each core sampler, run on a tuple of laws
+SAMPLERS = {
+    "sample_contexts": lambda laws: sample_contexts(laws, 1000, 1, "bad-law"),
+    "context_plus_counts": lambda laws: context_plus_counts(laws, "bad-law")(1000, [1]),
+}
+
+
+@pytest.mark.parametrize("sampler", SAMPLERS.values(), ids=SAMPLERS)
+@pytest.mark.parametrize(
+    ("laws", "message"),
+    [
+        ([((math.nan, 0.5, 0.25, 0.25), OUTCOME_PAIRS)] * 4, "a law needs 4 probabilities in [0, 1] summing to 1"),
+        ([((-0.5, 1.5, 0.0, 0.0), OUTCOME_PAIRS)] * 4, "a law needs 4 probabilities in [0, 1] summing to 1"),
+        ([((0.1, 0.1, 0.1, 0.1), OUTCOME_PAIRS)] * 4, "a law needs 4 probabilities in [0, 1] summing to 1"),
+        ([((0.5, 0.5), OUTCOME_PAIRS)] * 4, "a law needs 4 probabilities in [0, 1] summing to 1"),
+        ([((0.5, 0.5, 0.0, 0.0, 0.0), OUTCOME_PAIRS)] * 4, "a law needs 4 probabilities in [0, 1] summing to 1"),
+        ([UNIFORM_LAW] * 3, "expected one law per context (4), got 3"),
+        ([UNIFORM_LAW] * 5, "expected one law per context (4), got 5"),
+        ([(np.full(4, 0.25), [[1, 1], [1, 0], [0, 1], [-1, -1]])] * 4, "context (1,1): a law's outcome pairs must"),
+        ([(np.full(4, 0.25), [1, 1, -1, -1])] * 4, "context (1,1): a law's outcome pairs must"),
+    ],
+    ids=["nan", "negative", "mass-missing", "too-few-probabilities", "too-many-probabilities", "three-laws",
+         "five-laws", "zero-outcome", "flat-pairs"],
+)
+def test_core_samplers_reject_malformed_laws(sampler, laws, message):
+    with pytest.raises(DomainError) as raised:
+        sampler(laws)
+    assert str(raised.value).startswith(message)
+
+
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        (lambda: chsh_sum([0.5, 0.5, 0.5]), "chsh_sum takes four values, one per context, got fewer"),
+        (lambda: chsh_sum(iter([0.5] * 5)), "chsh_sum takes four values, one per context, got more"),
+        (lambda: s_from_counts([(1, 2)] * 3), "expected one (plus, n) count per context (4), got 3"),
+        (lambda: s_from_counts([(1, 2)] * 5), "expected one (plus, n) count per context (4), got 5"),
+    ],
+    ids=["chsh-three", "chsh-five", "counts-three", "counts-five"],
+)
+def test_chsh_layout_needs_four_contexts(call, message):
+    with pytest.raises(DomainError) as raised:
+        call()
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("spec", ["x", None, [("variant", "boundary_mixture")]], ids=["text", "none", "pairs"])
+def test_model_specification_must_be_a_mapping(spec):
+    with pytest.raises(ConfigError, match="^model specification must be a mapping of keys to values, got "):
+        model_from_mapping(spec)

@@ -150,7 +150,7 @@ class TestJointDistribution:
 
     def test_result_invariants(self):
         with pytest.raises(DomainError, match="exactly one"):
-            FeasibilityResult("feasible", residual=0.0)
+            FeasibilityResult(residual=0.0)
 
 
 class TestReshuffle:

@@ -7,7 +7,9 @@ from the import check: its imports are the package's re-exports.  And
 ``import bellsim.cli`` loads no ``numpy`` module that ``import numpy`` does not.
 
 Every dataclass field is read as well: its name is loaded as an attribute, or
-its class is named in a ``fields(...)`` call.
+its class is named in a ``fields(...)`` call.  Every public method or property
+of a package class is called: its name is loaded as an attribute in the
+package, ``scripts/`` or ``benchmarks/``, or it is on the ``UNCALLED`` list.
 """
 
 import ast
@@ -22,6 +24,7 @@ import bellsim
 
 PACKAGE = sorted(Path(bellsim.__file__).parent.glob("*.py"))
 SOURCES = [p for p in PACKAGE if p.name != "__init__.py"]
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -225,6 +228,58 @@ DATACLASS = "from dataclasses import dataclass\n@dataclass(frozen=True)\nclass R
 def test_unread_fields_cases(sources, unread):
     package = [ast.parse(source) for source in sources]
     assert unread_fields(package[0], package) == unread
+
+
+# Modules whose attribute loads count as calls of a package class's public members.
+CALLERS = [*PACKAGE, *sorted((ROOT / "scripts").glob("*.py")), *sorted((ROOT / "benchmarks").glob("*.py"))]
+# Public members that only tests call, each with why it stays.
+UNCALLED = {
+    "CounterfactualTable.from_rows": "the maintainer decides (ROADMAP)",
+    "DensityMatrix.purity": "the maintainer decides (ROADMAP)",
+    "JointDistribution.context_marginal": "the maintainer decides (ROADMAP)",
+    "SignalingReport.max_deficit": "the maintainer decides (ROADMAP)",
+}
+
+
+def public_members(tree: ast.Module) -> set[tuple[str, str]]:
+    """(class, name) for each public method or property of each top-level class."""
+    return {(node.name, item.name) for node in tree.body if isinstance(node, ast.ClassDef)
+            for item in node.body if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not item.name.startswith("_")}
+
+
+def uncalled_members(package: list[ast.Module], callers: list[ast.Module]) -> list[str]:
+    """The package classes' public members, as ``Class.member``, whose name no caller loads as an attribute."""
+    loaded = {node.attr for module in callers for node in ast.walk(module)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{cls}.{name}" for module in package for cls, name in public_members(module) if name not in loaded)
+
+
+def test_every_public_member_is_called_or_allowed():
+    package = [ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE]
+    callers = [ast.parse(p.read_text(), filename=str(p)) for p in CALLERS]
+    assert uncalled_members(package, callers) == sorted(UNCALLED)
+
+
+CLASS = "class Table:\n    def rows(self): ...\n    @property\n    def n(self): ...\n    def _cells(self): ...\n"
+
+
+@pytest.mark.parametrize(
+    ("sources", "uncalled"),
+    [
+        ([CLASS], ["Table.n", "Table.rows"]),
+        ([CLASS, "table.rows()\n"], ["Table.n"]),
+        ([CLASS, "print(table.n)\ntable.rows = None\n"], ["Table.rows"]),
+        ([CLASS, "rows = n = 1\nprint(rows, n)\n"], ["Table.n", "Table.rows"]),
+        ([CLASS + "    @classmethod\n    async def build(cls): ...\n", "Table.build(); x.n; x.rows\n"], []),
+        (["def rows(): ...\nclass Plain:\n    __slots__ = ()\n    def __len__(self): ...\n"], []),
+    ],
+    ids=["uncalled", "one-called", "stored-only", "name-only", "classmethod-and-attribute-loads",
+         "functions-and-dunders"],
+)
+def test_uncalled_members_cases(sources, uncalled):
+    modules = [ast.parse(source) for source in sources]
+    assert uncalled_members(modules[:1], modules) == uncalled
 
 
 def loaded_numpy_modules(statement: str) -> set[str]:

@@ -8,10 +8,11 @@ before any warning; a model's arrays are its specification, so there it is a
 ConfigError.  ``CASES`` holds one valid-instance factory per array field; a
 guard fails when a dataclass in ``bellsim`` gains an array field that is not in
 the table.  ``GUARDS`` builds each value type's own checks (a negative deficit,
-weights off the simplex, a result with a bad status or one whose status
-contradicts what it carries, a certificate of an unknown kind or with signs
-that do not fit its kind, a bundle of three datasets, a CI that excludes its
-frequency) directly and expects its whole message, or its start.
+weights off the simplex, a result with both or neither of a witness and a
+certificate, a certificate whose signs are no CHSH pattern, a bundle of three
+datasets, a CI that excludes its frequency) directly and expects its whole
+message, or its start.  A certificate's kind follows from its signs and a
+result's status from its witness, so neither can contradict what it carries.
 """
 
 import dataclasses
@@ -88,7 +89,7 @@ CASES = {
         ReshuffleProblem, lambda: np.array(PR_BOX_COUNTS), _add_one, np.int64
     ),
     (FeasibilityResult, "witness_counts"): Case(
-        lambda a: FeasibilityResult("feasible", 0.0, witness=UNIFORM_JOINT, witness_counts=a),
+        lambda a: FeasibilityResult(0.0, witness=UNIFORM_JOINT, witness_counts=a),
         lambda: np.array([2.0, 0.0] * 8),
         _add_one,
         np.float64,
@@ -115,7 +116,7 @@ CASES = {
 # A field whose stored dtype follows another field has one more case per dtype: witness counts
 # are int64 for an integer witness, float64 otherwise.
 INTEGER_WITNESS_COUNTS = Case(
-    lambda a: FeasibilityResult("feasible", 0.0, witness=UNIFORM_JOINT, witness_counts=a, integrality="integer"),
+    lambda a: FeasibilityResult(0.0, witness=UNIFORM_JOINT, witness_counts=a, integrality="integer"),
     lambda: np.array([2, 0] * 8),
     _add_one,
     np.int64,
@@ -269,7 +270,7 @@ def test_pointer_runs_compare_by_value(readings, data):
     assert run != PointerRun(readings, PointerConfig(2.0, 0.0), "test")
 
 
-CHSH_CERTIFICATE = Certificate("chsh", 2.5, (1, 1, 1, -1))
+CHSH_CERTIFICATE = Certificate(2.5, (1, 1, 1, -1))
 # value type's check -> (a build that fails it, the start of its message)
 GUARDS = {
     "SignalingReport-negative-deficit": (lambda: SignalingReport(0.0, -0.25), "signaling deficits cannot be negative"),
@@ -277,28 +278,15 @@ GUARDS = {
         lambda: JointDistribution([-0.25, 1.25] + [0.0] * 14), "negative weight -2.500e-01"),
     "JointDistribution-bad-sum": (
         lambda: JointDistribution(np.full(16, 0.125)), "weights sum to 2.0, not 1 within 1e-10"),
-    "Certificate-unknown-kind": (
-        lambda: Certificate("bogus", 1.0), "certificate kind must be chsh|marginal-inconsistency, got 'bogus'"),
-    "Certificate-chsh-without-signs": (
-        lambda: Certificate("chsh", 2.5), "chsh certificate signs must be one of the 8 CHSH sign patterns, got None"),
     "Certificate-chsh-not-a-pattern": (
-        lambda: Certificate("chsh", 2.5, (1, 1, 1, 1)),
+        lambda: Certificate(2.5, (1, 1, 1, 1)),
         "chsh certificate signs must be one of the 8 CHSH sign patterns, got (1, 1, 1, 1)"),
-    "Certificate-marginal-with-signs": (
-        lambda: Certificate("marginal-inconsistency", 0.5, (1, 1, 1, -1)),
-        "marginal-inconsistency certificate with signs (1, 1, 1, -1)"),
-    "FeasibilityResult-bad-status": (
-        lambda: FeasibilityResult("unknown", 0.0, witness=UNIFORM_JOINT), "status must be feasible|infeasible"),
     "FeasibilityResult-witness-and-certificate": (
-        lambda: FeasibilityResult("feasible", 0.0, witness=UNIFORM_JOINT, certificate=CHSH_CERTIFICATE),
+        lambda: FeasibilityResult(0.0, witness=UNIFORM_JOINT, certificate=CHSH_CERTIFICATE),
         "exactly one of witness/certificate"),
-    "FeasibilityResult-neither": (lambda: FeasibilityResult("infeasible", 0.0), "exactly one of witness/certificate"),
-    "FeasibilityResult-infeasible-with-witness": (
-        lambda: FeasibilityResult("infeasible", 0.0, witness=UNIFORM_JOINT), "infeasible result with a witness"),
-    "FeasibilityResult-feasible-with-certificate": (
-        lambda: FeasibilityResult("feasible", 0.0, certificate=CHSH_CERTIFICATE), "feasible result with a certificate"),
+    "FeasibilityResult-neither": (lambda: FeasibilityResult(0.0), "exactly one of witness/certificate"),
     "FeasibilityResult-feasible-residual": (
-        lambda: FeasibilityResult("feasible", 0.5, witness=UNIFORM_JOINT), "feasible result with residual 5.000e-01"),
+        lambda: FeasibilityResult(0.5, witness=UNIFORM_JOINT), "feasible result with residual 5.000e-01"),
     "ExperimentBundle-three-datasets": (
         lambda: ExperimentBundle(tuple(ContextDataset(c, [[1, 1]]) for c in CANONICAL_CONTEXTS[:3])),
         "a bundle needs exactly 4 datasets, got 3"),
@@ -313,3 +301,12 @@ def test_value_guards_raise_their_message(build, message):
     with pytest.raises(DomainError) as raised:
         build()
     assert str(raised.value).startswith(message)
+
+
+def test_kind_and_status_follow_from_what_is_carried():
+    assert Certificate(0.5).kind == "marginal-inconsistency"
+    assert CHSH_CERTIFICATE.kind == "chsh"
+    feasible = FeasibilityResult(0.0, witness=UNIFORM_JOINT)
+    assert (feasible.status, feasible.feasible) == ("feasible", True)
+    infeasible = FeasibilityResult(0.5, certificate=CHSH_CERTIFICATE)
+    assert (infeasible.status, infeasible.feasible) == ("infeasible", False)
