@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CANONICAL_CONTEXTS, OUTCOME_PAIRS, PAIR_PRODUCTS, Context, ContextLaw, ExperimentBundle
-from .core import ArrayValue, chsh_sum, fixed_sum, frozen_array, outcome_codes, sample_contexts
+from .core import CANONICAL_CONTEXTS, OUTCOME_PAIRS, PAIR_PRODUCTS, Context, ContextLaw, ContextStreams
+from .core import ArrayValue, ExperimentBundle, chsh_sum, fixed_sum, frozen_array, outcome_codes
 from .errors import DomainError
 from .quantum import AngleQuadruple, DensityMatrix, context_born_probabilities
 
@@ -25,10 +25,11 @@ __all__ = [
     "behavior_correlation",
     "behavior_from_bundle",
     "behavior_from_quantum",
-    "behavior_laws",
     "behavior_s",
+    "behavior_streams",
     "no_signaling",
     "pr_box",
+    "quantum_streams",
     "random_no_signaling_behavior",
     "sample_bundle_from_behavior",
 ]
@@ -106,6 +107,11 @@ def behavior_from_quantum(rho: DensityMatrix, angles: AngleQuadruple) -> Behavio
     return Behavior(np.clip(context_born_probabilities(rho, angles), 0.0, None))
 
 
+def quantum_streams(rho: DensityMatrix, angles: AngleQuadruple) -> ContextStreams:
+    """The ``ContextStreams`` of ``quantum.sample_bundle_quantum``: Born rows on (seed, "quantum-context", c)."""
+    return ContextStreams(_behavior_laws(behavior_from_quantum(rho, angles)), "quantum-context")
+
+
 def behavior_from_bundle(bundle: ExperimentBundle) -> Behavior:
     """Per-context relative frequencies, with the raw counts attached."""
     counts = np.zeros((4, 4), dtype=np.int64)
@@ -117,18 +123,20 @@ def behavior_from_bundle(bundle: ExperimentBundle) -> Behavior:
     return Behavior(probs, counts)
 
 
-def behavior_laws(behavior: Behavior) -> tuple[ContextLaw, ...]:
+def _behavior_laws(behavior: Behavior) -> tuple[ContextLaw, ...]:
     """Per context: its row over ``OUTCOME_PAIRS``, clipped at 0 (it may dip to -PROB_TOL) and renormalized."""
     probs = np.clip(behavior.probs, 0.0, None)
-    probs = probs / probs.sum(axis=1, keepdims=True)
-    return tuple((row, OUTCOME_PAIRS) for row in probs)
+    return tuple((row, OUTCOME_PAIRS) for row in probs / probs.sum(axis=1, keepdims=True))
 
 
-def sample_bundle_from_behavior(
-    behavior: Behavior, n_per_context: int, seed: int, label: str = "behavior-context"
-) -> ExperimentBundle:
-    """Multinomial draws from each context's distribution on the streams (seed, label, context index)."""
-    return sample_contexts(behavior_laws(behavior), n_per_context, seed, label)
+def behavior_streams(behavior: Behavior) -> ContextStreams:
+    """The ``ContextStreams`` of ``sample_bundle_from_behavior``: its rows on (seed, "behavior-context", c)."""
+    return ContextStreams(_behavior_laws(behavior), "behavior-context")
+
+
+def sample_bundle_from_behavior(behavior: Behavior, n_per_context: int, seed: int) -> ExperimentBundle:
+    """Multinomial draws from each context's distribution on the streams (seed, "behavior-context", context index)."""
+    return behavior_streams(behavior).sample(n_per_context, seed)
 
 
 def random_no_signaling_behavior(rng: np.random.Generator) -> Behavior:

@@ -10,8 +10,9 @@ for any finite sample.  An ``ExperimentBundle`` holds four independent
 per-context datasets of (a, b) pairs; the signed sum of their four empirical
 correlations, S = E11 + E12 + E21 - E22, is only bounded by 4 a priori and can
 exceed 2 in finite samples even when each context is generated by the same
-predetermined-outcome model.  Every LHV, behavior and Born source samples
-through ``sample_contexts`` (or its counts, ``context_plus_counts``).
+predetermined-outcome model.  Every LHV, behavior and Born source holds its
+four per-context laws and the label of their streams in one ``ContextStreams``,
+which draws its bundles (``sample``) and counts its trials (``plus_counts``).
 
 All types are immutable after construction and all operations are pure,
 so everything here is safe to evaluate concurrently.
@@ -24,17 +25,18 @@ layout for all others: ``Context.columns``, ``context_products`` and ``chsh_sum`
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, fields
 from typing import Any
 
 import numpy as np
 
 from .errors import DomainError
-from .rng import category_runs, default_rngs, derive_seeds, sample_size, spawn_rng
+from .rng import CategoryRuns, category_runs, default_rngs, derive_seeds, sample_size, spawn_rng
 
 __all__ = [
     "ArrayValue",
@@ -44,14 +46,13 @@ __all__ = [
     "Context",
     "ContextDataset",
     "ContextLaw",
+    "ContextStreams",
     "CounterfactualTable",
     "ExperimentBundle",
     "OUTCOME_PAIRS",
     "PAIR_PRODUCTS",
-    "PlusCounts",
     "b_statistic",
     "chsh_sum",
-    "context_plus_counts",
     "context_products",
     "correlation",
     "finite_real",
@@ -66,7 +67,6 @@ __all__ = [
     "rows_of_codes",
     "s_from_counts",
     "s_statistic",
-    "sample_contexts",
 ]
 
 SETTINGS = (1, 2)
@@ -164,9 +164,9 @@ def fixed_sum(weights: Iterable[Any], values: Iterable[Any]) -> float:
 
 
 def finite_real(value: object) -> bool:
-    """Whether value is a real number whose float64 value is finite (an int beyond float64 is not)."""
+    """Whether value is a real number, not a bool, whose float64 value is finite (an int beyond float64 is not)."""
     try:
-        return isinstance(value, numbers.Real) and math.isfinite(value)
+        return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
     except OverflowError:
         return False
 
@@ -336,12 +336,21 @@ def s_from_counts(counts: Iterable[tuple[Any, int]]) -> Any:
 
     Only the four counts matter, so sources that know them need not build the
     pairs.  K may be an integer array, one count per trial; each element of the
-    result is then bitwise the S-hat of its trial's counts.
+    result is then bitwise the S-hat of its trial's counts.  Each n must be an
+    integer >= 1 and each K an integer in [0, n] (bools are not integers here).
     """
     correlations = []
     for context, (plus, n) in _per_context(counts, "(plus, n) count"):
         if n == 0:
             raise DomainError(f"correlation undefined for empty dataset in context {context}")
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise DomainError(f"context {context}: n must be an integer >= 1, got {n!r}")
+        if isinstance(plus, np.ndarray):  # one reduction each way, however many trials
+            valid = plus.dtype.kind in "iu" and plus.min(initial=0) >= 0 and plus.max(initial=0) <= n
+        else:
+            valid = isinstance(plus, numbers.Integral) and not isinstance(plus, bool) and 0 <= plus <= n
+        if not valid:
+            raise DomainError(f"context {context}: plus counts must be integers in [0, {n}], got {plus!r}")
         correlations.append(_count_correlation(plus, n))
     return chsh_sum(correlations) + 0.0
 
@@ -362,69 +371,64 @@ def _per_context(items: Iterable[Any], what: str) -> Iterator[tuple[Context, Any
 # One context's law: index k is drawn with probability probs[k] and records the pair pairs[k] = (a, b).
 ContextLaw = tuple[np.ndarray, np.ndarray]
 
-
-def _context_laws(laws: Iterable[ContextLaw]) -> tuple[tuple[Context, ContextLaw], ...]:
-    """The laws with their contexts; a DomainError unless there are four, each over +/-1 pairs."""
-    paired = tuple(_per_context(laws, "law"))
-    for context, (_, pairs) in paired:
-        if np.ndim(pairs) != 2 or np.shape(pairs)[1] != 2 or not (np.abs(pairs) == 1).all():
-            raise DomainError(f"context {context}: a law's outcome pairs must be an (m, 2) array of +/-1")
-    return paired
-
-
-def sample_contexts(laws: Iterable[ContextLaw], n: int, seed: int, label: str) -> ExperimentBundle:
-    """Four independent experiments: context c draws n pairs from its law on the stream (seed, label, c.index).
-
-    ``laws`` follow the canonical context order.  Each stream depends only on
-    its own path, so any evaluation order produces identical bytes, and sources
-    that share this sampler keep their own streams by passing their own label.
-    Its draws are ``categorical``'s, read as pair codes (``category_runs``); ``context_plus_counts`` counts them.
-    """
-    n = sample_size(n)
-    datasets = []
-    for context, (probs, pairs) in _context_laws(laws):
-        codes = category_runs(probs, outcome_codes(pairs)).codes(spawn_rng(seed, label, context.index).random(n))
-        datasets.append(ContextDataset(context, rows_of_codes(codes, 2)))
-    return ExperimentBundle(tuple(datasets))
-
-
-# (n, seeds) -> per seed, the four plus counts in canonical context order
-PlusCounts = Callable[[int, Sequence[int]], list[tuple[int, int, int, int]]]
-
-# uniforms per block of streams that ``context_plus_counts`` draws and counts at once: 1 MiB of float64
+# uniforms per block of streams that ``ContextStreams.plus_counts`` draws and counts at once: 1 MiB of float64
 BLOCK_VALUES = 2**17
 
 
-def context_plus_counts(laws: Iterable[ContextLaw], label: str) -> PlusCounts:
-    """The per-context plus counts (pairs with a == b) of ``sample_contexts(laws, n, seed, label)``, many seeds at once.
+@dataclass(frozen=True, eq=False)
+class ContextStreams:
+    """A source's four independent experiments: context c draws from its law on the stream (seed, label, c.index).
 
-    The returned ``plus_counts(n, seeds)`` gives one 4-tuple per seed, each
-    equal to the plus counts of that seed's bundle: the same streams, the same
-    uniforms and the same edges, but no datasets.  The plus categories' run
-    edges (``category_runs``) are found here, once; a call derives all its
-    context seeds and generator states in bulk (``derive_seeds``,
-    ``default_rngs``), so its memory grows with ``len(seeds)``.  It reuses one
-    block buffer of at most ``BLOCK_VALUES`` uniforms (1 MiB), or of one
-    stream if n is larger: each row holds one seed's stream of one context.
-    ``CategoryRuns.count`` counts a block with one comparison per run edge:
-    plus codes are 0 or 1, so a multi-row block's comparisons are XORed into
-    each draw's code and summed once per row; a one-row block is counted by
-    ``count_nonzero``, one sum per run edge.
+    ``laws`` follow the canonical context order, each over an (m, 2) array of
+    +/-1 pairs (else DomainError).  Each stream depends only on its own path,
+    so any evaluation order produces identical bytes, and each source keeps its
+    own streams by its own label.  ``sample`` draws a bundle; ``plus_counts``
+    counts the plus pairs of many, with the run edges it finds once per value.
     """
-    runs = [
-        category_runs(probs, pairs[:, 0] == pairs[:, 1])
-        for _, (probs, pairs) in _context_laws(laws)
-    ]
-    # a law whose plus pairs have no edge inside (0, 1) has the count full * n
-    # whatever its uniforms are, so its stream is neither seeded nor drawn
-    drawn = [index for index, r in enumerate(runs) if r.edges]  # context indices
 
-    def plus_counts(n: int, seeds: Sequence[int]) -> list[tuple[int, int, int, int]]:
+    laws: tuple[ContextLaw, ContextLaw, ContextLaw, ContextLaw]
+    label: str
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "laws", tuple(self.laws))
+        for context, (_, pairs) in _per_context(self.laws, "law"):
+            if np.ndim(pairs) != 2 or np.shape(pairs)[1] != 2 or not (np.abs(pairs) == 1).all():
+                raise DomainError(f"context {context}: a law's outcome pairs must be an (m, 2) array of +/-1")
+
+    def sample(self, n: int, seed: int) -> ExperimentBundle:
+        """n pairs per context: ``categorical``'s draws on its stream, read as pair codes (``category_runs``)."""
         n = sample_size(n)
+        datasets = []
+        for c, (probs, pairs) in zip(CANONICAL_CONTEXTS, self.laws):
+            codes = category_runs(probs, outcome_codes(pairs)).codes(spawn_rng(seed, self.label, c.index).random(n))
+            datasets.append(ContextDataset(c, rows_of_codes(codes, 2)))
+        return ExperimentBundle(tuple(datasets))
+
+    @functools.cached_property
+    def _plus_runs(self) -> tuple[CategoryRuns, ...]:
+        return tuple(category_runs(probs, pairs[:, 0] == pairs[:, 1]) for probs, pairs in self.laws)
+
+    def plus_counts(self, n: int, seeds: Sequence[int]) -> list[tuple[int, int, int, int]]:
+        """Per seed, the four plus counts (pairs with a == b) of ``sample(n, seed)``, many seeds at once.
+
+        The same streams, uniforms and edges, but no datasets.  A call derives
+        all its context seeds and generator states in bulk (``derive_seeds``,
+        ``default_rngs``), so its memory grows with ``len(seeds)``.  It reuses
+        one block buffer of at most ``BLOCK_VALUES`` uniforms (1 MiB), or of one
+        stream if n is larger: each row holds one seed's stream of one context.
+        ``CategoryRuns.count`` counts a block with one comparison per run edge:
+        plus codes are 0 or 1, so a multi-row block's comparisons are XORed into
+        each draw's code and summed once per row; a one-row block is counted by
+        ``count_nonzero``, one sum per run edge.
+        """
+        runs, n = self._plus_runs, sample_size(n)
+        # a law whose plus pairs have no edge inside (0, 1) has the count full * n
+        # whatever its uniforms are, so its stream is neither seeded nor drawn
+        drawn = [index for index, r in enumerate(runs) if r.edges]  # context indices
         counts = np.empty((len(runs), len(seeds)), dtype=np.int64)
         counts[:] = [[r.full * n] for r in runs]  # the undrawn contexts' counts
         # derive_seeds gives each seed's contexts in turn; the blocks take each context's seeds in turn
-        by_seed = np.array(derive_seeds(seeds, (label,), drawn), dtype=np.uint64)
+        by_seed = np.array(derive_seeds(seeds, (self.label,), drawn), dtype=np.uint64)
         rngs = default_rngs(by_seed.reshape(len(seeds), len(drawn)).T.ravel())
         rows = max(1, min(len(seeds), BLOCK_VALUES // n))
         block = np.empty((rows, n))
@@ -436,5 +440,3 @@ def context_plus_counts(laws: Iterable[ContextLaw], label: str) -> PlusCounts:
                 # a lone row is counted as 1-D: count_nonzero beats an axis sum on one stream
                 counts[index, start : start + rows] = runs[index].count(part[0] if len(part) == 1 else part)
         return list(zip(*counts.tolist()))
-
-    return plus_counts

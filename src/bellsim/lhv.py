@@ -33,8 +33,8 @@ from typing import Any
 
 import numpy as np
 
-from .core import CANONICAL_CONTEXTS, ArrayValue, Context, ContextLaw, CounterfactualTable, ExperimentBundle
-from .core import chsh_sum, context_products, fixed_sum, frozen_array, outcome_codes, rows_of_codes, sample_contexts
+from .core import CANONICAL_CONTEXTS, ArrayValue, Context, ContextStreams, CounterfactualTable, ExperimentBundle
+from .core import chsh_sum, context_products, fixed_sum, frozen_array, outcome_codes, rows_of_codes
 from .errors import ConfigError
 from .rng import MASS_TOL, category_runs, sample_size, spawn_rng
 
@@ -46,7 +46,7 @@ __all__ = [
     "exact_lhv_s",
     "mixture_model",
     "model_from_mapping",
-    "model_laws",
+    "model_streams",
     "sample_bundle",
     "sample_counterfactual_table",
     "sign_cosine_model",
@@ -98,14 +98,15 @@ def sample_counterfactual_table(model: MixtureModel, n: int, seed: int) -> Count
     return CounterfactualTable(rows_of_codes(runs.codes(spawn_rng(seed, "lhv-table").random(n)), 4))
 
 
-def model_laws(model: MixtureModel) -> tuple[ContextLaw, ...]:
-    """Per context: lambda drawn with the model's weights, recording the strategy columns (a_i, b_j)."""
-    return tuple((model.weights, model.strategies[:, context.columns]) for context in CANONICAL_CONTEXTS)
+def model_streams(model: MixtureModel) -> ContextStreams:
+    """The ``ContextStreams`` of ``sample_bundle``: per context, lambda drawn by weight, recording (a_i, b_j)."""
+    pairs = (model.strategies[:, context.columns] for context in CANONICAL_CONTEXTS)
+    return ContextStreams(tuple((model.weights, p) for p in pairs), "lhv-context")
 
 
 def sample_bundle(model: MixtureModel, n_per_context: int, seed: int) -> ExperimentBundle:
     """Four datasets from four independent lambda streams (fresh lambda per trial per context)."""
-    return sample_contexts(model_laws(model), n_per_context, seed, "lhv-context")
+    return model_streams(model).sample(n_per_context, seed)
 
 
 def exact_lhv_correlation(model: MixtureModel, context: Context) -> float:

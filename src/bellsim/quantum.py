@@ -180,9 +180,9 @@ def sample_bundle_quantum(
     rho: DensityMatrix, angles: AngleQuadruple, n_per_context: int, seed: int
 ) -> ExperimentBundle:
     """Per-context i.i.d. draws from the Born distribution; deterministic given seed."""
-    from .behaviors import behavior_from_quantum, sample_bundle_from_behavior  # imports this module
+    from .behaviors import quantum_streams  # imports this module
 
-    return sample_bundle_from_behavior(behavior_from_quantum(rho, angles), n_per_context, seed, "quantum-context")
+    return quantum_streams(rho, angles).sample(n_per_context, seed)
 
 
 def correlation_block(rho: DensityMatrix) -> np.ndarray:

@@ -82,7 +82,10 @@ def derive_seeds(masters: Iterable[int], path: tuple[object, ...], last: Iterabl
     """``derive_seed(master, *path, x)`` for each master and, within it, each x in ``last``, in one list.
 
     Each path element is encoded once and each master's prefix hashed once.
+    ``path`` must be a tuple and ``last`` no string (else ConfigError): either would be hashed char by char.
     """
+    if not isinstance(path, tuple) or isinstance(last, (str, bytes)):
+        raise ConfigError(f"derive_seeds takes a tuple path and an iterable last, got {path!r} and {last!r}")
     head = b"".join(map(_token, path))
     tails = [_token(part) for part in last]
     seeds = []

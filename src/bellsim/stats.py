@@ -13,14 +13,14 @@ as n grows; for quantum generators above the bound the z-score grows like
 sqrt(n).
 
 A trial's S-hat depends only on the four per-context counts K_c of pairs with
-a*b = +1: S-hat = sum of sign_c * (2 K_c - n) / n.  A trial draws those counts
-on the per-context streams of its source's bundle sampler, without building
-the pairs, so its S-hat is bitwise the ``s_statistic`` of that bundle.  Trial
-seeds derive from (study seed, "trial", index) and per-context seeds from the
-trial seed, so results are identical under any schedule.  A row seeds and
-counts ``TRIAL_BLOCK`` trials per ``plus_counts`` call (bitwise the per-trial
-streams: see ``bellsim.rng`` and ``core.BLOCK_VALUES``), then computes its
-S-hats and exact margins from all its counts at once.
+a*b = +1: S-hat = sum of sign_c * (2 K_c - n) / n.  A trial counts them on
+its source's ``ContextStreams``, the streams its bundle sampler draws from,
+without building the pairs, so its S-hat is bitwise the ``s_statistic`` of that
+bundle.  Trial seeds derive from (study seed, "trial", index) and per-context
+seeds from the trial seed, so results are identical under any schedule.  A row
+seeds and counts ``TRIAL_BLOCK`` trials per ``plus_counts`` call (bitwise the
+per-trial streams: see ``bellsim.rng`` and ``core.BLOCK_VALUES``), then
+computes its S-hats and exact margins from all its counts at once.
 
 Counting is sign-resolved by default: S-hat is compared on the side of the
 exact S (-S-hat for negative exact S); "absolute" mode uses |S-hat|.  The
@@ -38,10 +38,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .behaviors import Behavior, behavior_from_quantum, behavior_laws, behavior_s
-from .core import ExperimentBundle, PlusCounts, chsh_sum, context_plus_counts, correlation, finite_real, s_from_counts
+from .behaviors import Behavior, behavior_s, behavior_streams, quantum_streams
+from .core import ContextStreams, ExperimentBundle, chsh_sum, correlation, finite_real, s_from_counts
 from .errors import ConfigError, DomainError
-from .lhv import MixtureModel, exact_lhv_s, model_laws
+from .lhv import MixtureModel, exact_lhv_s, model_streams
 from .quantum import AngleQuadruple, DensityMatrix, s_quantum
 from .rng import derive_seed, derive_seeds, sample_size
 
@@ -62,36 +62,30 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BundleGenerator:
-    """A source of four-context experiments with a known exact S.
+    """A source of four-context experiments with a known exact S, and the streams its bundles are drawn on.
 
-    A trial needs only its four counts of pairs with a*b = +1 per context, in
-    canonical order, of the bundle the source's sampler would draw from the
-    trial's seed.  Its S-hat and its exact violation verdict (ties never
-    count) both follow from them.  ``plus_counts(n_per_context, seeds)`` draws
-    them for a block of trials at once, one 4-tuple per seed.
+    A trial needs only its bundle's four counts of a*b = +1 pairs, which
+    ``streams.plus_counts`` draws for a block of trial seeds at once; its S-hat
+    and its exact violation verdict (ties never count) follow from them.
     """
 
     exact_s: float
-    plus_counts: PlusCounts
+    streams: ContextStreams
 
 
 def generator_from_lhv(model: MixtureModel) -> BundleGenerator:
-    """Trials on the streams of ``sample_bundle(model, ...)``; the laws are built once per generator."""
-    plus_counts = context_plus_counts(model_laws(model), "lhv-context")
-    return BundleGenerator(exact_lhv_s(model), plus_counts)
+    """Trials on the streams of ``sample_bundle(model, ...)``."""
+    return BundleGenerator(exact_lhv_s(model), model_streams(model))
 
 
 def generator_from_quantum(rho: DensityMatrix, angles: AngleQuadruple) -> BundleGenerator:
     """Born sampling at the given angles, on the streams of ``sample_bundle_quantum``."""
-    laws = behavior_laws(behavior_from_quantum(rho, angles))
-    plus_counts = context_plus_counts(laws, "quantum-context")
-    return BundleGenerator(s_quantum(rho, angles), plus_counts)
+    return BundleGenerator(s_quantum(rho, angles), quantum_streams(rho, angles))
 
 
 def generator_from_behavior(behavior: Behavior) -> BundleGenerator:
     """Trials on the streams of ``sample_bundle_from_behavior(behavior, ...)``."""
-    plus_counts = context_plus_counts(behavior_laws(behavior), "behavior-context")
-    return BundleGenerator(behavior_s(behavior), plus_counts)
+    return BundleGenerator(behavior_s(behavior), behavior_streams(behavior))
 
 
 @dataclass(frozen=True)
@@ -210,7 +204,7 @@ def _run_row(study: ViolationStudy) -> StudyRow:
     plus = np.empty((trials, 4), dtype=np.int64)
     for start in range(0, trials, TRIAL_BLOCK):
         seeds = derive_seeds([study.seed], ("trial",), range(start, min(start + TRIAL_BLOCK, trials)))
-        plus[start : start + len(seeds)] = study.generator.plus_counts(n, seeds)
+        plus[start : start + len(seeds)] = study.generator.streams.plus_counts(n, seeds)
     s_values = s_from_counts(zip(plus.T, (n,) * 4))
     margins = 2 * chsh_sum(plus.T) - 2 * n  # n * S-hat, an exact integer
     # n * S-hat > n * threshold, decided in integers so that a tie never counts,

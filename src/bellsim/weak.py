@@ -94,11 +94,12 @@ def per_pair_b_values_lhv(
     """
     if table.n_rows == 0:
         raise DomainError("cannot read an empty table")
-    rng = spawn_rng(seed, "weak-lhv")
     g, sigma = config.coupling, config.noise_sd
-    means = g * table.outcomes.astype(np.float64)
+    # in place, so no (n, 4) array of means or of scaled noise is held beside the readings
+    readings = spawn_rng(seed, "weak-lhv").standard_normal(table.outcomes.shape)
     with np.errstate(all="ignore"):  # readings beyond float64 end as inf or NaN, rejected by PointerRun
-        readings = means + sigma * rng.standard_normal(means.shape)
+        readings *= sigma
+        readings += np.multiply(table.outcomes, g, dtype=np.float64)  # g * v exactly, on numpy 1 too
     return PointerRun(
         readings,
         config,

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from bellsim.behaviors import OUTCOME_PAIRS, Behavior, pr_box, sample_bundle_from_behavior
 from bellsim.cli import EXIT_CONFIG, EXIT_OK, _write_json, main
-from bellsim.core import CounterfactualTable, chsh_sum, context_plus_counts, project_bundle, s_from_counts, sample_contexts
+from bellsim.core import ContextStreams, CounterfactualTable, chsh_sum, project_bundle, s_from_counts
 from bellsim.errors import BellSimError, ConfigError, DomainError, NumericError
 from bellsim.feasibility import ReshuffleProblem
 from bellsim.fileio import (
@@ -54,7 +54,8 @@ from bellsim.quantum import (
     singlet,
 )
 from bellsim.stats import ViolationStudy, generator_from_lhv, significance_curve, violation_frequency
-from bellsim.weak import PointerConfig, per_pair_b_values_calibrated
+from bellsim.rng import derive_seed, derive_seeds
+from bellsim.weak import PointerConfig, exceedance_fraction, per_pair_b_values_calibrated
 from scalars import SCALARS
 
 SIGN_COSINE = "variant = sign_cosine\na1 = 0\na2 = 1\nb1 = 2\nb2 = 3\n"
@@ -185,7 +186,7 @@ MODEL = boundary_mixture_model()
         lambda n: per_pair_b_values_calibrated(2.0, PointerConfig(), n, 1),
         lambda n: ViolationStudy(generator_from_lhv(MODEL), n, 5, 1),
         lambda n: significance_curve(generator_from_lhv(MODEL), [n], 5, 1),
-        lambda n: generator_from_lhv(MODEL).plus_counts(n, [1]),
+        lambda n: generator_from_lhv(MODEL).streams.plus_counts(n, [1]),
     ],
     ids=["lhv-bundle", "lhv-table", "behavior", "quantum", "weak", "study", "curve", "counts"],
 )
@@ -496,8 +497,8 @@ def test_json_outputs_reject_nan_and_infinities(tmp_path, value):
 UNIFORM_LAW = (np.full(4, 0.25), OUTCOME_PAIRS)
 # each core sampler, run on a tuple of laws
 SAMPLERS = {
-    "sample_contexts": lambda laws: sample_contexts(laws, 1000, 1, "bad-law"),
-    "context_plus_counts": lambda laws: context_plus_counts(laws, "bad-law")(1000, [1]),
+    "sample": lambda laws: ContextStreams(laws, "bad-law").sample(1000, 1),
+    "plus_counts": lambda laws: ContextStreams(laws, "bad-law").plus_counts(1000, [1]),
 }
 
 
@@ -544,3 +545,61 @@ def test_chsh_layout_needs_four_contexts(call, message):
 def test_model_specification_must_be_a_mapping(spec):
     with pytest.raises(ConfigError, match="^model specification must be a mapping of keys to values, got "):
         model_from_mapping(spec)
+
+
+@pytest.mark.parametrize(
+    ("counts", "message"),
+    [
+        ((5, 2), "context (1,1): plus counts must be integers in [0, 2], got 5"),
+        ((-1, 2), "context (1,1): plus counts must be integers in [0, 2], got -1"),
+        ((1, -2), "context (1,1): n must be an integer >= 1, got -2"),
+        ((1.5, 2), "context (1,1): plus counts must be integers in [0, 2], got 1.5"),
+        ((True, 2), "context (1,1): plus counts must be integers in [0, 2], got True"),
+        ((1, True), "context (1,1): n must be an integer >= 1, got True"),
+        ((1, 2.0), "context (1,1): n must be an integer >= 1, got 2.0"),
+        ((np.array([0, 3]), 2), "context (1,1): plus counts must be integers in [0, 2], got array([0, 3])"),
+        ((np.array([-1, 0]), 2), "context (1,1): plus counts must be integers in [0, 2], got array([-1,  0])"),
+        ((np.array([0.0, 1.0]), 2), "context (1,1): plus counts must be integers in [0, 2], got array([0., 1.])"),
+        ((np.array([True, False]), 2), "context (1,1): plus counts must be integers in [0, 2], got array([ True, False])"),
+    ],
+    ids=["above-n", "negative", "negative-n", "fractional", "bool", "bool-n", "float-n", "array-above-n",
+         "array-negative", "float-array", "bool-array"],
+)
+def test_counts_no_bundle_can_have_raise(counts, message):
+    # each pair given for all four contexts; S-hat outside [-4, 4] or off the count grid must not come back
+    with pytest.raises(DomainError) as raised:
+        s_from_counts([counts] * 4)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize(
+    ("path", "last"),
+    [("trial", [0]), (["trial"], [0]), (("trial",), "01"), (("trial",), b"01")],
+    ids=["string-path", "list-path", "string-last", "bytes-last"],
+)
+def test_derive_seeds_takes_a_tuple_path_and_no_string(path, last):
+    with pytest.raises(ConfigError, match="^derive_seeds takes a tuple path and an iterable last, got "):
+        derive_seeds([7], path, last)
+    assert derive_seeds([7], ("trial",), [0]) == [derive_seed(7, "trial", 0)]
+
+
+@pytest.mark.parametrize(
+    ("call", "error", "message"),
+    [
+        (lambda b: ReshuffleProblem(np.full((4, 4), 5), slack=b), DomainError, "slack must be finite and >= 0, got "),
+        (lambda b: ViolationStudy(generator_from_lhv(MODEL), 10, 3, 1, threshold=b), ConfigError,
+         "threshold must be finite and positive, got "),
+        (lambda b: PointerConfig(b, 1.0), ConfigError, "coupling g must be positive, got "),
+        (lambda b: PointerConfig(1.0, b), ConfigError, "noise_sd must be >= 0, got "),
+        (lambda b: exceedance_fraction([1.0, 2.0], b), ConfigError, "threshold must be a finite number, got "),
+        (lambda b: per_pair_b_values_calibrated(b, PointerConfig(), 3, 1), ConfigError, "target_s must be finite, got "),
+        (lambda b: observable(b), DomainError, "angle must be a finite real number, got "),
+    ],
+    ids=["reshuffle-slack", "study-threshold", "pointer-coupling", "pointer-noise", "exceedance-threshold",
+         "calibrated-target", "observable-angle"],
+)
+def test_a_bool_is_not_a_real_number(call, error, message):
+    # each read True as 1.0; a bool is no number here, as in sample_size and the seeds
+    with pytest.raises(error) as raised:
+        call(True)
+    assert str(raised.value) == f"{message}True"

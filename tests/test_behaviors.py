@@ -13,12 +13,13 @@ from bellsim.behaviors import (
     behavior_from_bundle,
     behavior_from_quantum,
     behavior_s,
+    behavior_streams,
     no_signaling,
     pr_box,
     random_no_signaling_behavior,
     sample_bundle_from_behavior,
 )
-from bellsim.core import CANONICAL_CONTEXTS, Context, ContextDataset, ExperimentBundle, s_statistic
+from bellsim.core import CANONICAL_CONTEXTS, Context, ContextDataset, ContextStreams, ExperimentBundle, s_statistic
 from bellsim.errors import DomainError
 from bellsim.fileio import read_bundle_csv, write_bundle_csv
 from bellsim.lhv import boundary_mixture_model, sample_bundle
@@ -174,7 +175,7 @@ class TestValidation:
     [
         lambda seed: sample_bundle(boundary_mixture_model(), 5, seed),
         lambda seed: sample_bundle_from_behavior(pr_box(), 5, seed),
-        lambda seed: sample_bundle_from_behavior(pr_box(), 5, seed, "box-context"),
+        lambda seed: ContextStreams(behavior_streams(pr_box()).laws, "box-context").sample(5, seed),
         lambda seed: sample_bundle_quantum(singlet(), TSIRELSON_ANGLES, 5, seed),
     ],
     ids=["lhv", "behavior", "behavior-labelled", "quantum"],

@@ -6,26 +6,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as nph
 
-from bellsim.behaviors import Behavior, behavior_from_quantum, behavior_laws
+from bellsim.behaviors import Behavior, behavior_from_quantum, behavior_streams
 from bellsim.core import (
     BLOCK_VALUES,
     CANONICAL_CONTEXTS,
     Context,
     ContextDataset,
+    ContextStreams,
     CounterfactualTable,
     ExperimentBundle,
     b_statistic,
-    context_plus_counts,
     correlation,
     plus_count,
     project_bundle,
     project_context,
     row_c_values,
     s_statistic,
-    sample_contexts,
 )
 from bellsim.errors import DomainError
-from bellsim.lhv import boundary_mixture_model, deterministic_model, model_laws, sign_cosine_model
+from bellsim.lhv import boundary_mixture_model, deterministic_model, model_streams, sign_cosine_model
 from bellsim.quantum import TSIRELSON_ANGLES, AngleQuadruple, singlet
 from bellsim.rng import categorical, category_runs, derive_seeds, spawn_rng
 
@@ -219,23 +218,23 @@ class TestPerContextSampler:
         rng = np.random.default_rng(11)
         for _ in range(20):
             laws, n, seed = random_laws(rng), int(rng.integers(1, 300)), int(rng.integers(2**63))
-            bundle = sample_contexts(laws, n, seed, "test-context")
+            bundle = ContextStreams(laws, "test-context").sample(n, seed)
             for context, (probs, pairs), dataset in zip(CANONICAL_CONTEXTS, laws, bundle.datasets):
                 draws = categorical(spawn_rng(seed, "test-context", context.index), probs, n)
                 assert dataset.context == context
                 assert np.array_equal(dataset.pairs, pairs[draws])
 
     def test_pairs_that_are_not_c_contiguous_draw_alike(self):
-        # model_laws slices the strategy columns, which gives Fortran-ordered pairs
+        # model_streams slices the strategy columns, which gives Fortran-ordered pairs
         rng = np.random.default_rng(13)
         for _ in range(20):
             laws, n, seed = random_laws(rng), int(rng.integers(1, 300)), int(rng.integers(2**63))
             strided = [(probs, np.repeat(pairs, 2, axis=1)[:, ::2]) for probs, pairs in laws]
             fortran = [(probs, np.asfortranarray(pairs)) for probs, pairs in laws]
             assert not any(pairs.flags.c_contiguous for _, pairs in strided)
-            expected = sample_contexts(laws, n, seed, "test-context")
-            assert sample_contexts(strided, n, seed, "test-context") == expected
-            assert sample_contexts(fortran, n, seed, "test-context") == expected
+            expected = ContextStreams(laws, "test-context").sample(n, seed)
+            assert ContextStreams(strided, "test-context").sample(n, seed) == expected
+            assert ContextStreams(fortran, "test-context").sample(n, seed) == expected
 
     def test_samplers_do_not_search_the_edges(self, monkeypatch):
         # every sampler reads its draws off run edges; categorical (searchsorted) is the tests' reference only
@@ -257,21 +256,21 @@ class TestPerContextSampler:
         rng = np.random.default_rng(12)
         for _ in range(40):
             laws, n, seed = random_laws(rng), int(rng.integers(1, 300)), int(rng.integers(2**63))
-            bundle = sample_contexts(laws, n, seed, "test-context")
+            bundle = ContextStreams(laws, "test-context").sample(n, seed)
             expected = tuple(plus_count(dataset) for dataset in bundle.datasets)
-            assert context_plus_counts(laws, "test-context")(n, [seed]) == [expected]
+            assert ContextStreams(laws, "test-context").plus_counts(n, [seed]) == [expected]
 
 
 # (name, laws): 0, 1, 2, 2 and 4 drawn contexts.  Every LHV or singlet law draws an even
 # number: each strategy's four products multiply to +1, so three fixed contexts fix the fourth.
 # A behavior does not: half PR box, half the box with a = b everywhere, has E = (1, 1, 1, 0).
 BLOCK_LAWS = [
-    ("deterministic", model_laws(deterministic_model(1, -1, 1, 1))),
-    ("one-drawn-behavior", behavior_laws(Behavior([[0.5, 0, 0, 0.5]] * 3 + [[0.25] * 4]))),
-    ("boundary-mixture", model_laws(boundary_mixture_model())),
-    ("singlet-two-drawn", behavior_laws(behavior_from_quantum(singlet(), AngleQuadruple(0, np.pi / 2, 0, np.pi / 2)))),
-    ("singlet", behavior_laws(behavior_from_quantum(singlet(), TSIRELSON_ANGLES))),
-    ("sign-cosine", model_laws(sign_cosine_model(0.1, 1.7, 0.9, -0.8, bob_sign=-1))),
+    ("deterministic", model_streams(deterministic_model(1, -1, 1, 1)).laws),
+    ("one-drawn-behavior", behavior_streams(Behavior([[0.5, 0, 0, 0.5]] * 3 + [[0.25] * 4])).laws),
+    ("boundary-mixture", model_streams(boundary_mixture_model()).laws),
+    ("singlet-two-drawn", behavior_streams(behavior_from_quantum(singlet(), AngleQuadruple(0, np.pi / 2, 0, np.pi / 2))).laws),
+    ("singlet", behavior_streams(behavior_from_quantum(singlet(), TSIRELSON_ANGLES)).laws),
+    ("sign-cosine", model_streams(sign_cosine_model(0.1, 1.7, 0.9, -0.8, bob_sign=-1)).laws),
 ]
 
 
@@ -301,9 +300,9 @@ class TestBlockPath:
     def test_counts_are_each_seeds_bundle_plus_counts(self, name, laws, n, seeds):
         seeds = derive_seeds([n], ("block",), range(seeds))
         expected = [
-            tuple(plus_count(d) for d in sample_contexts(laws, n, seed, "block-context").datasets) for seed in seeds
+            tuple(plus_count(d) for d in ContextStreams(laws, "block-context").sample(n, seed).datasets) for seed in seeds
         ]
-        assert context_plus_counts(laws, "block-context")(n, seeds) == expected
+        assert ContextStreams(laws, "block-context").plus_counts(n, seeds) == expected
 
     def test_no_seeds(self):
-        assert context_plus_counts(model_laws(boundary_mixture_model()), "block-context")(10, []) == []
+        assert model_streams(boundary_mixture_model()).plus_counts(10, []) == []

@@ -10,6 +10,8 @@ Every dataclass field is read as well: its name is loaded as an attribute, or
 its class is named in a ``fields(...)`` call.  Every public method or property
 of a package class is called: its name is loaded as an attribute in the
 package, ``scripts/`` or ``benchmarks/``, or it is on the ``UNCALLED`` list.
+Every name in a module's ``__all__`` is called in the same files, or it is on
+the ``UNCALLED_NAMES`` list.
 """
 
 import ast
@@ -87,12 +89,18 @@ def private_names(tree: ast.Module) -> set[str]:
     return {name for name in bound_names(tree) if name.startswith("_") and not name.startswith("__")}
 
 
-def constant_names(tree: ast.Module) -> set[str]:
-    """UPPER_CASE names that a module binds at its top level and does not list in ``__all__``."""
+def exported_names(tree: ast.Module) -> set[str]:
+    """The names a module lists in ``__all__``."""
     exported = set()
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             exported.update(ast.literal_eval(node.value))
+    return exported
+
+
+def constant_names(tree: ast.Module) -> set[str]:
+    """UPPER_CASE names that a module binds at its top level and does not list in ``__all__``."""
+    exported = exported_names(tree)
     return {name for name in bound_names(tree) if name.isupper() and name not in exported}
 
 
@@ -280,6 +288,62 @@ CLASS = "class Table:\n    def rows(self): ...\n    @property\n    def n(self): 
 def test_uncalled_members_cases(sources, uncalled):
     modules = [ast.parse(source) for source in sources]
     assert uncalled_members(modules[:1], modules) == uncalled
+
+
+# Names in a package module's ``__all__`` that only tests call, as ``module.name``, each with why it stays.
+UNCALLED_NAMES = {
+    "behaviors.no_signaling": "the maintainer decides (ROADMAP)",
+    "behaviors.random_no_signaling_behavior": "the maintainer decides (ROADMAP)",
+    "behaviors.sample_bundle_from_behavior": "the behavior source's bundle sampler, kept beside the LHV and Born ones",
+    "feasibility.chsh_certificate": "the maintainer decides (ROADMAP)",
+    "feasibility.reshuffle_problem_from_table": "the maintainer decides (ROADMAP)",
+    "fileio.write_behavior": "the maintainer decides (ROADMAP)",
+    "quantum.born_probabilities": "the benchmark tracer targets it by name (ROADMAP items 9 and 17)",
+    "quantum.expectation": "the maintainer decides (ROADMAP)",
+    "rng.categorical": "the reference draw; the benchmark tracer targets it by name (ROADMAP items 9 and 17)",
+}
+
+
+def uncalled_public_names(package: dict[str, ast.Module], callers: list[ast.Module]) -> list[str]:
+    """``module.name`` for each name in a package module's ``__all__`` that no caller loads.
+
+    A caller loads a name as a name or an attribute, or by importing it from another module.
+    """
+    loaded = set()
+    for node in (node for module in callers for node in ast.walk(module)):
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.id if isinstance(node, ast.Name) else node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            loaded.update(alias.name for alias in node.names)
+    return sorted(f"{module}.{name}" for module, tree in package.items() for name in exported_names(tree) - loaded)
+
+
+def test_every_public_name_is_called_or_allowed():
+    package = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE}
+    callers = [ast.parse(p.read_text(), filename=str(p)) for p in CALLERS]
+    assert uncalled_public_names(package, callers) == sorted(UNCALLED_NAMES)
+
+
+EXPORTS = "__all__ = ['draw', 'count', 'LIMIT']\ndef draw(): ...\ndef count(): ...\nLIMIT = 1\n"
+
+
+@pytest.mark.parametrize(
+    ("sources", "uncalled"),
+    [
+        ([EXPORTS], ["a.LIMIT", "a.count", "a.draw"]),
+        ([EXPORTS, "draw()\nprint(LIMIT)\n"], ["a.count"]),
+        ([EXPORTS, "from . import a\na.draw()\n"], ["a.LIMIT", "a.count"]),
+        ([EXPORTS, "from .a import count as c, draw\n"], ["a.LIMIT"]),
+        ([EXPORTS, "draw = count = 1\nobj.LIMIT = 2\n"], ["a.LIMIT", "a.count", "a.draw"]),
+        ([EXPORTS + "count()\nLIMIT + 1\ndraw\n"], []),
+        (["def draw(): ...\n", "x = 1\n"], []),
+    ],
+    ids=["uncalled", "name-loads", "attribute-load", "imported", "stored-only", "loaded-in-its-own-module",
+         "no-all"],
+)
+def test_uncalled_public_names_cases(sources, uncalled):
+    modules = [ast.parse(source) for source in sources]
+    assert uncalled_public_names({"a": modules[0]}, modules) == uncalled
 
 
 def loaded_numpy_modules(statement: str) -> set[str]:

@@ -312,7 +312,7 @@ def test_born_sampling_matches_the_per_context_reference():
             probs /= probs.sum()
             draws = categorical(spawn_rng(seed, "quantum-context", context.index), probs, n)
             assert np.array_equal(dataset.pairs, OUTCOME_PAIRS[draws])
-        from_generator = generator_from_quantum(rho, angles).plus_counts(n, [seed])
+        from_generator = generator_from_quantum(rho, angles).streams.plus_counts(n, [seed])
         assert from_generator == [tuple(plus_count(d) for d in bundle.datasets)]
 
 

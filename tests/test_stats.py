@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.stats import binomtest
 from bellsim.behaviors import (
     Behavior,
     behavior_from_quantum,
-    behavior_laws,
+    behavior_streams,
     pr_box,
     sample_bundle_from_behavior,
 )
@@ -16,8 +17,8 @@ from bellsim.core import (
     CANONICAL_CONTEXTS,
     CHSH_SIGNS,
     ContextDataset,
+    ContextStreams,
     ExperimentBundle,
-    context_plus_counts,
     plus_count,
     s_from_counts,
     s_statistic,
@@ -27,7 +28,7 @@ from bellsim.lhv import (
     boundary_mixture_model,
     deterministic_model,
     mixture_model,
-    model_laws,
+    model_streams,
     sample_bundle,
     sign_cosine_model,
 )
@@ -252,8 +253,8 @@ class TestCountPath:
         for model in models:
             n, seed = int(rng.integers(1, 400)), int(rng.integers(2**63))
             bundle = sample_bundle(model, n, seed)
-            assert context_plus_counts(model_laws(model), "lhv-context")(n, [seed]) == [bundle_plus_counts(bundle)]
-            assert generator_from_lhv(model).plus_counts(n, [seed]) == [bundle_plus_counts(bundle)]
+            assert model_streams(model).plus_counts(n, [seed]) == [bundle_plus_counts(bundle)]
+            assert generator_from_lhv(model).streams.plus_counts(n, [seed]) == [bundle_plus_counts(bundle)]
 
     def test_behavior_and_born_counts_match_the_sampled_bundle(self):
         rng = np.random.default_rng(2025)
@@ -264,9 +265,9 @@ class TestCountPath:
         for behavior in behaviors:
             n, seed = int(rng.integers(1, 400)), int(rng.integers(2**63))
             for label in ("behavior-context", "quantum-context"):
-                bundle = sample_bundle_from_behavior(behavior, n, seed, label)
-                assert context_plus_counts(behavior_laws(behavior), label)(n, [seed]) == [bundle_plus_counts(bundle)]
-            assert generator_from_behavior(behavior).plus_counts(n, [seed]) == [
+                streams = ContextStreams(behavior_streams(behavior).laws, label)
+                assert streams.plus_counts(n, [seed]) == [bundle_plus_counts(streams.sample(n, seed))]
+            assert generator_from_behavior(behavior).streams.plus_counts(n, [seed]) == [
                 bundle_plus_counts(sample_bundle_from_behavior(behavior, n, seed))
             ]
 
@@ -276,7 +277,7 @@ class TestCountPath:
             for n in (1, 7, 100, 999):
                 seed = int(rng.integers(2**63))
                 bundle = sample_bundle(model, n, seed)
-                (plus,) = generator_from_lhv(model).plus_counts(n, [seed])
+                (plus,) = generator_from_lhv(model).streams.plus_counts(n, [seed])
                 assert s_from_counts(zip(plus, (n,) * 4)) == s_statistic(bundle)
 
     def test_study_matches_the_bundle_loop(self):
@@ -306,7 +307,7 @@ class TestCountPath:
             (2.0, "absolute", lambda n, seeds: [(0, k_of[s], 0, k_of[s]) for s in seeds], n + 1, 0.0),
         ]
         for exact_s, mode, plus_counts, trials, frequency in cases:
-            study = ViolationStudy(BundleGenerator(exact_s, plus_counts), n, trials, 7, mode=mode)
+            study = ViolationStudy(BundleGenerator(exact_s, SimpleNamespace(plus_counts=plus_counts)), n, trials, 7, mode=mode)
             assert violation_frequency(study).violation_frequency == frequency
 
     def test_some_float_ties_round_above_the_threshold(self):
