@@ -371,6 +371,14 @@ def _per_context(items: Iterable[Any], what: str) -> Iterator[tuple[Context, Any
 # One context's law: index k is drawn with probability probs[k] and records the pair pairs[k] = (a, b).
 ContextLaw = tuple[np.ndarray, np.ndarray]
 
+
+def _read_only(values: object) -> np.ndarray:
+    """A read-only copy of values, of their own dtype; unlike ``frozen_array`` it leaves NaN to the law check."""
+    out = np.array(values)
+    out.setflags(write=False)
+    return out
+
+
 # uniforms per block of streams that ``ContextStreams.plus_counts`` draws and counts at once: 1 MiB of float64
 BLOCK_VALUES = 2**17
 
@@ -390,7 +398,8 @@ class ContextStreams:
     label: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "laws", tuple(self.laws))
+        # read-only copies, each of its own dtype: the run edges ``plus_counts`` caches stay the laws'
+        object.__setattr__(self, "laws", tuple(tuple(map(_read_only, law)) for law in self.laws))
         for context, (_, pairs) in _per_context(self.laws, "law"):
             if np.ndim(pairs) != 2 or np.shape(pairs)[1] != 2 or not (np.abs(pairs) == 1).all():
                 raise DomainError(f"context {context}: a law's outcome pairs must be an (m, 2) array of +/-1")

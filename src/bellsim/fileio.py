@@ -19,8 +19,11 @@ row is a record of NUL-padded byte strings in one numpy record array: the
 block's prefix, the index in the block, then the row's fields.  A bundle row's
 field is the context's suffix such as ``",1,2,-1,1\n"``, picked by the pair's
 ``core.outcome_codes`` code; a pointer record's are five float fields with
-commas and a newline.  The field arrays are dropped, then every NUL byte with
-one mask, and the rest is the rows' text.
+commas and a newline.  A records column whose values in a write all have the
+same bits (the calibrated source's noiseless r_B1) is written from one
+``repr``, one field for every row; every other column goes through
+``_float_fields``.  The field arrays are dropped, then every NUL byte with one
+mask, and the rest is the rows' text.
 
 ``_float_fields`` writes repr's bytes into NUL-padded 24-byte fields.  Within
 repr's positional range, 1e-4 <= |x| < 1e16, it finds repr's shortest
@@ -445,15 +448,21 @@ def read_bundle_csv(path: Path) -> ExperimentBundle:
     return ExperimentBundle(tuple(datasets))
 
 
+def _column_fields(values: np.ndarray) -> bytes | np.ndarray:
+    """One block column's fields: its one repr if every value has the same bits, else the kernel's, one per row."""
+    bits = values.view(np.uint64)  # by bits, so that 0.0 and -0.0 are two values
+    if bits[0] == bits[-1] and (bits == bits[0]).all():  # the ends first: a varying column stops there
+        return repr(float(values[0])).encode()
+    return _float_fields(values).view(f"S{FIELD_BYTES}")[:, 0]
+
+
 def _records_blocks(run: PointerRun) -> Iterator[bytes]:
     """Bytes of the rows ``k,rA1,rA2,rB1,rB2,bvalue``, WRITE_ROWS rows per block."""
     columns = [*run.readings.T, run.b_values]
     for start in range(0, len(run), WRITE_ROWS):
         stop = min(start + WRITE_ROWS, len(run))
         # a column at a time (module docstring): the kernel's intermediates stay a fifth of the block's
-        fields = itertools.chain.from_iterable(
-            (b",", _float_fields(column[start:stop]).view(f"S{FIELD_BYTES}")[:, 0]) for column in columns
-        )
+        fields = itertools.chain.from_iterable((b",", _column_fields(column[start:stop])) for column in columns)
         yield _row_text(start, stop, itertools.chain(fields, [b"\n"]))
 
 

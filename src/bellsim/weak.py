@@ -58,6 +58,13 @@ class PointerConfig:
         object.__setattr__(self, "noise_sd", float(sigma))
 
 
+def _pointer_config(config: object) -> PointerConfig:
+    """config itself if it is a ``PointerConfig``, else a ConfigError."""
+    if not isinstance(config, PointerConfig):
+        raise ConfigError(f"config must be a PointerConfig, got {type(config).__name__}")
+    return config
+
+
 @dataclass(frozen=True, eq=False)
 class PointerRun(ArrayValue):
     """A batch of per-pair pointer readings and the b-value of each pair.
@@ -72,7 +79,7 @@ class PointerRun(ArrayValue):
 
     def __post_init__(self) -> None:
         readings = frozen_array(self.readings, np.float64, (None, 4), "readings")
-        g = self.config.coupling
+        g = _pointer_config(self.config).coupling
         with np.errstate(all="ignore"):  # overflow or a gain whose square is 0 ends as inf or NaN, rejected below
             b_values = chsh_sum(context_products(readings)) / (g * g)
         object.__setattr__(self, "readings", readings)
@@ -94,7 +101,7 @@ def per_pair_b_values_lhv(
     """
     if table.n_rows == 0:
         raise DomainError("cannot read an empty table")
-    g, sigma = config.coupling, config.noise_sd
+    g, sigma = _pointer_config(config).coupling, config.noise_sd
     # in place, so no (n, 4) array of means or of scaled noise is held beside the readings
     readings = spawn_rng(seed, "weak-lhv").standard_normal(table.outcomes.shape)
     with np.errstate(all="ignore"):  # readings beyond float64 end as inf or NaN, rejected by PointerRun
@@ -126,7 +133,7 @@ def per_pair_b_values_calibrated(
         raise ConfigError(f"target_s must be finite, got {target_s}")
     target_s = float(target_s)  # abs() of a numpy integer at its type's minimum overflows
     rng = spawn_rng(seed, "weak-calibrated")
-    g, sigma = config.coupling, config.noise_sd
+    g, sigma = _pointer_config(config).coupling, config.noise_sd
     a = math.sqrt(abs(target_s) / 2.0)
     b = math.copysign(a, target_s) if target_s != 0 else 0.0
     readings = np.empty((n, 4))

@@ -4,8 +4,8 @@ Covers model files and study specs whose values do not parse as their key's
 type, files that are not UTF-8, non-finite behavior and state entries,
 repeated behavior-file lines, sample sizes that are not positive integers,
 study settings (trials, threshold, slack) out of range or of the wrong type,
-non-numeric angles and pointer settings, and b-values whose mean or sd
-overflows float64.  No JSON output holds NaN or an infinity.  A context law
+non-numeric angles and pointer settings, a pointer config that is not a
+``PointerConfig``, and b-values whose mean or sd overflows float64.  No JSON output holds NaN or an infinity.  A context law
 that is not a probability vector over +/-1 pairs, a law count other than four,
 a CHSH sum of other than four values and a model specification that is not a
 mapping are BellSimErrors too.
@@ -55,7 +55,13 @@ from bellsim.quantum import (
 )
 from bellsim.stats import ViolationStudy, generator_from_lhv, significance_curve, violation_frequency
 from bellsim.rng import derive_seed, derive_seeds
-from bellsim.weak import PointerConfig, exceedance_fraction, per_pair_b_values_calibrated
+from bellsim.weak import (
+    PointerConfig,
+    PointerRun,
+    exceedance_fraction,
+    per_pair_b_values_calibrated,
+    per_pair_b_values_lhv,
+)
 from scalars import SCALARS
 
 SIGN_COSINE = "variant = sign_cosine\na1 = 0\na2 = 1\nb1 = 2\nb2 = 3\n"
@@ -433,6 +439,25 @@ def test_bare_scalar_angles_raise_only_bellsim_errors(angles, bob_sign, grid_poi
 def test_pointer_config_rejects_non_numeric_settings(coupling, noise_sd):
     with pytest.raises(ConfigError, match="coupling|noise_sd"):
         PointerConfig(coupling, noise_sd)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda config: PointerRun(np.zeros((3, 4)), config, "x"),
+        lambda config: per_pair_b_values_calibrated(2.0, config, 5, 1),
+        lambda config: per_pair_b_values_lhv(CounterfactualTable.from_rows([(1, 1, 1, 1)]), config, 1),
+    ],
+    ids=["run", "calibrated", "lhv"],
+)
+@pytest.mark.parametrize(
+    ("config", "name"), [(None, "NoneType"), ((1.0, 1.0), "tuple"), ({"coupling": 1.0}, "dict")], ids=["none", "tuple", "dict"]
+)
+def test_pointer_config_must_be_a_pointer_config(call, config, name):
+    # each read config.coupling, which ended in a bare AttributeError
+    with pytest.raises(ConfigError) as raised:
+        call(config)
+    assert str(raised.value) == f"config must be a PointerConfig, got {name}"
 
 
 def test_numpy_integer_trials_give_the_same_curve_bytes(tmp_path):

@@ -252,6 +252,25 @@ class TestPerContextSampler:
         sample_bundle_quantum(singlet(), TSIRELSON_ANGLES, 50, 1)
         sample_bundle_from_behavior(pr_box(), 50, 1)
 
+    def test_laws_are_read_only_copies(self):
+        # plus_counts caches each law's run edges; sample reads the law on each call, so a law
+        # that could change after construction would make the two disagree
+        from bellsim.behaviors import pr_box
+
+        box = behavior_streams(pr_box())
+        with pytest.raises(ValueError):
+            box.laws[0][0][0] = 0.0
+        with pytest.raises(ValueError):
+            box.laws[0][1][0, 0] = -1
+        laws = [(np.array(probs), np.array(pairs)) for probs, pairs in box.laws]
+        streams = ContextStreams(laws, "box-context")
+        assert [(p.dtype, q.dtype) for p, q in streams.laws] == [(np.float64, np.int8)] * 4
+        expected = [tuple(plus_count(d) for d in streams.sample(100, 1).datasets)]
+        laws[0][0][:] = (0.0, 0.5, 0.5, 0.0)  # the first context's law turned from a = b to a != b
+        laws[1][1][:] = -laws[1][1]
+        assert [tuple(plus_count(d) for d in streams.sample(100, 1).datasets)] == expected
+        assert streams.plus_counts(100, [1]) == expected == [(100, 100, 100, 0)]
+
     def test_counts_are_the_bundle_plus_counts(self):
         rng = np.random.default_rng(12)
         for _ in range(40):

@@ -4,7 +4,8 @@
 arithmetic for 1e-4 <= |x| < 1e16 and lets ``repr`` write every other value.
 Every test here compares field text with ``repr(x).encode()``.  The per-row
 f-string records writer that the block writer replaced is kept below as the
-reference for whole files.
+reference for whole files, also for the columns that the writer writes from
+one repr because every value of them in a write has the same bits.
 """
 
 from pathlib import Path
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bellsim import fileio
 from bellsim.fileio import (
     BLOCK_ROWS,
     FIELD_HIGH,
@@ -24,7 +26,7 @@ from bellsim.fileio import (
     _row_text,
     write_records_csv,
 )
-from bellsim.weak import PointerConfig, PointerRun
+from bellsim.weak import PointerConfig, PointerRun, per_pair_b_values_calibrated
 
 PREAMBLE = {"command": "weak-bvalues", "seed": 7}
 
@@ -178,3 +180,68 @@ def test_row_text_is_the_per_row_text(block):
     names = np.array([f"r{k % 7}".encode() for k in rows])
     text = _row_text(start, start + BLOCK_ROWS, [b",", names, b"\n"])
     assert text == "".join(f"{k},r{k % 7}\n" for k in rows).encode()
+
+
+# A records column whose values in one write all have the same bits is written from one repr
+# (fileio._column_fields); these runs put such columns next to varying ones, block by block.
+def assert_writes_like_the_per_row_writer(tmp_path, run) -> None:
+    write_records_csv(tmp_path / "block.csv", run, PREAMBLE)
+    per_row_write_records_csv(tmp_path / "row.csv", run, PREAMBLE)
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "row.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n", [WRITE_ROWS + 1, BLOCK_ROWS + 1], ids=["write-rows+1", "block-rows+1"])
+def test_a_column_single_in_one_write_and_not_the_next(tmp_path, n):
+    # the last write of each n is one row, so every column of it is single-valued
+    readings = np.random.default_rng(n).normal(1.19, 1.0, (n, 4))
+    readings[:WRITE_ROWS, 0] = 1.25  # single in the first write only
+    readings[WRITE_ROWS:, 1] = -3.5  # single from the second write on
+    readings[:, 2] = np.where(np.arange(n) < WRITE_ROWS, 0.7, 0.9)  # a single value per write, another in the next
+    readings[WRITE_ROWS - 1, 3] = readings[0, 3]  # equal ends alone do not make a column single
+    assert_writes_like_the_per_row_writer(tmp_path, PointerRun(readings, PointerConfig(), "blockwise"))
+
+
+def test_zero_columns_are_told_apart_by_sign(tmp_path):
+    # 0.0 == -0.0, so only the bits tell a column of one zero from one of both; the mixed column's
+    # first and last values are equal, so only a check of every value finds its -0.0s
+    n = WRITE_ROWS + 3
+    readings = np.random.default_rng(1).normal(1.19, 1.0, (n, 4))
+    readings[:, 0] = -0.0
+    readings[:, 1] = 0.0
+    readings[[5, WRITE_ROWS // 2, WRITE_ROWS + 1], 1] = -0.0
+    run = PointerRun(readings, PointerConfig(), "zeros")
+    assert np.signbit(run.readings[:, 0]).all() and np.signbit(run.readings[:, 1]).sum() == 3
+    assert_writes_like_the_per_row_writer(tmp_path, run)
+
+
+@pytest.mark.parametrize("value", [1e-5, 1e17, 5e-324, -2.5e-300, -1e300], ids=repr)
+def test_single_values_outside_the_kernel_range(tmp_path, value):
+    assert not FIELD_LOW <= abs(value) < FIELD_HIGH
+    readings = np.random.default_rng(2).normal(1.19, 1.0, (WRITE_ROWS + 1, 4))
+    readings[:, 2] = value
+    assert_writes_like_the_per_row_writer(tmp_path, PointerRun(readings, PointerConfig(), "outside"))
+
+
+@pytest.mark.parametrize("n", [1, WRITE_ROWS, BLOCK_ROWS + 1])
+def test_a_noiseless_calibrated_run(tmp_path, n):
+    # at sigma = 0 every column but r_B2 holds one value, and r_B2 is 0.0 times standard normals: +-0.0
+    run = per_pair_b_values_calibrated(2.8284271247461903, PointerConfig(noise_sd=0.0), n, 1)
+    bits = np.column_stack([run.readings, run.b_values]).view(np.uint64)
+    assert [len(np.unique(column)) for column in bits.T] == [1, 1, 1, 1 if n == 1 else 2, 1]
+    assert_writes_like_the_per_row_writer(tmp_path, run)
+
+
+def test_single_valued_columns_skip_the_kernel(tmp_path, monkeypatch):
+    # the calibrated source's r_B1 is noiseless: four columns of each write reach _float_fields, none
+    # of them single-valued, and a last write of one row reaches it not at all
+    calls = []
+
+    def spy(values):
+        calls.append(values.copy())
+        return _float_fields(values)
+
+    monkeypatch.setattr(fileio, "_float_fields", spy)
+    run = per_pair_b_values_calibrated(2.8284271247461903, PointerConfig(), 2 * WRITE_ROWS + 1, 1)
+    write_records_csv(tmp_path / "records.csv", run)
+    assert [len(values) for values in calls] == [WRITE_ROWS] * 8
+    assert not any((values.view(np.uint64) == values.view(np.uint64)[0]).all() for values in calls)
