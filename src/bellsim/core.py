@@ -39,13 +39,10 @@ from .errors import DomainError
 from .rng import CategoryRuns, category_runs, default_rngs, derive_seeds, sample_size, spawn_rng
 
 __all__ = [
-    "ArrayValue",
-    "BLOCK_VALUES",
     "CANONICAL_CONTEXTS",
     "CHSH_SIGNS",
     "Context",
     "ContextDataset",
-    "ContextLaw",
     "ContextStreams",
     "CounterfactualTable",
     "ExperimentBundle",
@@ -55,16 +52,10 @@ __all__ = [
     "chsh_sum",
     "context_products",
     "correlation",
-    "finite_real",
-    "fixed_sum",
-    "frozen_array",
-    "outcome_codes",
-    "outcome_rows",
     "plus_count",
     "project_bundle",
     "project_context",
     "row_c_values",
-    "rows_of_codes",
     "s_from_counts",
     "s_statistic",
 ]
@@ -279,7 +270,7 @@ class ExperimentBundle:
         datasets = tuple(self.datasets)
         if len(datasets) != 4:
             raise DomainError(f"a bundle needs exactly 4 datasets, got {len(datasets)}")
-        contexts = {d.context for d in datasets}
+        contexts = {d.context for d in datasets if isinstance(d, ContextDataset)}
         if contexts != set(CANONICAL_CONTEXTS):
             raise DomainError(f"datasets must cover all four contexts, got {sorted(contexts)}")
         ordered = tuple(sorted(datasets, key=lambda d: d.context.index))
@@ -340,8 +331,8 @@ def s_from_counts(counts: Iterable[tuple[Any, int]]) -> Any:
     integer >= 1 and each K an integer in [0, n] (bools are not integers here).
     """
     correlations = []
-    for context, (plus, n) in _per_context(counts, "(plus, n) count"):
-        if n == 0:
+    for context, plus, n in _per_context(counts, "(plus, n) count"):
+        if isinstance(n, numbers.Integral) and n == 0:  # an array n fails the integer check below
             raise DomainError(f"correlation undefined for empty dataset in context {context}")
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
             raise DomainError(f"context {context}: n must be an integer >= 1, got {n!r}")
@@ -360,23 +351,21 @@ def s_statistic(bundle: ExperimentBundle) -> float:
     return s_from_counts((plus_count(d), d.n_pairs) for d in bundle.datasets)
 
 
-def _per_context(items: Iterable[Any], what: str) -> Iterator[tuple[Context, Any]]:
-    """``items`` paired with the canonical contexts; a DomainError unless there is one ``what`` per context."""
+def _per_context(items: Iterable[Any], what: str) -> Iterator[tuple[Context, Any, Any]]:
+    """Each canonical context with its item's two parts; a DomainError unless there is one ``what`` per context."""
     items = tuple(items)
     if len(items) != len(CANONICAL_CONTEXTS):
         raise DomainError(f"expected one {what} per context (4), got {len(items)}")
-    return zip(CANONICAL_CONTEXTS, items)
+    for context, item in zip(CANONICAL_CONTEXTS, items):
+        try:
+            first, second = item
+        except (TypeError, ValueError) as exc:  # not iterable, or not of two parts
+            raise DomainError(f"context {context}: a {what} has two parts, got {item!r}") from exc
+        yield context, first, second
 
 
 # One context's law: index k is drawn with probability probs[k] and records the pair pairs[k] = (a, b).
 ContextLaw = tuple[np.ndarray, np.ndarray]
-
-
-def _read_only(values: object) -> np.ndarray:
-    """A read-only copy of values, of their own dtype; unlike ``frozen_array`` it leaves NaN to the law check."""
-    out = np.array(values)
-    out.setflags(write=False)
-    return out
 
 
 # uniforms per block of streams that ``ContextStreams.plus_counts`` draws and counts at once: 1 MiB of float64
@@ -387,22 +376,31 @@ BLOCK_VALUES = 2**17
 class ContextStreams:
     """A source's four independent experiments: context c draws from its law on the stream (seed, label, c.index).
 
-    ``laws`` follow the canonical context order, each over an (m, 2) array of
-    +/-1 pairs (else DomainError).  Each stream depends only on its own path,
-    so any evaluation order produces identical bytes, and each source keeps its
-    own streams by its own label.  ``sample`` draws a bundle; ``plus_counts``
-    counts the plus pairs of many, with the run edges it finds once per value.
+    ``laws`` follow the canonical context order, each float64 probabilities
+    and an int8 (m, 2) array of +/-1 pairs, kept as read-only copies (else
+    DomainError).  Each stream depends only on its own path, so any evaluation
+    order produces identical bytes, and each source keeps its own streams by
+    its own label.  ``sample`` draws a bundle; ``plus_counts`` counts the plus
+    pairs of many, with the run edges it finds once per value.
     """
 
     laws: tuple[ContextLaw, ContextLaw, ContextLaw, ContextLaw]
     label: str
 
     def __post_init__(self) -> None:
-        # read-only copies, each of its own dtype: the run edges ``plus_counts`` caches stay the laws'
-        object.__setattr__(self, "laws", tuple(tuple(map(_read_only, law)) for law in self.laws))
-        for context, (_, pairs) in _per_context(self.laws, "law"):
-            if np.ndim(pairs) != 2 or np.shape(pairs)[1] != 2 or not (np.abs(pairs) == 1).all():
-                raise DomainError(f"context {context}: a law's outcome pairs must be an (m, 2) array of +/-1")
+        laws = []  # copies: the run edges ``plus_counts`` caches stay the laws'
+        for context, probs, pairs in _per_context(self.laws, "law"):
+            try:
+                pairs = _outcome_array(pairs, columns=2)
+            except DomainError as exc:
+                raise DomainError(f"context {context}: a law's outcome pairs must be an (m, 2) array of +/-1") from exc
+            try:  # unlike ``frozen_array``, NaN and the rest are left to the law check
+                probs = np.array(probs, dtype=np.float64)
+            except (TypeError, ValueError) as exc:  # ragged, or not numbers
+                raise DomainError(f"context {context}: a law's probabilities must be numbers") from exc
+            probs.setflags(write=False)
+            laws.append((probs, pairs))
+        object.__setattr__(self, "laws", tuple(laws))
 
     def sample(self, n: int, seed: int) -> ExperimentBundle:
         """n pairs per context: ``categorical``'s draws on its stream, read as pair codes (``category_runs``)."""

@@ -33,11 +33,8 @@ import numpy as np
 from .errors import ConfigError, DomainError
 
 __all__ = [
-    "CategoryRuns",
     "MAX_SAMPLE_SIZE",
     "categorical",
-    "category_runs",
-    "default_rngs",
     "derive_seed",
     "derive_seeds",
     "sample_size",

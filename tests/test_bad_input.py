@@ -8,7 +8,9 @@ non-numeric angles and pointer settings, a pointer config that is not a
 ``PointerConfig``, and b-values whose mean or sd overflows float64.  No JSON output holds NaN or an infinity.  A context law
 that is not a probability vector over +/-1 pairs, a law count other than four,
 a CHSH sum of other than four values and a model specification that is not a
-mapping are BellSimErrors too.
+mapping are BellSimErrors too, as are a law or a count that is not two parts,
+law probabilities or outcome pairs that are ragged or not numbers, and a
+bundle of other than ``ContextDataset`` values.
 """
 
 import json
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 
 from bellsim.behaviors import OUTCOME_PAIRS, Behavior, pr_box, sample_bundle_from_behavior
 from bellsim.cli import EXIT_CONFIG, EXIT_OK, _write_json, main
-from bellsim.core import ContextStreams, CounterfactualTable, chsh_sum, project_bundle, s_from_counts
+from bellsim.core import ContextStreams, CounterfactualTable, ExperimentBundle, chsh_sum, project_bundle, s_from_counts
 from bellsim.errors import BellSimError, ConfigError, DomainError, NumericError
 from bellsim.feasibility import ReshuffleProblem
 from bellsim.fileio import (
@@ -628,3 +630,33 @@ def test_a_bool_is_not_a_real_number(call, error, message):
     with pytest.raises(error) as raised:
         call(True)
     assert str(raised.value) == f"{message}True"
+
+
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        (lambda: ContextStreams([1, 2, 3, 4], "x"), "context (1,1): a law has two parts, got 1"),
+        (lambda: ContextStreams(np.zeros((4, 4)), "x"),
+         "context (1,1): a law has two parts, got array([0., 0., 0., 0.])"),
+        (lambda: ContextStreams([(np.full(4, 0.25), np.array([["a", "b"]] * 4))] * 4, "x"),
+         "context (1,1): a law's outcome pairs must be an (m, 2) array of +/-1"),
+        (lambda: ContextStreams([(np.full(4, 0.25), [[1, 1], [1], [1, -1], [-1, -1]])] * 4, "x"),
+         "context (1,1): a law's outcome pairs must be an (m, 2) array of +/-1"),
+        (lambda: ContextStreams([([0.5, [0.25, 0.25]], OUTCOME_PAIRS)] * 4, "x"),
+         "context (1,1): a law's probabilities must be numbers"),
+        (lambda: ContextStreams([(np.array(["a"] * 4), OUTCOME_PAIRS)] * 4, "x"),
+         "context (1,1): a law's probabilities must be numbers"),
+        (lambda: s_from_counts([1, 2, 3, 4]), "context (1,1): a (plus, n) count has two parts, got 1"),
+        (lambda: s_from_counts([(1, 2, 3)] * 4), "context (1,1): a (plus, n) count has two parts, got (1, 2, 3)"),
+        (lambda: s_from_counts([np.zeros((2, 2))] * 4),
+         "context (1,1): n must be an integer >= 1, got array([0., 0.])"),
+        (lambda: ExperimentBundle([1, 2, 3, 4]), "datasets must cover all four contexts, got []"),
+    ],
+    ids=["int-laws", "array-laws", "string-pairs", "ragged-pairs", "ragged-probabilities", "string-probabilities",
+         "int-counts", "three-part-counts", "array-counts", "int-datasets"],
+)
+def test_per_context_items_of_the_wrong_form_raise(call, message):
+    # each ended in a bare TypeError, ValueError or AttributeError
+    with pytest.raises(DomainError) as raised:
+        call()
+    assert str(raised.value) == message
